@@ -51,8 +51,9 @@ def _cmd_count(args, out):
             raise ValueError("--class needs --m/--n and --k")
         ident = "class=%s,m=%d,n=%d,k=%d" % (args.cls, m, n, k := args.k)
         formula = formulas.count_symmetry(args.cls, m, n, k)
-        oracle_val = (symmetry.brute_count_class(args.cls, m, n, k)
-                      if args.with_oracle else None)
+        oracle_val = (symmetry.brute_count_class(
+            args.cls, m, n, k, EnumerationBudget(max_cells=args.budget))
+            if args.with_oracle else None)
     elif args.lam is not None:
         if args.k is None:
             raise ValueError("--lambda needs --k")
@@ -81,7 +82,9 @@ def _cmd_count(args, out):
         m, n, k = args.m, args.n, args.k
         ident = "m=%d,n=%d,k=%d" % (m, n, k)
         formula = formulas.count_iams(m, n, k)
-        oracle_val = oracle.oracle_count(m, n, k) if args.with_oracle else None
+        oracle_val = (oracle.oracle_count(
+            m, n, k, EnumerationBudget(max_cells=args.budget))
+            if args.with_oracle else None)
 
     verdict = None
     if oracle_val is not None:

@@ -1,20 +1,22 @@
-"""Brute-force enumerators: the ground truth the closed formulas are checked
-against.
+"""Search oracles: the ground truth the closed formulas are checked against.
 
-Two independent routes are kept deliberately separate:
+Three routes, kept deliberately separate:
 
 * `enumerate_maximal_iams` / `enumerate_maximal_fillings` do a pruned
   row-by-row search (safe prunes only: chain length and reachability);
+* `oracle_count` counts the same rectangle search by the transfer-matrix
+  method: a memoized sum over the row state (row, C-vector, ones so far),
+  with the same transitions and the same two prunes, so it lists no
+  matrix.  `class_histogram` in `symmetry` filters the listed stream
+  instead, so symmetry censuses stay a brute-force route;
 * `naive_enumerate` scans every (0,1)-matrix and applies the literal
   flip-based maximality test, with no pruning at all.
 
-Both produce output in row-major lexicographic order on the entries.
+Every stream is in row-major lexicographic order on the entries.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -33,7 +35,6 @@ class EnumerationBudget:
 
     max_cells: int = 64
     max_results: int | None = None
-    deterministic_order: bool = True
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -79,22 +80,34 @@ def _push_row(c_vec, mask, n, k):
 
 
 class _RectSearch:
-    """Shared tables for one (m, n, k) search."""
+    """One (m, n, k) search engine: listing, counting and the bound they share.
+
+    A branch is cut when its ones overshoot the extremal count or when even
+    the most ones the remaining rows can add fall short of it.
+    """
 
     def __init__(self, m, n, k):
         self.m, self.n, self.k = m, n, k
         self.target = max_ones(m, n, k)
-        self._trans = {}   # (c_vec, mask) -> next c_vec or None
+        self._succ = {}    # c_vec -> [(mask, next c_vec, popcount)]
+        self._states = {}  # c_vec -> itself, so successor lists share tuples
         self._future = {}  # (rows_left, c_vec) -> max additional ones
+        self._count = {}   # (depth, c_vec, ones) -> number of completions
 
-    def push(self, c_vec, mask):
-        key = (c_vec, mask)
-        try:
-            return self._trans[key]
-        except KeyError:
-            nxt = _push_row(c_vec, mask, self.n, self.k)
-            self._trans[key] = nxt
-            return nxt
+    def succ(self, c_vec):
+        """Every row that completes no k-chain after this C-vector, as
+        (mask, next C-vector, ones in the row), masks ascending."""
+        got = self._succ.get(c_vec)
+        if got is None:
+            n, k, states = self.n, self.k, self._states
+            got = []
+            for mask in range(1 << n):
+                nxt = _push_row(c_vec, mask, n, k)
+                if nxt is not None:
+                    got.append((mask, states.setdefault(nxt, nxt),
+                                mask.bit_count()))
+            self._succ[c_vec] = got
+        return got
 
     def max_future(self, rows_left, c_vec):
         """Most ones any avoiding completion of this prefix can still add.
@@ -110,15 +123,22 @@ class _RectSearch:
         if got is not None:
             return got
         best = 0
-        for mask in range(1 << self.n):
-            nxt = self.push(c_vec, mask)
-            if nxt is None:
-                continue
-            val = mask.bit_count() + self.max_future(rows_left - 1, nxt)
+        for _, nxt, pop in self.succ(c_vec):
+            val = pop + self.max_future(rows_left - 1, nxt)
             if val > best:
                 best = val
         self._future[key] = best
         return best
+
+    def _viable(self, depth, c_vec, ones):
+        """(mask, next C-vector, ones so far) for each row after this state
+        that keeps the extremal count reachable."""
+        target = self.target
+        rows_left = self.m - depth - 1
+        for mask, nxt, pop in self.succ(c_vec):
+            o2 = ones + pop
+            if o2 <= target and o2 + self.max_future(rows_left, nxt) >= target:
+                yield mask, nxt, o2
 
     def complete(self, prefix_masks, c_vec, ones):
         """Yield full row-mask tuples extending the given prefix."""
@@ -127,17 +147,20 @@ class _RectSearch:
             if ones == self.target:
                 yield prefix_masks
             return
-        rows_left = self.m - depth - 1
-        for mask in range(1 << self.n):
-            nxt = self.push(c_vec, mask)
-            if nxt is None:
-                continue
-            o2 = ones + mask.bit_count()
-            if o2 > self.target:
-                continue
-            if o2 + self.max_future(rows_left, nxt) < self.target:
-                continue
+        for mask, nxt, o2 in self._viable(depth, c_vec, ones):
             yield from self.complete(prefix_masks + (mask,), nxt, o2)
+
+    def count(self, depth, c_vec, ones):
+        """Number of full matrices extending any prefix with this state."""
+        if depth == self.m:
+            return 1 if ones == self.target else 0
+        key = (depth, c_vec, ones)
+        got = self._count.get(key)
+        if got is None:
+            got = sum(self.count(depth + 1, nxt, o2)
+                      for _, nxt, o2 in self._viable(depth, c_vec, ones))
+            self._count[key] = got
+        return got
 
 
 def enumerate_maximal_iams(m, n, k, budget=None):
@@ -154,60 +177,19 @@ def enumerate_maximal_iams(m, n, k, budget=None):
             return
 
 
-def _viable_prefixes(search, depth):
-    """All depth-row prefixes that some extremal completion extends."""
-    out = []
+def oracle_count(m, n, k, budget=None):
+    """Number of maximal I_k-avoiding m x n matrices, by transfer matrix.
 
-    def rec(prefix, c_vec, ones):
-        if len(prefix) == depth:
-            out.append((prefix, c_vec, ones))
-            return
-        rows_left = search.m - len(prefix) - 1
-        for mask in range(1 << search.n):
-            nxt = search.push(c_vec, mask)
-            if nxt is None:
-                continue
-            o2 = ones + mask.bit_count()
-            if o2 > search.target:
-                continue
-            if o2 + search.max_future(rows_left, nxt) < search.target:
-                continue
-            rec(prefix + (mask,), nxt, o2)
-
-    rec((), (0,) * search.n, 0)
-    return out
-
-
-def _count_prefix_task(args):
-    m, n, k, prefix, c_vec, ones = args
-    search = _RectSearch(m, n, k)
-    return sum(1 for _ in search.complete(prefix, c_vec, ones))
-
-
-def oracle_count(m, n, k, workers=None):
-    """Number of maximal I_k-avoiding m x n matrices, by search.
-
-    With workers > 1 the tree is split on the first two rows and subtree
-    counts are merged; the result is identical to the serial count.
+    Sums the row-by-row search of `enumerate_maximal_iams` over its states
+    instead of walking its leaves: same transitions, same prunes, so the
+    result equals the length of that stream, but no matrix is built.  A
+    budget is checked only when one is given; the default listing cap does
+    not apply, since nothing is listed.
     """
     check_mnk(m, n, k)
-    if not workers or workers <= 1:
-        return sum(1 for _ in enumerate_maximal_iams(m, n, k))
-    search = _RectSearch(m, n, k)
-    depth = 2 if m > 2 else 1
-    prefixes = _viable_prefixes(search, depth)
-    tasks = [(m, n, k, p, c, o) for (p, c, o) in prefixes]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_count_prefix_task, tasks, chunksize=8))
-    except (OSError, RuntimeError):
-        # no usable process pool in this environment; fall back to serial
-        return sum(_count_prefix_task(t) for t in tasks)
-
-
-def default_workers():
-    cpus = os.cpu_count() or 1
-    return min(4, cpus)
+    if budget is not None:
+        _check_budget(m * n, budget)
+    return _RectSearch(m, n, k).count(0, (0,) * n, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ structural rather than re-derived.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 from . import oracle
@@ -18,23 +19,57 @@ D8_ELEMENTS = ("id", "rot90", "rot180", "rot270",
                "transpose", "antitranspose", "fliph", "flipv")
 
 
+# Row masks are reversed and transposed through lookup tables indexed by
+# up to _CHUNK bits at a time; wider masks go through chunk by chunk.  The
+# tables are built on first use, one per width or row count.
+_CHUNK = 8
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+@functools.cache
+def _rev_table(w):
+    """rev[x] = the w low bits of x in reverse order."""
+    rev = [0] * (1 << w)
+    for x in range(1, 1 << w):
+        rev[x] = (rev[x >> 1] >> 1) | ((x & 1) << (w - 1))
+    return tuple(rev)
+
+
+@functools.cache
+def _spread_table(stride):
+    """spread[x] = x with bit t moved to bit t * stride."""
+    spread = [0] * (1 << _CHUNK)
+    for x in range(1, 1 << _CHUNK):
+        low = x & -x
+        spread[x] = spread[x ^ low] | (1 << ((low.bit_length() - 1) * stride))
+    return tuple(spread)
+
+
 def _transpose(M):
-    n = M.n
-    cols = []
-    for j in range(1, n + 1):
-        mask = 0
-        for i in range(1, M.m + 1):
-            mask = (mask << 1) | ((M.row_mask(i) >> (n - j)) & 1)
-        cols.append(mask)
-    return BinaryMatrix.from_masks(n, M.m, cols)
+    # lay the rows out interleaved: column j's bits end up in one m-bit field,
+    # row 1 in its high bit
+    m, n = M.m, M.n
+    spread = _spread_table(m)
+    acc = 0
+    for r in M.masks:
+        acc <<= 1
+        shift = 0
+        while r:
+            acc |= spread[r & _CHUNK_MASK] << shift
+            r >>= _CHUNK
+            shift += _CHUNK * m
+    full = (1 << m) - 1
+    cols = tuple((acc >> (t * m)) & full for t in range(n - 1, -1, -1))
+    return BinaryMatrix.from_masks(n, m, cols)
 
 
 def _bitrev(mask, n):
     out = 0
-    for _ in range(n):
-        out = (out << 1) | (mask & 1)
-        mask >>= 1
-    return out
+    while n > _CHUNK:
+        out = (out << _CHUNK) | _rev_table(_CHUNK)[mask & _CHUNK_MASK]
+        mask >>= _CHUNK
+        n -= _CHUNK
+    return (out << n) | _rev_table(n)[mask]
 
 
 def _fliph(M):
@@ -124,42 +159,20 @@ def _tags_of(M):
 # brute-force class counts
 
 
-def brute_count_class(tag, m, n, k):
+def brute_count_class(tag, m, n, k, budget=None):
     """Count maximal IAMs in a symmetry class by filtering the oracle stream."""
     check_mnk(m, n, k)
     if tag == "U":
-        return oracle.oracle_count(m, n, k)
-    return class_histogram(m, n, k)[tag]
+        return oracle.oracle_count(m, n, k, budget)
+    return class_histogram(m, n, k, budget)[tag]
 
 
-def class_histogram(m, n, k, workers=None):
+def class_histogram(m, n, k, budget=None):
     """Counter mapping each tag to the number of oracle matrices carrying it."""
     check_mnk(m, n, k)
     hist = Counter()
-    if workers and workers > 1:
-        search = oracle._RectSearch(m, n, k)
-        depth = 2 if m > 2 else 1
-        prefixes = oracle._viable_prefixes(search, depth)
-        tasks = [(m, n, k, p, c, o) for (p, c, o) in prefixes]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_hist_prefix_task, tasks, chunksize=8):
-                    hist.update(part)
-            return hist
-        except (OSError, RuntimeError):
-            pass  # fall through to serial
-    for M in oracle.enumerate_maximal_iams(m, n, k):
+    for M in oracle.enumerate_maximal_iams(m, n, k, budget):
         hist.update(_tags_of(M))
-    return hist
-
-
-def _hist_prefix_task(args):
-    m, n, k, prefix, c_vec, ones = args
-    search = oracle._RectSearch(m, n, k)
-    hist = Counter()
-    for masks in search.complete(prefix, c_vec, ones):
-        hist.update(_tags_of(BinaryMatrix.from_masks(m, n, masks)))
     return hist
 
 

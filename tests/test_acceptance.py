@@ -37,7 +37,6 @@ from iamkit.genfunc import (
     volume_gf,
 )
 from iamkit.oracle import (
-    default_workers,
     enumerate_maximal_iams,
     oracle_count,
     oracle_count_shape,
@@ -82,9 +81,7 @@ def test_criterion_02_product_formula_vs_search():
     for m in range(2, 7):
         for n in range(m, 7):
             for k in range(2, m + 1):
-                workers = default_workers() if m * n >= 30 else None
-                assert count_iams(m, n, k) == oracle_count(m, n, k,
-                                                           workers=workers)
+                assert count_iams(m, n, k) == oracle_count(m, n, k)
     assert time.perf_counter() - start < 600
 
 

@@ -202,6 +202,26 @@ def test_budget_exit_3(capsys):
     assert len(out.strip().split("\n")) == 2
 
 
+def test_count_with_oracle_honours_budget(capsys):
+    for extra in ([], ["--class", "DS"]):
+        rc = main(["count", "--m", "3", "--n", "3", "--k", "2",
+                   "--with-oracle", "--budget", "4"] + extra)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "budget exceeded" in captured.err
+        assert "Traceback" not in captured.err
+    # the default budget refuses 9 x 9; raising it lets the count run
+    assert main(["count", "--m", "9", "--n", "9", "--k", "5",
+                 "--with-oracle"]) == 3
+    capsys.readouterr()
+    rc, out = run(capsys, ["count", "--m", "9", "--n", "9", "--k", "5",
+                           "--with-oracle", "--budget", "81"])
+    assert rc == 0
+    assert out == "16818516 16818516 AGREE\n"
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "result.txt"
     rc = main(["count", "--m", "9", "--n", "7", "--k", "5",

@@ -11,6 +11,7 @@ from iamkit.core import (
     contains_ik_in_shape,
     max_ones,
 )
+from iamkit.formulas import count_iams
 from iamkit.oracle import (
     BudgetExceeded,
     EnumerationBudget,
@@ -73,9 +74,28 @@ def test_budget_max_results():
     assert got == full[:10]
 
 
-def test_parallel_count_matches_serial():
-    assert oracle_count(5, 5, 3, workers=2) == 175
-    assert oracle_count(6, 6, 4, workers=3) == oracle_count(6, 6, 4)
+def test_count_equals_stream_length():
+    # the transfer-matrix count sums the listing search over its states, so
+    # it must agree with the length of that stream on every board
+    for m in range(2, 7):
+        for n in range(2, 7):
+            for k in range(2, min(m, n) + 1):
+                assert oracle_count(m, n, k) == len(
+                    list(enumerate_maximal_iams(m, n, k))), (m, n, k)
+
+
+def test_count_beyond_the_listing_frontier():
+    assert oracle_count(8, 8, 4) == count_iams(8, 8, 4) == 731808
+    assert oracle_count(9, 9, 5) == count_iams(9, 9, 5) == 16818516
+
+
+def test_count_budget_is_checked_only_when_given():
+    with pytest.raises(BudgetExceeded):
+        oracle_count(3, 3, 2, EnumerationBudget(max_cells=4))
+    assert oracle_count(3, 3, 2, EnumerationBudget(max_cells=9)) == 6
+    # counting lists nothing, so the default listing cap does not apply
+    assert oracle_count(9, 3, 2) == count_iams(9, 3, 2)
+    assert oracle_count(9, 9, 3) == count_iams(9, 9, 3)
 
 
 def test_maximality_equals_extremal_ones_on_small_boards():

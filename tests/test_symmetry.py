@@ -63,6 +63,34 @@ def test_rot90_has_order_four(rows):
     assert R == M
 
 
+def reference_apply(rows, g):
+    """The dihedral action by index arithmetic on nested lists."""
+    m, n = len(rows), len(rows[0])
+    at = {
+        "id": (m, n, lambda i, j: rows[i][j]),
+        "rot180": (m, n, lambda i, j: rows[m - 1 - i][n - 1 - j]),
+        "fliph": (m, n, lambda i, j: rows[m - 1 - i][j]),
+        "flipv": (m, n, lambda i, j: rows[i][n - 1 - j]),
+        "transpose": (n, m, lambda i, j: rows[j][i]),
+        "antitranspose": (n, m, lambda i, j: rows[m - 1 - j][n - 1 - i]),
+        "rot90": (n, m, lambda i, j: rows[m - 1 - j][i]),
+        "rot270": (n, m, lambda i, j: rows[j][n - 1 - i]),
+    }
+    rows_out, cols_out, entry = at[g]
+    return [[entry(i, j) for j in range(cols_out)] for i in range(rows_out)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 19).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                       min_size=1, max_size=19)))
+def test_apply_matches_list_reference(rows):
+    # widths past 8 bits exercise the chunked table lookups
+    M = BinaryMatrix(rows)
+    for g in D8_ELEMENTS:
+        assert apply(M, g).to_lists() == reference_apply(rows, g), g
+
+
 def test_classes_of_wide_fixture():
     # 9 x 12 matrix, maximal for k = 5, fixed by both axis reflections
     rows = []
