@@ -174,17 +174,29 @@ def _point_to_cell(x, y, m):
     return (m - y, x + 1)
 
 
+def _require_maximal(M, k):
+    if not is_maximal_iam(M, k):
+        raise ValueError("input must be a maximal I_k-avoiding matrix")
+
+
+def _require_walk(path, s):
+    for (x0, y0), (x1, y1) in zip(path, path[1:]):
+        if (x1 - x0, y1 - y0) not in ((1, 0), (0, 1)):
+            raise ValueError("path %d is not a unit east/north walk"
+                             % (s + 1,))
+
+
 def matrix_to_paths(M, k):
     """Split the ones of a maximal matrix into its k-1 nonintersecting paths.
 
     The ones whose level lies in [k-2, m+n-k] are exactly the path points:
     each such level carries k-1 of them, and joining the s-th lowest point
-    of every level gives path s.  Everything is asserted along the way, so a
-    non-maximal input fails loudly.
+    of every level gives path s.  Everything is checked along the way, so a
+    non-maximal input raises ValueError.
     """
     m, n = M.m, M.n
     check_mnk(m, n, k)
-    assert is_maximal_iam(M, k), "input must be a maximal I_k-avoiding matrix"
+    _require_maximal(M, k)
     lo, hi = k - 2, m + n - k
     by_level = {lev: [] for lev in range(lo, hi + 1)}
     for (i, j) in M.one_cells():
@@ -195,17 +207,17 @@ def matrix_to_paths(M, k):
     paths = [[] for _ in range(k - 1)]
     for lev in range(lo, hi + 1):
         pts = sorted(by_level[lev], key=lambda p: p[1])
-        assert len(pts) == k - 1, (
-            "level %d carries %d path points, expected %d" % (lev, len(pts), k - 1))
+        if len(pts) != k - 1:
+            raise ValueError("level %d carries %d path points, expected %d"
+                             % (lev, len(pts), k - 1))
         for s in range(k - 1):
             paths[s].append(pts[s])
     starts, ends = path_endpoints(m, n, k)
     for s, path in enumerate(paths):
-        assert path[0] == starts[s] and path[-1] == ends[s], (
-            "path %d has endpoints %r..%r" % (s + 1, path[0], path[-1]))
-        for (x0, y0), (x1, y1) in zip(path, path[1:]):
-            assert (x1 - x0, y1 - y0) in ((1, 0), (0, 1)), (
-                "path %d is not a unit east/north walk" % (s + 1,))
+        if path[0] != starts[s] or path[-1] != ends[s]:
+            raise ValueError("path %d has endpoints %r..%r"
+                             % (s + 1, path[0], path[-1]))
+        _require_walk(path, s)
     return PathFamily(paths)
 
 
@@ -234,26 +246,29 @@ def paths_to_matrix(paths, m, n, k):
         fam = paths.paths
     else:
         fam = tuple(tuple(p) for p in paths)
-    assert len(fam) == k - 1, "expected %d paths" % (k - 1)
+    if len(fam) != k - 1:
+        raise ValueError("expected %d paths, got %d" % (k - 1, len(fam)))
     starts, ends = path_endpoints(m, n, k)
     seen = set()
     cells = _staircase_cells(m, n, k)
     for s, path in enumerate(fam):
-        assert path[0] == tuple(starts[s]) and path[-1] == tuple(ends[s]), (
-            "path %d endpoints are off" % (s + 1,))
-        for (x0, y0), (x1, y1) in zip(path, path[1:]):
-            assert (x1 - x0, y1 - y0) in ((1, 0), (0, 1)), (
-                "path %d is not a unit east/north walk" % (s + 1,))
+        if not path or path[0] != tuple(starts[s]) \
+                or path[-1] != tuple(ends[s]):
+            raise ValueError("path %d endpoints are off" % (s + 1,))
+        _require_walk(path, s)
         for pt in path:
-            assert pt not in seen, "paths intersect at %r" % (pt,)
+            if pt in seen:
+                raise ValueError("paths intersect at %r" % (pt,))
             seen.add(pt)
             cells.add(_point_to_cell(pt[0], pt[1], m))
     masks = [0] * m
     for (i, j) in cells:
-        assert 1 <= i <= m and 1 <= j <= n, "cell %r out of range" % ((i, j),)
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise ValueError("cell %r out of range" % ((i, j),))
         masks[i - 1] |= 1 << (n - j)
     M = BinaryMatrix.from_masks(m, n, masks)
-    assert is_maximal_iam(M, k), "reconstruction is not maximal"
+    if not is_maximal_iam(M, k):
+        raise ValueError("reconstruction is not maximal")
     return M
 
 
@@ -270,19 +285,19 @@ def matrix_to_pp(M, k):
     """
     m, n = M.m, M.n
     check_mnk(m, n, k)
-    assert is_maximal_iam(M, k), "input must be a maximal I_k-avoiding matrix"
+    _require_maximal(M, k)
     a, b, c = m - k + 1, n - k + 1, k - 1
     grid = [[None] * b for _ in range(a)]
     for (i, j) in M.zero_cells():
         h = diag_ones_below(M, i, j)
         r, s = i - (k - 1) + h, j - (k - 1) + h
-        assert 1 <= r <= a and 1 <= s <= b, (
-            "zero (%d,%d) lands outside the array" % (i, j))
-        assert grid[r - 1][s - 1] is None, (
-            "array position (%d,%d) hit twice" % (r, s))
+        if not (1 <= r <= a and 1 <= s <= b):
+            raise ValueError("zero (%d,%d) lands outside the array" % (i, j))
+        if grid[r - 1][s - 1] is not None:
+            raise ValueError("array position (%d,%d) hit twice" % (r, s))
         grid[r - 1][s - 1] = h
-    assert all(x is not None for row in grid for x in row), \
-        "some array position was never hit"
+    if any(x is None for row in grid for x in row):
+        raise ValueError("some array position was never hit")
     return PlanePartition(a, b, c, tuple(tuple(row) for row in grid))
 
 
@@ -298,16 +313,19 @@ def pp_to_matrix(pp, m, n, k):
         for s in range(1, pp.b + 1):
             h = pp.pi[r - 1][s - 1]
             i, j = k - 1 + r - h, k - 1 + s - h
-            assert 1 <= i <= m and 1 <= j <= n, (
-                "entry at (%d,%d) places a zero outside the matrix" % (r, s))
-            assert (i, j) not in zeros, "two entries place the same zero"
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ValueError("entry at (%d,%d) places a zero outside the "
+                                 "matrix" % (r, s))
+            if (i, j) in zeros:
+                raise ValueError("two entries place the same zero")
             zeros.add((i, j))
     full = (1 << n) - 1
     masks = [full] * m
     for (i, j) in zeros:
         masks[i - 1] &= ~(1 << (n - j))
     M = BinaryMatrix.from_masks(m, n, masks)
-    assert is_maximal_iam(M, k), "decoded matrix is not maximal"
+    if not is_maximal_iam(M, k):
+        raise ValueError("decoded matrix is not maximal")
     return M
 
 
@@ -326,8 +344,9 @@ def count_zigzag_decompositions(M, k):
     """
     m, n = M.m, M.n
     check_mnk(m, n, k)
-    assert is_maximal_iam(M, k), "input must be a maximal I_k-avoiding matrix"
-    assert M.ones_count() == max_ones(m, n, k)
+    _require_maximal(M, k)
+    if M.ones_count() != max_ones(m, n, k):
+        raise ValueError("input must hold the extremal number of ones")
     top = m + n - 2
     by_level = {lev: [] for lev in range(top + 1)}
     for (i, j) in M.one_cells():

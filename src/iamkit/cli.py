@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Subcommands: count, enumerate, biject, genfunc, selftest.  Exit codes:
-0 success / agreement, 1 usage or invalid parameters, 2 verification
-failure or disagreement, 3 budget exceeded.  All output is deterministic
-for fixed arguments (fixed default seed, sorted iteration everywhere).
+0 success / agreement, 1 usage or invalid parameters (each with one line
+on stderr, never a traceback), 2 verification failure or disagreement,
+3 budget exceeded.  A reader that closes the output pipe early ends the
+run quietly.  All output is deterministic for fixed arguments (fixed
+default seed, sorted iteration everywhere).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -392,6 +395,19 @@ def _build_parser():
     return p
 
 
+def _quiet_stdout():
+    """Point stdout at the null device, so that the interpreter's own flush
+    at exit does not fail again on a pipe the reader has closed."""
+    try:
+        fd = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(fd, sys.stdout.fileno())
+        finally:
+            os.close(fd)
+    except (OSError, ValueError):
+        pass  # stdout is not a real file: nothing will flush into the pipe
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -399,20 +415,37 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to our usage code
         return EXIT_USAGE if exc.code else EXIT_OK
+    if args.format == "csv" and args.command != "count":
+        print("invalid input: --format csv is supported by count only",
+              file=sys.stderr)
+        return EXIT_USAGE
 
-    sink = open(args.out, "w") if getattr(args, "out", None) else sys.stdout
+    try:
+        sink = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        print("cannot open --out file: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "count":
-            return _cmd_count(args, sink)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, sink)
-        if args.command == "biject":
-            return _cmd_biject(args, sink, sys.stdin)
-        if args.command == "genfunc":
-            return _cmd_genfunc(args, sink)
-        if args.command == "selftest":
-            return _cmd_selftest(args, sink)
-        return EXIT_USAGE
+            code = _cmd_count(args, sink)
+        elif args.command == "enumerate":
+            code = _cmd_enumerate(args, sink)
+        elif args.command == "biject":
+            code = _cmd_biject(args, sink, sys.stdin)
+        elif args.command == "genfunc":
+            code = _cmd_genfunc(args, sink)
+        elif args.command == "selftest":
+            code = _cmd_selftest(args, sink)
+        else:
+            code = EXIT_USAGE
+        sink.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`iamkit enumerate ... | head`): not an
+        # error of this command, so end quietly
+        if sink is sys.stdout:
+            _quiet_stdout()
+        return EXIT_OK
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET

@@ -208,18 +208,21 @@ def check_mnk(m, n, k):
         raise ValueError("need 2 <= k <= min(m, n), got m=%d n=%d k=%d" % (m, n, k))
 
 
-def _chain_tables(M):
+def _chain_tables(masks, n):
     """Per-cell chain bounds used by maximality tests.
 
-    Returns (U, D) where U[i][j] is the longest chain of ones lying strictly
-    above and to the left of (i, j), and D[i][j] the analogue strictly below
-    and to the right.  Tables are (m+2) x (n+2), 1-indexed with a zero rim.
+    `masks` are packed rows over columns 1..n (bit n-j = column j), as held
+    by both BinaryMatrix and Filling; cells outside a skew shape simply never
+    hold ones, so one routine serves both.  Returns (U, D) where U[i][j] is
+    the longest chain of ones lying strictly above and to the left of
+    (i, j), and D[i][j] the analogue strictly below and to the right.
+    Tables are (m+2) x (n+2), 1-indexed with a zero rim.
     """
-    m, n = M.m, M.n
+    m = len(masks)
     U = [[0] * (n + 2) for _ in range(m + 2)]
     E = [[0] * (n + 2) for _ in range(m + 2)]  # chain ending exactly at a one
     for i in range(1, m + 1):
-        mk = M.row_mask(i)
+        mk = masks[i - 1]
         for j in range(1, n + 1):
             u = U[i - 1][j]
             if U[i][j - 1] > u:
@@ -235,7 +238,7 @@ def _chain_tables(M):
     D = [[0] * (n + 2) for _ in range(m + 2)]
     F = [[0] * (n + 2) for _ in range(m + 2)]
     for i in range(m, 0, -1):
-        mk = M.row_mask(i)
+        mk = masks[i - 1]
         for j in range(n, 0, -1):
             d = D[i + 1][j]
             if D[i][j + 1] > d:
@@ -260,8 +263,8 @@ def is_maximal_iam(M, k):
         return False
     if M.ones_count() == max_ones(M.m, M.n, k):
         return True
-    U, D = _chain_tables(M)
     m, n = M.m, M.n
+    U, D = _chain_tables(M.masks, n)
     for i in range(1, m + 1):
         mk = M.row_mask(i)
         for j in range(1, n + 1):
@@ -600,41 +603,17 @@ def longest_chain_in_filling(F):
     return _longest_chain_from_cells(F.one_cells())
 
 
-def _filling_chain_tables(F):
-    """(U, D) chain tables over the ones of a filling, as for matrices.
-
-    Indices run over the full bounding rectangle; cells outside the shape
-    simply never hold ones, so the recurrences go through unchanged.
-    """
-    m, n = F.shape.n_rows, F.shape.n_cols
-    ones = set(F.one_cells())
-    U = [[0] * (n + 2) for _ in range(m + 2)]
-    E = [[0] * (n + 2) for _ in range(m + 2)]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            u = max(U[i - 1][j], U[i][j - 1], E[i - 1][j - 1])
-            U[i][j] = u
-            if (i, j) in ones:
-                E[i][j] = u + 1
-    D = [[0] * (n + 2) for _ in range(m + 2)]
-    Fd = [[0] * (n + 2) for _ in range(m + 2)]
-    for i in range(m, 0, -1):
-        for j in range(n, 0, -1):
-            d = max(D[i + 1][j], D[i][j + 1], Fd[i + 1][j + 1])
-            D[i][j] = d
-            if (i, j) in ones:
-                Fd[i][j] = d + 1
-    return U, D
-
-
 def is_maximal_filling(F, k):
     """Avoids I_k inside the shape, and no in-shape 0 can be flipped to 1."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if longest_chain_in_filling(F) >= k:
         return False
-    U, D = _filling_chain_tables(F)
-    for (i, j) in F.zero_cells():
-        if U[i][j] + 1 + D[i][j] < k:
-            return False
+    n = F.shape.n_cols
+    U, D = _chain_tables(F.masks, n)
+    for i, mk in enumerate(F.masks, start=1):
+        lo, hi = F.shape.row_span(i)
+        for j in range(lo + 1, hi + 1):
+            if not (mk >> (n - j)) & 1 and U[i][j] + 1 + D[i][j] < k:
+                return False
     return True

@@ -4,11 +4,14 @@ Three routes, kept deliberately separate:
 
 * `enumerate_maximal_iams` / `enumerate_maximal_fillings` do a pruned
   row-by-row search (safe prunes only: chain length and reachability);
-* `oracle_count` counts the same rectangle search by the transfer-matrix
-  method: a memoized sum over the row state (row, C-vector, ones so far),
-  with the same transitions and the same two prunes, so it lists no
-  matrix.  `class_histogram` in `symmetry` filters the listed stream
-  instead, so symmetry censuses stay a brute-force route;
+  the filling search carries every not-yet-justified zero in its row state
+  as a demand on later rows, so it is exact and lists no dead leaf;
+* `oracle_count` and `oracle_count_shape` count the same two searches by
+  the transfer-matrix method: a memoized sum over the row state -- (row,
+  C-vector, ones so far) for rectangles, (row, C-vector, demands) for skew
+  shapes -- with the same transitions and prunes, so they list nothing.
+  `class_histogram` in `symmetry` filters the listed stream instead, so
+  symmetry censuses stay a brute-force route;
 * `naive_enumerate` scans every (0,1)-matrix and applies the literal
   flip-based maximality test, with no pruning at all.
 
@@ -24,6 +27,7 @@ from .core import (
     Filling,
     SkewShape,
     check_mnk,
+    is_maximal_filling,
     is_maximal_iam_by_flips,
     max_ones,
 )
@@ -196,13 +200,30 @@ def oracle_count(m, n, k, budget=None):
 # skew-shape search
 #
 # Same row-by-row scheme over the cells of a skew shape.  Maximality is now
-# local (no extremal ones count is assumed), so the search prunes on two
-# facts only: the ones must stay chain-free, and every already-placed zero
-# must still be *justifiable* -- some future flip chain through it could
-# reach length k.  For a zero at (i, j) the chain above-left is frozen once
-# row i is placed, and the below-right part is bounded by the purely
-# geometric chain of in-shape cells, so the test is exact at placement time.
-# Each leaf is then verified by the literal local-maximality test.
+# local (no extremal ones count is assumed): the ones must stay chain-free,
+# and every zero must be *justified* -- flipping it completes a k-chain.  A
+# zero at (i, j) has its above-left chain U frozen once row i is placed; if
+# need = k-1-U > 0 it needs a chain of `need` ones strictly below and to the
+# right of it, which only later rows can supply.  That requirement joins the
+# row state as a *demand*: a staircase of (column c, still-needed r) pairs,
+# each an alternative "r more ones in later rows, strictly right of c".
+#
+# * A new row advances a pair (c, r) by its first one right of c, at column
+#   j', adding the pair (j', r-1); a pair reaching 0 meets its demand, which
+#   is then dropped.
+# * A pair needs room below the row: r must not exceed the longest run of
+#   in-shape cells strictly below-right of (i, c) (the geometric zero test),
+#   nor k-1-C[c-1], since those r ones would extend the longest chain the
+#   placed rows end at or left of column c.  Other pairs are dropped; a
+#   demand with no pair left kills the branch.
+# * Within a demand only undominated pairs stay (none other has column <=
+#   and need <=); within the state only demands that no other one implies.
+#
+# So the state (depth, C-vector, demands) decides exactly which completions
+# are valid.  The count is a memoized sum over it (the transfer-matrix
+# method again), and the listing enters only states with a nonzero count,
+# so it reaches no dead leaf.  Every listed filling is still put through the
+# literal maximality test, as an invariant that raises if it ever fails.
 
 
 def _geo_down_table(shape):
@@ -231,60 +252,180 @@ def _row_submasks(shape, i):
     return sorted(out)
 
 
+def _first_ones(mask, n):
+    """right[c]: the column of the first one of the row strictly right of
+    column c, or 0 if there is none; c = 0..n."""
+    right = [0] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        right[c] = c + 1 if (mask >> (n - c - 1)) & 1 else right[c + 1]
+    return right
+
+
+def _implies(b, a):
+    """Does meeting demand b always meet demand a?
+
+    True when every pair of b has a pair of a with column <= and need <=.
+    Both are staircases (columns ascending, needs descending), so the a-pair
+    with the least need among those with column <= c is the last of them,
+    and one merge over the two suffices.
+    """
+    t, last = -1, len(a) - 1
+    for c, r in b:
+        while t < last and a[t + 1][0] <= c:
+            t += 1
+        if t < 0 or a[t][1] > r:
+            return False
+    return True
+
+
+def _strongest(demands):
+    """The demands that no other one implies, sorted: the same conditions
+    as all of them together, and one form for one set."""
+    out = []
+    for a in demands:
+        if not any(_implies(b, a) for b in out):
+            out = [b for b in out if not _implies(a, b)]
+            out.append(a)
+    out.sort()
+    return tuple(out)
+
+
+class _ShapeSearch:
+    """One (shape, k) search engine: counting and listing over the row
+    state (depth, C-vector, demands)."""
+
+    def __init__(self, shape, k):
+        self.shape, self.k = shape, k
+        self.m, self.n = shape.n_rows, shape.n_cols
+        self.geo = _geo_down_table(shape)
+        self.row_masks = [_row_submasks(shape, i)
+                          for i in range(1, self.m + 1)]
+        self._succ = {}    # (depth, c_vec) -> [(mask, next c_vec, right,
+                           #                     new demands, room)]
+        self._states = {}  # c_vec -> itself, so successor lists share tuples
+        self._count = {}   # (depth, c_vec, demands) -> number of completions
+
+    def succ(self, depth, c_vec):
+        """Every row after this state that completes no k-chain and leaves
+        no zero unjustifiable, masks ascending, as (mask, next C-vector,
+        first-one table, the demands of the row's zeros, room)."""
+        key = (depth, c_vec)
+        got = self._succ.get(key)
+        if got is None:
+            n, k, states = self.n, self.k, self._states
+            lo, hi = self.shape.row_span(depth + 1)
+            geo = self.geo[depth + 1]
+            got = []
+            for mask in self.row_masks[depth]:
+                nxt = _push_row(c_vec, mask, n, k)
+                if nxt is None:
+                    continue
+                # room[c]: the longest chain later rows can still put
+                # strictly right of column c, bounded by the shape and by
+                # avoidance (see the notes above)
+                room = [0] + [min(geo[c], k - 1 - nxt[c - 1])
+                              for c in range(1, n + 1)]
+                new = []
+                for j in range(lo + 1, hi + 1):
+                    if not (mask >> (n - j)) & 1:
+                        # the above-left chain of this zero is frozen now
+                        need = k - 1 - (c_vec[j - 2] if j >= 2 else 0)
+                        if need > 0:
+                            if room[j] < need:
+                                break
+                            new.append(((j, need),))
+                else:
+                    got.append((mask, states.setdefault(nxt, nxt),
+                                _first_ones(mask, n), new, room))
+            self._succ[key] = got
+        return got
+
+    def advance(self, demands, right, new, room):
+        """The demands once a row (first-one table `right`, demands of its
+        zeros `new`, room below it `room`) is placed, or None if one can
+        no longer be met."""
+        out = list(new)
+        for dem in demands:
+            pairs = list(dem)
+            for c, r in dem:
+                j = right[c]
+                if j:
+                    if r == 1:
+                        break  # this row completes the chain: demand met
+                    pairs.append((j, r - 1))
+            else:
+                pairs.sort()
+                kept = []
+                least = self.k
+                for c, r in pairs:
+                    if r < least and r <= room[c]:
+                        kept.append((c, r))
+                        least = r
+                if not kept:
+                    return None
+                out.append(tuple(kept))
+        return _strongest(out)
+
+    def _children(self, depth, c_vec, demands):
+        """(mask, next C-vector, next demands) for each row after this
+        state, masks ascending."""
+        out = []
+        for mask, nxt, right, new, room in self.succ(depth, c_vec):
+            dem = self.advance(demands, right, new, room)
+            if dem is not None:
+                out.append((mask, nxt, dem))
+        return out
+
+    def count(self, depth, c_vec, demands):
+        """Number of full fillings extending any prefix with this state."""
+        if depth == self.m:
+            return 0 if demands else 1
+        key = (depth, c_vec, demands)
+        got = self._count.get(key)
+        if got is None:
+            got = 0
+            for _, nxt, dem in self._children(depth, c_vec, demands):
+                got += self.count(depth + 1, nxt, dem)
+            self._count[key] = got
+        return got
+
+    def complete(self, prefix_masks, c_vec, demands):
+        """Yield full row-mask tuples extending the given prefix; enters a
+        state only when some completion of it is valid."""
+        depth = len(prefix_masks)
+        if depth == self.m:
+            yield prefix_masks
+            return
+        for mask, nxt, dem in self._children(depth, c_vec, demands):
+            if self.count(depth + 1, nxt, dem):
+                yield from self.complete(prefix_masks + (mask,), nxt, dem)
+
+
+def _check_shape_k(shape, k):
+    if not isinstance(shape, SkewShape):
+        raise TypeError("shape must be a SkewShape")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+
+
 def enumerate_maximal_fillings(shape, k, budget=None):
     """All maximal I_k-avoiding fillings of a skew shape, lex order.
 
     The shape may be any well-formed skew diagram; no staircase-style
     admissibility is required here (the determinant formulas are pickier).
+    Each filling is re-checked by `is_maximal_filling`; a failure there is
+    an error in this search, and raises.
     """
-    if not isinstance(shape, SkewShape):
-        raise TypeError("shape must be a SkewShape")
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    _check_shape_k(shape, k)
     budget = budget or DEFAULT_BUDGET
     _check_budget(shape.cell_count(), budget)
-    m, n = shape.n_rows, shape.n_cols
-    geo = _geo_down_table(shape)
-    row_masks = [_row_submasks(shape, i) for i in range(1, m + 1)]
-    spans = [shape.row_span(i) for i in range(1, m + 1)]
-
-    def leaf_ok(masks):
-        F = Filling.from_masks(shape, masks)
-        # the chain prune already guarantees avoidance; re-check flips exactly
-        from .core import _filling_chain_tables
-        U, D = _filling_chain_tables(F)
-        for (i, j) in F.zero_cells():
-            if U[i][j] + 1 + D[i][j] < k:
-                return False
-        return True
-
-    def rec(depth, placed, c_vec):
-        if depth == m:
-            if leaf_ok(placed):
-                yield Filling.from_masks(shape, placed)
-            return
-        i = depth + 1
-        lo, hi = spans[depth]
-        for mask in row_masks[depth]:
-            nxt = _push_row(c_vec, mask, n, k)
-            if nxt is None:
-                continue
-            ok = True
-            for j in range(lo + 1, hi + 1):
-                if not (mask >> (n - j)) & 1:
-                    # the above-left chain of this zero is frozen now; rows
-                    # below can only add the below-right part, which the
-                    # geometric table bounds exactly
-                    up = c_vec[j - 2] if j >= 2 else 0
-                    if up + 1 + geo[i][j] < k:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            yield from rec(depth + 1, placed + (mask,), nxt)
-
+    search = _ShapeSearch(shape, k)
     emitted = 0
-    for F in rec(0, (), (0,) * n):
+    for masks in search.complete((), (0,) * search.n, ()):
+        F = Filling.from_masks(shape, masks)
+        if not is_maximal_filling(F, k):
+            raise RuntimeError("filling search yielded a non-maximal "
+                               "filling: %r" % (F,))
         yield F
         emitted += 1
         if budget.max_results is not None and emitted >= budget.max_results:
@@ -292,8 +433,18 @@ def enumerate_maximal_fillings(shape, k, budget=None):
 
 
 def oracle_count_shape(shape, k, budget=None):
-    """Number of maximal I_k-avoiding fillings of the shape, by search."""
-    return sum(1 for _ in enumerate_maximal_fillings(shape, k, budget))
+    """Number of maximal I_k-avoiding fillings of the shape, by transfer
+    matrix.
+
+    Sums the search of `enumerate_maximal_fillings` over its states, so the
+    result equals the length of that stream, but no filling is built.  A
+    budget is checked only when one is given, as for `oracle_count`.
+    """
+    _check_shape_k(shape, k)
+    if budget is not None:
+        _check_budget(shape.cell_count(), budget)
+    search = _ShapeSearch(shape, k)
+    return search.count(0, (0,) * search.n, ())
 
 
 # ---------------------------------------------------------------------------

@@ -118,15 +118,18 @@ def test_path_count_invariant():
 
 
 def test_matrix_to_pp_rejects_non_maximal():
-    with pytest.raises(AssertionError):
+    # a ValueError, not an assert, so the check survives python -O
+    with pytest.raises(ValueError):
         matrix_to_pp(BinaryMatrix([[1, 0], [0, 1]]), 2)
+    with pytest.raises(ValueError):
+        matrix_to_paths(BinaryMatrix([[1, 0], [0, 1]]), 2)
 
 
 def test_paths_to_matrix_rejects_crossing_paths():
     fam = matrix_to_paths(BinaryMatrix(SIX[0][0]), 3)
     # swap the two paths: endpoints no longer match
     swapped = PathFamily((fam.paths[1], fam.paths[0]))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         paths_to_matrix(swapped, 3, 4, 3)
 
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +233,72 @@ def test_out_file(capsys, tmp_path):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == "116424\n"
+
+
+def test_out_to_missing_directory_exits_1(capsys, tmp_path):
+    rc = main(["count", "--m", "3", "--n", "3", "--k", "2",
+               "--out", str(tmp_path / "missing" / "x")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_enumerate_rejects_csv(capsys):
+    rc = main(["enumerate", "--m", "2", "--n", "2", "--k", "2",
+               "--format", "csv"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "csv" in captured.err
+    # text and json both stay the JSON-lines stream
+    for fmt in ("text", "json"):
+        rc, out = run(capsys, ["enumerate", "--m", "2", "--n", "2", "--k",
+                               "2", "--format", fmt])
+        assert rc == 0
+        assert out == ('{"m":2,"n":2,"rows":[[0,1],[1,1]]}\n'
+                       '{"m":2,"n":2,"rows":[[1,1],[1,0]]}\n')
+
+
+# ---------------------------------------------------------------------------
+# the installed command line, as a subprocess
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def iamkit_process(args, optimize=False, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    flags = ["-O"] if optimize else []
+    return subprocess.Popen([sys.executable] + flags + ["-m", "iamkit.cli"]
+                            + args, env=env, **kwargs)
+
+
+def test_enumerate_into_a_closed_pipe_ends_quietly():
+    # 1,764 lines, far more than a pipe buffer holds, so the writer is
+    # still writing when the reader goes away
+    proc = iamkit_process(["enumerate", "--m", "6", "--n", "6", "--k", "3"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith(b'{"m":6,"n":6,')
+    assert err == b""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_biject_non_maximal_exits_1_also_under_python_O(optimize):
+    # validation must not rest on assert, which python -O strips
+    proc = iamkit_process(["biject", "--to", "pp", "--k", "2"], optimize,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+    out, err = proc.communicate(b'{"m":2,"n":2,"rows":[[1,0],[0,1]]}',
+                                timeout=60)
+    assert proc.returncode == 1
+    assert out == b""
+    assert len(err.splitlines()) == 1
+    assert b"maximal" in err and b"Traceback" not in err

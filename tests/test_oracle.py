@@ -1,9 +1,13 @@
 """The search oracles against the prune-free scan and against each other."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iamkit import oracle
 from iamkit.core import (
     BinaryMatrix,
     Filling,
@@ -12,6 +16,7 @@ from iamkit.core import (
     max_ones,
 )
 from iamkit.formulas import count_iams
+from iamkit.skew import TruncatedRect, count_truncated_rect
 from iamkit.oracle import (
     BudgetExceeded,
     EnumerationBudget,
@@ -163,6 +168,99 @@ def test_oracle_count_shape_known():
     assert oracle_count_shape(SkewShape((4, 4, 4)), 3) == 6
 
 
+def test_shape_count_equals_stream_length():
+    # the count sums the listing search over its states, so it must agree
+    # with the length of that stream on the catalog and on every truncated
+    # board up to 6 x 6
+    from test_skew import CATALOG
+    boards = [(SkewShape(lam, mu), k) for lam, mu, k, _ in CATALOG]
+    boards += [(TruncatedRect(m, n, k, t).shape(), k)
+               for m in range(2, 7) for n in range(m, 7)
+               for k in range(2, m + 1) for t in (m - k, m - k + 1)]
+    for sh, k in boards:
+        assert oracle_count_shape(sh, k) == len(
+            list(enumerate_maximal_fillings(sh, k))), (sh, k)
+
+
+@pytest.mark.parametrize("lam,mu,k,size,digest", [
+    ((5, 5, 5, 4), (), 3, 40,
+     "83816cbe29453e78246753798b32ee591e1d20b969e4867c95b4d042f89d15e4"),
+    ((4, 4, 4, 3), (1, 1, 0, 0), 2, 15,
+     "477faaac634d2c10add04480a8dac981bf9c80aa4afcfb80bc667da8c86527a7"),
+    ((5, 5, 5, 5), (1, 0, 0, 0), 3, 40,
+     "447b9ed7bc94647eb55746d38acd915acdee02cfb4bf0c8c05c3e577ade967c8"),
+    ((5, 5, 5, 4), (2, 1, 0, 0), 2, 27,
+     "8a99c1a59c72e33d04a461298bede7b16ee6098df44c343e8700f123c80649ea"),
+    ((4, 4, 3), (2, 0, 0), 2, 6,
+     "b6a4d89fdcc1f1dfdd4cd665852c82c3f919a05cc2d8e9c38898968726152b85"),
+])
+def test_filling_stream_is_pinned(lam, mu, k, size, digest):
+    # frozen from the generate-and-test search this one replaced: the same
+    # fillings in the same order
+    shape = SkewShape(lam, mu)
+    masks = [F.masks for F in enumerate_maximal_fillings(shape, k)]
+    assert len(masks) == size
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
+
+
+def test_shape_count_beyond_the_listing_frontier():
+    for (n, k, t) in [(7, 4, 3), (8, 4, 5)]:
+        shape = TruncatedRect(n, n, k, t).shape()
+        assert oracle_count_shape(shape, k) == count_truncated_rect(
+            n, n, k, t) == 4719
+    # a rectangle is a skew shape too; this count does not use the
+    # extremal ones count the rectangle search relies on
+    assert oracle_count_shape(SkewShape((9,) * 9), 3) == count_iams(9, 9, 3)
+
+
+def test_shape_count_budget_is_checked_only_when_given():
+    sh = SkewShape((3, 3, 3))
+    with pytest.raises(BudgetExceeded):
+        oracle_count_shape(sh, 2, EnumerationBudget(max_cells=4))
+    assert oracle_count_shape(sh, 2, EnumerationBudget(max_cells=9)) == 6
+    # counting lists nothing, so the default listing cap does not apply
+    assert oracle_count_shape(SkewShape((9,) * 9), 2) == count_iams(9, 9, 2)
+
+
+def test_filling_leaf_invariant_raises(monkeypatch):
+    # a listed filling that fails the literal maximality test is a fault
+    # of the search: it must raise, not be skipped
+    import iamkit.oracle
+    monkeypatch.setattr(iamkit.oracle, "is_maximal_filling",
+                        lambda F, k: False)
+    with pytest.raises(RuntimeError):
+        list(enumerate_maximal_fillings(SkewShape((3, 3)), 2))
+
+
+def _skew_shapes_in_box(rows, cols):
+    """Every skew shape lambda/mu with at most `rows` rows and parts at
+    most `cols`, lambda without zero parts."""
+    out = []
+    for r in range(1, rows + 1):
+        for lam in itertools.combinations_with_replacement(
+                range(cols, 0, -1), r):
+            spans = [range(p, -1, -1) for p in lam]
+            for mu in itertools.product(*spans):
+                if all(a >= b for a, b in zip(mu, mu[1:])):
+                    out.append(SkewShape(lam, mu))
+    return out
+
+
+# drawn uniformly from all shapes in a 4 x 4 box (at most 16 cells) with
+# at least 4 cells, so that big shapes come up as often as small ones
+SMALL_SKEW_SHAPES = [sh for sh in _skew_shapes_in_box(4, 4)
+                     if sh.cell_count() >= 4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_SKEW_SHAPES), st.integers(2, 4))
+def test_shape_count_agrees_with_naive_scan_random(sh, k):
+    naive = naive_fillings(sh, k)
+    assert oracle_count_shape(sh, k) == len(naive)
+    assert list(enumerate_maximal_fillings(sh, k)) == sorted(
+        naive, key=lambda F: F.masks)
+
+
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         list(enumerate_maximal_iams(3, 3, 1))
@@ -170,3 +268,75 @@ def test_invalid_parameters():
         list(enumerate_maximal_iams(3, 3, 4))
     with pytest.raises(ValueError):
         list(enumerate_maximal_fillings(SkewShape((3, 3)), 1))
+
+
+# ---------------------------------------------------------------------------
+# the demand bookkeeping of the skew-shape search, against its definitions
+
+
+def _staircases(cols, needs):
+    """Every demand over columns 1..cols and needs 1..needs: columns
+    ascending, needs strictly descending."""
+    out = []
+    for size in range(1, min(cols, needs) + 1):
+        for cs in itertools.combinations(range(1, cols + 1), size):
+            for rs in itertools.combinations(range(needs, 0, -1), size):
+                out.append(tuple(zip(cs, rs)))
+    return out
+
+
+def _implies_by_definition(b, a):
+    return all(any(ca <= cb and ra <= rb for ca, ra in a) for cb, rb in b)
+
+
+def test_demand_implication_matches_its_definition():
+    demands = _staircases(4, 3)
+    assert len(demands) > 30
+    for a in demands:
+        for b in demands:
+            assert oracle._implies(b, a) == _implies_by_definition(b, a)
+
+
+def test_strongest_demands_match_their_definition():
+    import random
+    rng = random.Random(3)
+    demands = _staircases(4, 3)
+    for _ in range(2000):
+        picked = [rng.choice(demands) for _ in range(rng.randint(0, 5))]
+        want = sorted(a for a in set(picked)
+                      if not any(b != a and _implies_by_definition(b, a)
+                                 for b in set(picked)))
+        assert oracle._strongest(picked) == tuple(want)
+        rng.shuffle(picked)
+        assert oracle._strongest(picked) == tuple(want)
+
+
+def test_demand_advances_is_met_and_dies():
+    search = oracle._ShapeSearch(SkewShape((3, 3, 3)), 3)
+
+    def one_at(mask):                    # row mask -> first-one table
+        return oracle._first_ones(mask, 3)
+
+    room = [0, 1, 1, 0]                  # room[c] below the row, c = 0..3
+    # a one at column 2 advances (1, 2) to (2, 1); (1, 2) itself no longer
+    # fits the room below
+    assert search.advance((((1, 2),),), one_at(0b010), [], room) == (
+        ((2, 1),),)
+    # a one right of column 2 meets the last need: the demand is gone
+    assert search.advance((((2, 1),),), one_at(0b001), [], room) == ()
+    # no one right of column 2 and no room below it: the branch dies
+    assert search.advance((((2, 1),),), one_at(0b100), [],
+                          [0, 1, 0, 0]) is None
+    # the row's own zeros join the demands, and an implied one is dropped:
+    # meeting (2, 1) needs a one right of column 2, which also meets (1, 1)
+    assert search.advance((((2, 1),),), one_at(0b000), [((1, 1),)],
+                          room) == (((2, 1),),)
+
+
+def test_demand_keeps_only_undominated_pairs():
+    search = oracle._ShapeSearch(SkewShape((4, 4, 4, 4)), 4)
+    # a one at column 2 adds (2, 2), which dominates (3, 2): it asks for as
+    # much, from further left
+    right = oracle._first_ones(0b0100, 4)
+    assert search.advance((((1, 3), (3, 2)),), right, [],
+                          [0, 3, 3, 3, 3]) == (((1, 3), (2, 2)),)
