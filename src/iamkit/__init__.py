@@ -11,6 +11,7 @@ from .core import (
     Filling,
     Partition,
     SkewShape,
+    VerificationError,
     contains_ik,
     contains_ik_in_shape,
     is_maximal_filling,

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import bijection, formulas, genfunc, oracle, skew, symmetry
-from .core import BinaryMatrix, SkewShape
+from .core import BinaryMatrix, SkewShape, VerificationError
 from .oracle import BudgetExceeded, EnumerationBudget
 
 EXIT_OK = 0
@@ -395,6 +395,16 @@ def _build_parser():
     return p
 
 
+# the --format values each subcommand writes; the others are refused
+_FORMATS = {
+    "count": ("text", "json", "csv"),
+    "enumerate": ("text", "json"),
+    "biject": ("text", "json"),
+    "genfunc": ("text",),
+    "selftest": ("text",),
+}
+
+
 def _quiet_stdout():
     """Point stdout at the null device, so that the interpreter's own flush
     at exit does not fail again on a pipe the reader has closed."""
@@ -415,9 +425,9 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to our usage code
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.format == "csv" and args.command != "count":
-        print("invalid input: --format csv is supported by count only",
-              file=sys.stderr)
+    if args.format not in _FORMATS[args.command]:
+        print("invalid input: --format %s is not supported by %s"
+              % (args.format, args.command), file=sys.stderr)
         return EXIT_USAGE
 
     try:
@@ -449,6 +459,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationError as exc:
+        print("verification failed: %s" % exc, file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

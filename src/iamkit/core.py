@@ -203,6 +203,11 @@ def max_ones(m, n, k):
     return (k - 1) * (m + n - k + 1)
 
 
+class VerificationError(RuntimeError):
+    """Two routes that must agree did not, or a value claimed to be exact
+    was not: a fault of iamkit, never of its input."""
+
+
 def check_mnk(m, n, k):
     if not (2 <= k <= min(m, n)):
         raise ValueError("need 2 <= k <= min(m, n), got m=%d n=%d k=%d" % (m, n, k))

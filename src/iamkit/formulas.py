@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .core import check_mnk
+from .core import VerificationError, check_mnk
 
 SYMMETRY_TAGS = ("U", "DS", "AS", "DAS", "VS", "HS", "VHS", "QTS", "HTS", "TS")
 
@@ -32,7 +32,8 @@ def hprod(a, b, c):
                 num *= i + j + l - 1
                 den *= i + j + l - 2
     q, r = divmod(num, den)
-    assert r == 0, "box product failed to be an integer"
+    if r:
+        raise VerificationError("box product failed to be an integer")
     return q
 
 
@@ -43,7 +44,8 @@ def count_iams(m, n, k):
 
 
 def _int_of(frac):
-    assert frac.denominator == 1, "expected an integer, got %s" % frac
+    if frac.denominator != 1:
+        raise VerificationError("expected an integer, got %s" % frac)
     return frac.numerator
 
 

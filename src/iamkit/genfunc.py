@@ -22,7 +22,12 @@ from fractions import Fraction
 
 from . import symmetry
 from .bijection import enumerate_pp, matrix_to_paths
-from .core import check_mnk, diag_ones_below, diag_zeros_above
+from .core import (
+    VerificationError,
+    check_mnk,
+    diag_ones_below,
+    diag_zeros_above,
+)
 from .oracle import enumerate_maximal_iams
 
 DEFAULT_SEED = 20260814
@@ -69,10 +74,13 @@ def stat_d(M, k):
     out = []
     for path in fam.paths:
         pts = [p for p in path if p[0] + p[1] == m - 1]
-        assert len(pts) == 1, "path misses the diagonal level"
+        if len(pts) != 1:
+            raise VerificationError("path misses the diagonal level")
         x, y = pts[0]
         i, j = m - y, x + 1
-        assert i == j, "diagonal-level point is off the main diagonal"
+        if i != j:
+            raise VerificationError(
+                "diagonal-level point is off the main diagonal")
         out.append(diag_zeros_above(M, i, j))
     return tuple(out)
 
@@ -179,8 +187,8 @@ class QPoly:
     """A polynomial in q with integer coefficients, stored ascending.
 
     Immutable; the zero polynomial is the empty tuple.  Division is exact
-    division (assert on any remainder) -- these polynomials only ever come
-    from products known to divide.
+    division (ValueError on any remainder) -- these polynomials only ever
+    come from products known to divide.
     """
 
     __slots__ = ("coeffs",)
@@ -238,7 +246,8 @@ class QPoly:
         return QPoly(out)
 
     def exact_div(self, other):
-        """Quotient self / other; asserts the division leaves no remainder."""
+        """Quotient self / other; ValueError unless the division leaves no
+        remainder."""
         if not other.coeffs:
             raise ZeroDivisionError("division by the zero polynomial")
         rem = list(self.coeffs)
@@ -247,17 +256,20 @@ class QPoly:
         if not rem:
             return QPoly()
         qlen = len(rem) - 1 - d
-        assert qlen >= 0, "degree of divisor exceeds degree of dividend"
+        if qlen < 0:
+            raise ValueError("degree of divisor exceeds degree of dividend")
         quot = [0] * (qlen + 1)
         for pos in range(qlen, -1, -1):
             c = rem[pos + d]
             qc, r = divmod(c, lead)
-            assert r == 0, "non-exact polynomial division"
+            if r:
+                raise ValueError("non-exact polynomial division")
             quot[pos] = qc
             if qc:
                 for i, oc in enumerate(other.coeffs):
                     rem[pos + i] -= qc * oc
-        assert all(c == 0 for c in rem), "non-exact polynomial division"
+        if any(rem):
+            raise ValueError("non-exact polynomial division")
         return QPoly(quot)
 
     def __call__(self, x):
@@ -299,7 +311,8 @@ def volume_gf(m, n, k):
                 num = num * QPoly.one_minus_q_power(i + j + l - 1)
                 den = den * QPoly.one_minus_q_power(i + j + l - 2)
     product = num.exact_div(den)
-    assert product == total, "stream and product expansions disagree"
+    if product != total:
+        raise VerificationError("stream and product expansions disagree")
     return total
 
 

@@ -5,13 +5,14 @@ Three routes, kept deliberately separate:
 * `enumerate_maximal_iams` / `enumerate_maximal_fillings` do a pruned
   row-by-row search (safe prunes only: chain length and reachability);
   the filling search carries every not-yet-justified zero in its row state
-  as a demand on later rows, so it is exact and lists no dead leaf;
+  as a demand on later rows, so it is exact and lists no dead leaf; the
+  rectangle search also takes one extra rule per row, with which
+  `class_histogram` in `symmetry` lists only the matrices fixed by a group
+  element, so a symmetry census never filters the full stream;
 * `oracle_count` and `oracle_count_shape` count the same two searches by
   the transfer-matrix method: a memoized sum over the row state -- (row,
   C-vector, ones so far) for rectangles, (row, C-vector, demands) for skew
-  shapes -- with the same transitions and prunes, so they list nothing.
-  `class_histogram` in `symmetry` filters the listed stream instead, so
-  symmetry censuses stay a brute-force route;
+  shapes -- with the same transitions and prunes, so they list nothing;
 * `naive_enumerate` scans every (0,1)-matrix and applies the literal
   flip-based maximality test, with no pruning at all.
 
@@ -20,12 +21,14 @@ Every stream is in row-major lexicographic order on the entries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
     BinaryMatrix,
     Filling,
     SkewShape,
+    VerificationError,
     check_mnk,
     is_maximal_filling,
     is_maximal_iam_by_flips,
@@ -100,16 +103,26 @@ class _RectSearch:
 
     def succ(self, c_vec):
         """Every row that completes no k-chain after this C-vector, as
-        (mask, next C-vector, ones in the row), masks ascending."""
+        (mask, next C-vector, ones in the row), masks ascending.
+
+        These are the rows with no one right of some column J, so entry i
+        holds the mask i << (n - J).
+        """
         got = self._succ.get(c_vec)
         if got is None:
             n, k, states = self.n, self.k, self._states
+            # a one in column j >= 2 ends a chain of length C[j-2] + 1, which
+            # must stay below k; C is weakly increasing, so the columns
+            # where it does are a prefix 1..J, and only masks inside it are
+            # tried
+            free = 1 + bisect_left(c_vec, k - 1, 0, n - 1)
+            shift = n - free
             got = []
-            for mask in range(1 << n):
+            for x in range(1 << free):
+                mask = x << shift
                 nxt = _push_row(c_vec, mask, n, k)
-                if nxt is not None:
-                    got.append((mask, states.setdefault(nxt, nxt),
-                                mask.bit_count()))
+                got.append((mask, states.setdefault(nxt, nxt),
+                            mask.bit_count()))
             self._succ[c_vec] = got
         return got
 
@@ -134,25 +147,57 @@ class _RectSearch:
         self._future[key] = best
         return best
 
-    def _viable(self, depth, c_vec, ones):
+    def _viable(self, depth, c_vec, ones, rows=None):
         """(mask, next C-vector, ones so far) for each row after this state
-        that keeps the extremal count reachable."""
+        that keeps the extremal count reachable; `rows`, if given, is the
+        part of `succ(c_vec)` to draw from."""
         target = self.target
         rows_left = self.m - depth - 1
-        for mask, nxt, pop in self.succ(c_vec):
+        for mask, nxt, pop in self.succ(c_vec) if rows is None else rows:
             o2 = ones + pop
             if o2 <= target and o2 + self.max_future(rows_left, nxt) >= target:
                 yield mask, nxt, o2
 
-    def complete(self, prefix_masks, c_vec, ones):
-        """Yield full row-mask tuples extending the given prefix."""
+    def obeying(self, c_vec, fixed, values, keep):
+        """The rows of `succ(c_vec)` whose mask has these values on the
+        fixed bits and passes `keep` (if given), masks ascending."""
+        succ = self.succ(c_vec)
+        shift = self.n + 1 - len(succ).bit_length()
+        room = (len(succ) - 1) << shift  # the columns a one may take
+        if values & ~room:
+            return []
+        # values plus each subset of the free columns, ascending
+        free = room & ~fixed
+        rows = []
+        sub = 0
+        while True:
+            mask = values | sub
+            if keep is None or keep(mask):
+                rows.append(succ[mask >> shift])
+            if sub == free:
+                return rows
+            sub = (sub - free) & free
+
+    def complete(self, prefix_masks, c_vec, ones, rule=None):
+        """Yield full row-mask tuples extending the given prefix.
+
+        With a rule, yield only those whose every row obeys it, in the same
+        order: `rule(rows placed so far)` gives (fixed bits, their values, a
+        test the mask must pass or None) for the next row, or None when the
+        row is free.
+        """
         depth = len(prefix_masks)
         if depth == self.m:
             if ones == self.target:
                 yield prefix_masks
             return
-        for mask, nxt, o2 in self._viable(depth, c_vec, ones):
-            yield from self.complete(prefix_masks + (mask,), nxt, o2)
+        rows = None
+        if rule is not None:
+            forced = rule(prefix_masks)
+            if forced is not None:
+                rows = self.obeying(c_vec, *forced)
+        for mask, nxt, o2 in self._viable(depth, c_vec, ones, rows):
+            yield from self.complete(prefix_masks + (mask,), nxt, o2, rule)
 
     def count(self, depth, c_vec, ones):
         """Number of full matrices extending any prefix with this state."""
@@ -424,8 +469,8 @@ def enumerate_maximal_fillings(shape, k, budget=None):
     for masks in search.complete((), (0,) * search.n, ()):
         F = Filling.from_masks(shape, masks)
         if not is_maximal_filling(F, k):
-            raise RuntimeError("filling search yielded a non-maximal "
-                               "filling: %r" % (F,))
+            raise VerificationError("filling search yielded a non-maximal "
+                                    "filling: %r" % (F,))
         yield F
         emitted += 1
         if budget.max_results is not None and emitted >= budget.max_results:

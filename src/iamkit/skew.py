@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import Partition, SkewShape
+from .core import Partition, SkewShape, VerificationError
 
 
 def binom(x, r):
@@ -217,7 +217,8 @@ def count_truncated_rect(m, n, k, t):
     for i in range(1, k):
         for j in range(i, k):
             out *= n - m + i + j - 1 + delta
-    assert out.denominator == 1, "truncated product failed to be an integer"
+    if out.denominator != 1:
+        raise VerificationError("truncated product failed to be an integer")
     return out.numerator
 
 

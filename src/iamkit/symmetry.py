@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from itertools import islice
 
 from . import oracle
 from .core import BinaryMatrix, check_mnk, is_maximal_iam
@@ -156,11 +157,108 @@ def _tags_of(M):
 
 
 # ---------------------------------------------------------------------------
-# brute-force class counts
+# fixed points and class counts
+#
+# The matrices fixed by one group element are listed by the oracle's row
+# search itself, with one extra rule per element: from the rows placed so
+# far it gives the next row's forced bits and their values, and whether the
+# row must read the same reversed.
+#
+# * flipv: every row reads the same reversed;
+# * fliph: a row in the lower half is its mirror row above;
+# * rot180: the same, bit-reversed, and a middle row reads the same reversed;
+# * transpose: row i left of the diagonal is column i of the rows above,
+#   read top down;
+# * antitranspose: row i right of the anti-diagonal is column n+1-i of the
+#   rows above, read bottom up.
+
+# Each tag other than U, and the one search it is counted from: a matrix
+# carrying the tag is fixed by that element.
+_CENSUS = (("flipv", ("VS", "VHS")),
+           ("fliph", ("HS",)),
+           ("rot180", ("HTS", "QTS")),
+           ("transpose", ("DS", "DAS", "TS")),
+           ("antitranspose", ("AS",)))
+FIXED_POINT_ELEMENTS = tuple(g for g, _ in _CENSUS)
+_SQUARE_ELEMENTS = ("transpose", "antitranspose")
+
+
+def _row_rule(g, m, n):
+    """rule(rows placed) -> (fixed bits, their values, a test the row must
+    pass or None) for the next row of a matrix fixed by g, or None when
+    that row is free; see `_RectSearch.complete`."""
+    full = (1 << n) - 1
+
+    def palindrome(mask):
+        return _bitrev(mask, n) == mask
+
+    if g == "flipv":
+        return lambda rows: (0, 0, palindrome)
+    if g in ("fliph", "rot180"):
+        def rule(rows):
+            mirror = m - 1 - len(rows)
+            if mirror < len(rows):
+                r = rows[mirror]
+                return full, (r if g == "fliph" else _bitrev(r, n)), None
+            if mirror == len(rows) and g == "rot180":
+                return 0, 0, palindrome
+            return None
+        return rule
+    if g in _SQUARE_ELEMENTS and m != n:
+        raise ValueError("%s fixes only square matrices" % g)
+    if g == "transpose":
+        def rule(rows):
+            d = len(rows)
+            if not d:
+                return None
+            values = 0
+            for r in rows:  # column j comes from row j
+                values = (values << 1) | ((r >> (n - 1 - d)) & 1)
+            return ((1 << d) - 1) << (n - d), values << (n - d), None
+        return rule
+    if g == "antitranspose":
+        def rule(rows):
+            d = len(rows)
+            if not d:
+                return None
+            values = 0
+            for r in reversed(rows):  # column n-i comes from row i+1
+                values = (values << 1) | ((r >> d) & 1)
+            return (1 << d) - 1, values, None
+        return rule
+    raise ValueError("no fixed-point search for group element %r" % (g,))
+
+
+def _listing_search(m, n, k, budget):
+    # fixed points are listed, so the stream's budget rule applies
+    check_mnk(m, n, k)
+    budget = budget or oracle.DEFAULT_BUDGET
+    oracle._check_budget(m * n, budget)
+    return oracle._RectSearch(m, n, k), budget
+
+
+def _fixed_masks(search, g):
+    """Row-mask tuples of the maximal matrices fixed by g, in stream order."""
+    return search.complete((), (0,) * search.n, 0,
+                           _row_rule(g, search.m, search.n))
+
+
+def enumerate_fixed_points(m, n, k, g, budget=None):
+    """All maximal I_k-avoiding m x n matrices fixed by the group element g,
+    in the order of `oracle.enumerate_maximal_iams`.
+
+    g is one of FIXED_POINT_ELEMENTS; transpose and antitranspose need a
+    square board.  The budget applies as to the stream.
+    """
+    search, budget = _listing_search(m, n, k, budget)
+    found = _fixed_masks(search, g)  # rejects g before the first matrix
+    return (BinaryMatrix.from_masks(m, n, masks)
+            for masks in islice(found, budget.max_results))
 
 
 def brute_count_class(tag, m, n, k, budget=None):
-    """Count maximal IAMs in a symmetry class by filtering the oracle stream."""
+    """Count maximal IAMs in a symmetry class by search: U by the oracle's
+    transfer-matrix count, any other tag by `class_histogram`."""
     check_mnk(m, n, k)
     if tag == "U":
         return oracle.oracle_count(m, n, k, budget)
@@ -168,11 +266,23 @@ def brute_count_class(tag, m, n, k, budget=None):
 
 
 def class_histogram(m, n, k, budget=None):
-    """Counter mapping each tag to the number of oracle matrices carrying it."""
-    check_mnk(m, n, k)
-    hist = Counter()
-    for M in oracle.enumerate_maximal_iams(m, n, k, budget):
-        hist.update(_tags_of(M))
+    """Counter mapping each tag to the number of maximal m x n matrices
+    carrying it.
+
+    U is the oracle's transfer-matrix count.  Every other tag is counted by
+    tagging the fixed points of one group element (see _CENSUS), listed by
+    the oracle's row search; all searches share one engine.  The census
+    lists, so the default budget's cell cap applies when none is given;
+    `max_results` truncates streams, so it does not apply to counts.
+    """
+    search, _ = _listing_search(m, n, k, budget)
+    hist = Counter(U=search.count(0, (0,) * n, 0))
+    for g, tags in _CENSUS:
+        if g in _SQUARE_ELEMENTS and m != n:
+            continue
+        for masks in _fixed_masks(search, g):
+            hist.update(_tags_of(BinaryMatrix.from_masks(m, n, masks))
+                        .intersection(tags))
     return hist
 
 

@@ -262,6 +262,32 @@ def test_enumerate_rejects_csv(capsys):
                        '{"m":2,"n":2,"rows":[[1,1],[1,0]]}\n')
 
 
+@pytest.mark.parametrize("argv", [
+    ["genfunc", "--m", "2", "--n", "2", "--k", "2", "--t1"],
+    ["selftest", "--quick"],
+])
+def test_text_only_subcommands_reject_json(capsys, argv):
+    rc = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "json" in captured.err and argv[0] in captured.err
+
+
+def test_verification_error_exits_2(capsys, monkeypatch):
+    # the stream and the product expansion of the volume polynomial
+    # disagree: a fault of iamkit, reported as one line
+    monkeypatch.setattr(iamkit.genfunc, "enumerate_maximal_iams",
+                        lambda m, n, k: iter(()))
+    rc = main(["genfunc", "--m", "2", "--n", "2", "--k", "2", "--t1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("verification failed: stream and product "
+                            "expansions disagree\n")
+
+
 # ---------------------------------------------------------------------------
 # the installed command line, as a subprocess
 
@@ -302,3 +328,40 @@ def test_biject_non_maximal_exits_1_also_under_python_O(optimize):
     assert out == b""
     assert len(err.splitlines()) == 1
     assert b"maximal" in err and b"Traceback" not in err
+
+
+# Run with and without -O; it cannot use assert, which -O strips.
+EXACTNESS_SCRIPT = """
+import sys
+from fractions import Fraction
+import iamkit.genfunc
+from iamkit.cli import main
+from iamkit.core import VerificationError
+from iamkit.formulas import _int_of
+from iamkit.genfunc import QPoly
+try:
+    QPoly([1, 1, 1]).exact_div(QPoly([1, -1]))
+    sys.exit("exact_div returned a quotient for a division with remainder")
+except ValueError:
+    pass
+try:
+    _int_of(Fraction(1, 2))
+    sys.exit("_int_of returned an integer for 1/2")
+except VerificationError:
+    pass
+iamkit.genfunc.enumerate_maximal_iams = lambda m, n, k: iter(())
+sys.exit(main(["genfunc", "--m", "2", "--n", "2", "--k", "2", "--t1"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_exactness_checks_raise_also_under_python_O(optimize):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable] + flags + ["-c", EXACTNESS_SCRIPT],
+                          env=env, capture_output=True, timeout=60)
+    assert proc.stdout == b""
+    assert proc.stderr == (b"verification failed: stream and product "
+                           b"expansions disagree\n")
+    assert proc.returncode == 2

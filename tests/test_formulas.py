@@ -1,11 +1,14 @@
 """Box-product values and the symmetry-class counting formulas."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from iamkit.core import VerificationError
 from iamkit.formulas import (
     SYMMETRY_TAGS,
+    _int_of,
     check_product_relations,
     count_iams,
     count_symmetry,
@@ -102,3 +105,9 @@ def test_product_relations_spot():
     assert check_product_relations(9, 3) == (True, True)
     with pytest.raises(ValueError):
         check_product_relations(3, 3)  # 2k-1 = 5 > n
+
+
+def test_non_integer_class_count_raises():
+    assert _int_of(Fraction(6, 3)) == 2
+    with pytest.raises(VerificationError):
+        _int_of(Fraction(1, 2))

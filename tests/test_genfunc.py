@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from iamkit.bijection import matrix_to_pp, pp_layers
-from iamkit.core import BinaryMatrix
+import iamkit.genfunc
+from iamkit.bijection import PathFamily, matrix_to_pp, pp_layers
+from iamkit.core import BinaryMatrix, VerificationError
 from iamkit.genfunc import (
     QPoly,
     StatRecord,
@@ -89,6 +90,16 @@ def test_stat_d_transposes_tall_matrices():
         assert stat_d(M, 3) == stat_d(apply(M, "transpose"), 3)
 
 
+def test_stat_d_raises_when_a_path_misses_the_diagonal(monkeypatch):
+    # the path family is trusted, but a fault in it must raise, also
+    # under python -O, rather than give a wrong tuple
+    M = next(enumerate_maximal_iams(3, 4, 3))
+    monkeypatch.setattr(iamkit.genfunc, "matrix_to_paths",
+                        lambda M, k: PathFamily(paths=((), ())))
+    with pytest.raises(VerificationError):
+        stat_d(M, 3)
+
+
 def test_weight_closed_form_one_matrix():
     M = BinaryMatrix([[1, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 0]])
     q, t = Fraction(2, 5), Fraction(3, 7)
@@ -134,6 +145,14 @@ def test_volume_gf_matches_pp_volume_gf():
                     pp_volume_gf(m - k + 1, n - k + 1, k - 1)
 
 
+def test_volume_gf_disagreement_raises(monkeypatch):
+    # an empty stream cannot match the product expansion
+    monkeypatch.setattr(iamkit.genfunc, "enumerate_maximal_iams",
+                        lambda m, n, k: iter(()))
+    with pytest.raises(VerificationError):
+        volume_gf(3, 4, 3)
+
+
 def test_volume_gf_at_one_is_the_count():
     for (m, n, k) in [(3, 4, 3), (4, 4, 2), (5, 5, 4)]:
         assert volume_gf(m, n, k)(1) == hprod(m - k + 1, n - k + 1, k - 1)
@@ -156,8 +175,10 @@ def test_qpoly_arithmetic():
 def test_qpoly_exact_division():
     num = QPoly([1, 0, 0, 0, -1])   # 1 - q^4 = (1-q)(1+q+q^2+q^3)
     assert num.exact_div(QPoly([1, -1])).to_list() == [1, 1, 1, 1]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         QPoly([1, 1, 1]).exact_div(QPoly([1, -1]))
+    with pytest.raises(ValueError):
+        QPoly([1]).exact_div(QPoly([1, -1]))
     with pytest.raises(ZeroDivisionError):
         QPoly([1]).exact_div(QPoly())
 

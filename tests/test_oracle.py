@@ -12,6 +12,7 @@ from iamkit.core import (
     BinaryMatrix,
     Filling,
     SkewShape,
+    VerificationError,
     contains_ik_in_shape,
     max_ones,
 )
@@ -228,7 +229,7 @@ def test_filling_leaf_invariant_raises(monkeypatch):
     import iamkit.oracle
     monkeypatch.setattr(iamkit.oracle, "is_maximal_filling",
                         lambda F, k: False)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(VerificationError):
         list(enumerate_maximal_fillings(SkewShape((3, 3)), 2))
 
 
@@ -340,3 +341,39 @@ def test_demand_keeps_only_undominated_pairs():
     right = oracle._first_ones(0b0100, 4)
     assert search.advance((((1, 3), (3, 2)),), right, [],
                           [0, 3, 3, 3, 3]) == (((1, 3), (2, 2)),)
+
+
+def test_rect_successors_match_their_definition():
+    # succ tries only the masks inside the unblocked prefix of columns; it
+    # must still list exactly the rows _push_row accepts, masks ascending
+    for n, k in [(4, 2), (5, 3), (6, 4)]:
+        search = oracle._RectSearch(n, n, k)
+        search.count(0, (0,) * n, 0)
+        assert len(search._succ) > 3
+        for c_vec, got in search._succ.items():
+            want = [m for m in range(1 << n)
+                    if oracle._push_row(c_vec, m, n, k) is not None]
+            assert [row[0] for row in got] == want
+            for mask, nxt, pop in got:
+                assert nxt == oracle._push_row(c_vec, mask, n, k)
+                assert pop == mask.bit_count()
+
+
+def test_obeying_matches_its_definition():
+    n = 5
+    search = oracle._RectSearch(4, n, 3)
+    search.count(0, (0,) * n, 0)
+
+    def odd(mask):
+        return mask.bit_count() % 2 == 1
+
+    for c_vec, succ in search._succ.items():
+        for fixed in (0b11000, 0b00011, 0b10101, 0b11111):
+            for values in range(1 << n):
+                if values & ~fixed:
+                    continue
+                for keep in (None, odd):
+                    want = [row for row in succ
+                            if row[0] & fixed == values
+                            and (keep is None or keep(row[0]))]
+                    assert search.obeying(c_vec, fixed, values, keep) == want

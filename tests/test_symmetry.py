@@ -1,5 +1,7 @@
 """Dihedral action, class membership, and plane-partition symmetries."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,14 +9,20 @@ from hypothesis import strategies as st
 from iamkit.bijection import enumerate_pp, matrix_to_pp
 from iamkit.core import BinaryMatrix
 from iamkit.formulas import count_symmetry
-from iamkit.oracle import enumerate_maximal_iams
+from iamkit.oracle import (
+    BudgetExceeded,
+    EnumerationBudget,
+    enumerate_maximal_iams,
+)
 from iamkit.symmetry import (
     D8_ELEMENTS,
+    FIXED_POINT_ELEMENTS,
     apply,
     brute_count_class,
     class_histogram,
     classes_of,
     compose,
+    enumerate_fixed_points,
     is_S,
     is_SC,
     is_SSC,
@@ -117,6 +125,54 @@ def test_brute_counts_spot():
     hist = class_histogram(5, 5, 3)
     for tag in ("U", "DS", "AS", "HTS", "DAS", "VS"):
         assert hist[tag] == count_symmetry(tag, 5, 5, 3)
+
+
+def boards(top):
+    return [(m, n, k) for m in range(2, top + 1) for n in range(2, top + 1)
+            for k in range(2, min(m, n) + 1)]
+
+
+def test_class_histogram_equals_tagging_the_stream():
+    # the census searches fixed points; the twin tags every listed matrix
+    for m, n, k in boards(6):
+        twin = Counter()
+        for M in enumerate_maximal_iams(m, n, k):
+            twin.update(classes_of(M, k))
+        assert class_histogram(m, n, k) == twin, (m, n, k)
+
+
+def test_fixed_points_equal_the_filtered_stream():
+    for m, n, k in boards(5):
+        stream = list(enumerate_maximal_iams(m, n, k))
+        for g in FIXED_POINT_ELEMENTS:
+            if m != n and g in ("transpose", "antitranspose"):
+                continue
+            want = [M for M in stream if apply(M, g) == M]
+            assert list(enumerate_fixed_points(m, n, k, g)) == want, \
+                (m, n, k, g)
+
+
+def test_fixed_points_reject_other_elements():
+    for g in ("id", "rot90", "rot270", "spin"):
+        with pytest.raises(ValueError):
+            enumerate_fixed_points(3, 3, 2, g)
+    for g in ("transpose", "antitranspose"):
+        with pytest.raises(ValueError):
+            enumerate_fixed_points(3, 4, 2, g)
+
+
+def test_census_keeps_the_listing_budget():
+    # the census lists fixed points, so the default 64-cell cap applies
+    with pytest.raises(BudgetExceeded):
+        class_histogram(9, 9, 5)
+    with pytest.raises(BudgetExceeded):
+        enumerate_fixed_points(9, 9, 5, "transpose")
+    assert len(list(enumerate_fixed_points(
+        5, 5, 3, "transpose", EnumerationBudget(max_results=2)))) == 2
+    with pytest.raises(BudgetExceeded):
+        class_histogram(3, 3, 2, EnumerationBudget(max_cells=8))
+    assert class_histogram(4, 4, 3, EnumerationBudget(max_cells=16))["U"] \
+        == count_symmetry("U", 4, 4, 3)
 
 
 # ---------------------------------------------------------------------------
