@@ -48,7 +48,6 @@ from .formulas import (
     hprod,
 )
 from .genfunc import (
-    ExactScalar,
     QPoly,
     StatRecord,
     gf_lhs,

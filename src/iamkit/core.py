@@ -36,7 +36,7 @@ class BinaryMatrix:
                 raise ValueError("ragged rows")
             mask = 0
             for x in r:
-                if x not in (0, 1):
+                if type(x) is not int or x not in (0, 1):  # not bool
                     raise ValueError("entries must be 0 or 1, got %r" % (x,))
                 mask = (mask << 1) | x
             masks.append(mask)

@@ -32,9 +32,6 @@ from .oracle import enumerate_maximal_iams
 
 DEFAULT_SEED = 20260814
 
-# exact scalar arithmetic everywhere; never floats
-ExactScalar = Fraction
-
 
 # ---------------------------------------------------------------------------
 # statistics

@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import islice
 
 from . import oracle
-from .core import BinaryMatrix, check_mnk, is_maximal_iam
+from .core import BinaryMatrix, SkewShape, check_mnk, is_maximal_iam
 
 D8_ELEMENTS = ("id", "rot90", "rot180", "rot270",
                "transpose", "antitranspose", "fliph", "flipv")
@@ -186,7 +186,7 @@ _SQUARE_ELEMENTS = ("transpose", "antitranspose")
 def _row_rule(g, m, n):
     """rule(rows placed) -> (fixed bits, their values, a test the row must
     pass or None) for the next row of a matrix fixed by g, or None when
-    that row is free; see `_RectSearch.complete`."""
+    that row is free; see `oracle._Search.complete`."""
     full = (1 << n) - 1
 
     def palindrome(mask):
@@ -234,13 +234,12 @@ def _listing_search(m, n, k, budget):
     check_mnk(m, n, k)
     budget = budget or oracle.DEFAULT_BUDGET
     oracle._check_budget(m * n, budget)
-    return oracle._RectSearch(m, n, k), budget
+    return oracle._Search(SkewShape((n,) * m), k), budget
 
 
 def _fixed_masks(search, g):
     """Row-mask tuples of the maximal matrices fixed by g, in stream order."""
-    return search.complete((), (0,) * search.n, 0,
-                           _row_rule(g, search.m, search.n))
+    return search.start(_row_rule(g, search.m, search.n))
 
 
 def enumerate_fixed_points(m, n, k, g, budget=None):
@@ -256,13 +255,34 @@ def enumerate_fixed_points(m, n, k, g, budget=None):
             for masks in islice(found, budget.max_results))
 
 
+def _tag_counts(search, census):
+    """Counter of the tags each (element, tags) pair of the census counts,
+    over the fixed points of that element; square-only elements are
+    skipped on other boards."""
+    m, n = search.m, search.n
+    hist = Counter()
+    for g, tags in census:
+        if g in _SQUARE_ELEMENTS and m != n:
+            continue
+        for masks in _fixed_masks(search, g):
+            hist.update(_tags_of(BinaryMatrix.from_masks(m, n, masks))
+                        .intersection(tags))
+    return hist
+
+
 def brute_count_class(tag, m, n, k, budget=None):
     """Count maximal IAMs in a symmetry class by search: U by the oracle's
-    transfer-matrix count, any other tag by `class_histogram`."""
+    transfer-matrix count, any other tag by the one fixed-point search of
+    `class_histogram` that counts it (0 for a square-only tag on another
+    board)."""
     check_mnk(m, n, k)
     if tag == "U":
         return oracle.oracle_count(m, n, k, budget)
-    return class_histogram(m, n, k, budget)[tag]
+    census = [(g, (tag,)) for g, tags in _CENSUS if tag in tags]
+    if not census:
+        raise ValueError("unknown symmetry tag %r" % (tag,))
+    search, _ = _listing_search(m, n, k, budget)
+    return _tag_counts(search, census)[tag]
 
 
 def class_histogram(m, n, k, budget=None):
@@ -276,13 +296,8 @@ def class_histogram(m, n, k, budget=None):
     `max_results` truncates streams, so it does not apply to counts.
     """
     search, _ = _listing_search(m, n, k, budget)
-    hist = Counter(U=search.count(0, (0,) * n, 0))
-    for g, tags in _CENSUS:
-        if g in _SQUARE_ELEMENTS and m != n:
-            continue
-        for masks in _fixed_masks(search, g):
-            hist.update(_tags_of(BinaryMatrix.from_masks(m, n, masks))
-                        .intersection(tags))
+    hist = Counter(U=search.total())
+    hist.update(_tag_counts(search, _CENSUS))
     return hist
 
 

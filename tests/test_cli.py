@@ -98,6 +98,35 @@ def test_enumerate_max_results(capsys):
     assert len(out.strip().split("\n")) == 3
 
 
+@pytest.mark.parametrize("shape", [["--m", "4", "--n", "4"],
+                                   ["--lambda", "3,3,3"]])
+def test_enumerate_max_results_zero_and_negative(capsys, shape):
+    rc, out = run(capsys, ["enumerate", "--k", "3", "--max-results", "0"]
+                  + shape)
+    assert rc == 0
+    assert out == ""
+    rc = main(["enumerate", "--k", "3", "--max-results", "-1"] + shape)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "max_results" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("bad", ["true", "1.0"])
+def test_biject_rejects_entries_that_are_not_integers(capsys, monkeypatch,
+                                                      bad):
+    # M5_JSON with its first 1 written as JSON true or as a float
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(M5_JSON.replace("[[0,1,", "[[0,%s," % bad)))
+    rc = main(["biject", "--to", "pp", "--k", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("invalid input: entries must be 0 or 1, got %s\n"
+                            % {"true": "True", "1.0": "1.0"}[bad])
+
+
 def test_enumerate_shape(capsys):
     rc, out = run(capsys, ["enumerate", "--lambda", "3,3,3", "--k", "3"])
     assert rc == 0

@@ -101,6 +101,10 @@ def test_matrix_validation():
         BinaryMatrix([[0, 1], [1]])
     with pytest.raises(ValueError):
         BinaryMatrix([])
+    # JSON true and 1.0 compare equal to 1, but are not entries
+    for x in (True, False, 1.0, 0.0):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            BinaryMatrix([[0, x]])
 
 
 def test_partition_basics():

@@ -105,17 +105,47 @@ def test_count_budget_is_checked_only_when_given():
 
 
 def test_maximality_equals_extremal_ones_on_small_boards():
-    # the filling search never looks at the ones count, the matrix search
-    # yields exactly the extremal-count avoiders; their agreement proves
-    # "maximal iff extremal" at these sizes
-    for m in range(2, 6):
-        for n in range(m, 6):
-            for k in range(2, m + 1):
-                via_flips = {f.as_matrix()
-                             for f in enumerate_maximal_fillings(
-                                 SkewShape((n,) * m), k)}
-                via_count = set(enumerate_maximal_iams(m, n, k))
-                assert via_flips == via_count, (m, n, k)
+    # the search never looks at the ones count, so every matrix it lists
+    # holding exactly the extremal count checks "maximal implies extremal"
+    # at these sizes (an avoider with that many ones is maximal, since one
+    # more one exceeds the extremal count)
+    for m in range(2, 7):
+        for n in range(2, 7):
+            for k in range(2, min(m, n) + 1):
+                target = max_ones(m, n, k)
+                for M in enumerate_maximal_iams(m, n, k):
+                    assert M.ones_count() == target, (m, n, k, M)
+
+
+@pytest.mark.parametrize("args,size,digest", [
+    ((6, 6, 3), 1764,
+     "fd87cb9743f83192057c0df29c4a26c6eb2f7e02c39f29554d66fefe72893ed7"),
+    ((5, 7, 4), 490,
+     "533213553bad8018371dae8f3d8d20f72a272776afba84116f93c41f9c8e09eb"),
+    ((7, 5, 3), 1176,
+     "23351df7de8c9e738d449b06e7f5c4fe0b2fc4c1aed08a14a722732cc9b85a16"),
+])
+def test_matrix_stream_is_pinned(args, size, digest):
+    # frozen from the rectangle search that kept the ones count in its
+    # state: the same matrices in the same order
+    masks = [M.masks for M in enumerate_maximal_iams(*args)]
+    assert len(masks) == size
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
+
+
+def test_max_results_zero_lists_nothing_and_negative_is_refused():
+    from iamkit.symmetry import enumerate_fixed_points
+    listings = [
+        lambda b: enumerate_maximal_iams(4, 4, 3, b),
+        lambda b: enumerate_maximal_fillings(SkewShape((4, 4, 3)), 3, b),
+        lambda b: enumerate_fixed_points(4, 4, 3, "transpose", b),
+    ]
+    for listing in listings:
+        assert list(listing(EnumerationBudget(max_results=0))) == []
+        one = list(listing(EnumerationBudget(max_results=1)))
+        assert one == list(listing(None))[:1] and len(one) == 1
+    with pytest.raises(ValueError):
+        EnumerationBudget(max_results=-1)
 
 
 def naive_fillings(sh, k):
@@ -209,8 +239,7 @@ def test_shape_count_beyond_the_listing_frontier():
         shape = TruncatedRect(n, n, k, t).shape()
         assert oracle_count_shape(shape, k) == count_truncated_rect(
             n, n, k, t) == 4719
-    # a rectangle is a skew shape too; this count does not use the
-    # extremal ones count the rectangle search relies on
+    # a rectangle is a skew shape too
     assert oracle_count_shape(SkewShape((9,) * 9), 3) == count_iams(9, 9, 3)
 
 
@@ -313,67 +342,86 @@ def test_strongest_demands_match_their_definition():
 
 
 def test_demand_advances_is_met_and_dies():
-    search = oracle._ShapeSearch(SkewShape((3, 3, 3)), 3)
-
-    def one_at(mask):                    # row mask -> first-one table
-        return oracle._first_ones(mask, 3)
-
+    search = oracle._Search(SkewShape((3, 3, 3)), 3)
     room = [0, 1, 1, 0]                  # room[c] below the row, c = 0..3
     # a one at column 2 advances (1, 2) to (2, 1); (1, 2) itself no longer
     # fits the room below
-    assert search.advance((((1, 2),),), one_at(0b010), [], room) == (
-        ((2, 1),),)
+    assert search.advance((((1, 2),),), 0b010, [], room) == (((2, 1),),)
     # a one right of column 2 meets the last need: the demand is gone
-    assert search.advance((((2, 1),),), one_at(0b001), [], room) == ()
+    assert search.advance((((2, 1),),), 0b001, [], room) == ()
     # no one right of column 2 and no room below it: the branch dies
-    assert search.advance((((2, 1),),), one_at(0b100), [],
-                          [0, 1, 0, 0]) is None
+    assert search.advance((((2, 1),),), 0b100, [], [0, 1, 0, 0]) is None
     # the row's own zeros join the demands, and an implied one is dropped:
     # meeting (2, 1) needs a one right of column 2, which also meets (1, 1)
-    assert search.advance((((2, 1),),), one_at(0b000), [((1, 1),)],
-                          room) == (((2, 1),),)
+    assert search.advance((((2, 1),),), 0b000, [((1, 1),)], room) == (
+        ((2, 1),),)
 
 
 def test_demand_keeps_only_undominated_pairs():
-    search = oracle._ShapeSearch(SkewShape((4, 4, 4, 4)), 4)
+    search = oracle._Search(SkewShape((4, 4, 4, 4)), 4)
     # a one at column 2 adds (2, 2), which dominates (3, 2): it asks for as
     # much, from further left
-    right = oracle._first_ones(0b0100, 4)
-    assert search.advance((((1, 3), (3, 2)),), right, [],
+    assert search.advance((((1, 3), (3, 2)),), 0b0100, [],
                           [0, 3, 3, 3, 3]) == (((1, 3), (2, 2)),)
 
 
-def test_rect_successors_match_their_definition():
-    # succ tries only the masks inside the unblocked prefix of columns; it
-    # must still list exactly the rows _push_row accepts, masks ascending
-    for n, k in [(4, 2), (5, 3), (6, 4)]:
-        search = oracle._RectSearch(n, n, k)
-        search.count(0, (0,) * n, 0)
-        assert len(search._succ) > 3
-        for c_vec, got in search._succ.items():
-            want = [m for m in range(1 << n)
-                    if oracle._push_row(c_vec, m, n, k) is not None]
-            assert [row[0] for row in got] == want
-            for mask, nxt, pop in got:
-                assert nxt == oracle._push_row(c_vec, mask, n, k)
-                assert pop == mask.bit_count()
+def test_demand_advances_by_the_first_one_right_of_each_pair():
+    # every mask and every column against a scan of the row's entries
+    n = 6
+    search = oracle._Search(SkewShape((n,) * 3), 5)
+    room = [0] + [4] * n
+    for mask in range(1 << n):
+        for c in range(1, n + 1):
+            ones = [j for j in range(c + 1, n + 1) if (mask >> (n - j)) & 1]
+            want = (((c, 4), (ones[0], 3)),) if ones else (((c, 4),),)
+            assert search.advance((((c, 4),),), mask, [], room) == want
 
 
-def test_obeying_matches_its_definition():
-    n = 5
-    search = oracle._RectSearch(4, n, 3)
-    search.count(0, (0,) * n, 0)
+def _room_by_definition(shape, k, i, nxt):
+    """room[c] below row i: the longest chain of in-shape cells strictly
+    below-right of (i, c), capped by k-1 minus the chain the rows so far
+    end at or left of column c (C-vector nxt); c = 0..n."""
+    n = shape.n_cols
+    cells = [(a, b) for a, b in shape.cells() if a > i]
+    longest = {}
+    for a, b in sorted(cells, reverse=True):
+        longest[a, b] = 1 + max([longest[x, y] for x, y in longest
+                                 if x > a and y > b], default=0)
+    return [0] + [min(max([longest[a, b] for a, b in cells if b > c],
+                          default=0), k - 1 - nxt[c - 1])
+                  for c in range(1, n + 1)]
 
-    def odd(mask):
-        return mask.bit_count() % 2 == 1
 
-    for c_vec, succ in search._succ.items():
-        for fixed in (0b11000, 0b00011, 0b10101, 0b11111):
-            for values in range(1 << n):
-                if values & ~fixed:
+def test_successors_match_their_definition():
+    # succ tries only masks inside the row span and the unblocked prefix of
+    # columns, and shares its tables across rows; it must still list exactly
+    # the masks inside the row span that _push_row accepts and whose zeros
+    # pass the room test, masks ascending
+    from test_skew import CATALOG
+    boards = [(SkewShape((n,) * m), k)
+              for m, n, k in [(4, 4, 2), (5, 5, 3), (4, 6, 4), (6, 4, 3)]]
+    boards += [(SkewShape(lam, mu), k) for lam, mu, k, _ in CATALOG]
+    checked = 0
+    for shape, k in boards:
+        search = oracle._Search(shape, k)
+        search.total()
+        checked += len(search._succ)
+        n = shape.n_cols
+        for (depth, c_vec), got in search._succ.items():
+            lo, hi = shape.row_span(depth + 1)
+            inside = ((1 << (hi - lo)) - 1) << (n - hi)
+            want = []
+            for mask in range(1 << n):
+                nxt = oracle._push_row(c_vec, mask, n, k)
+                if mask & ~inside or nxt is None:
                     continue
-                for keep in (None, odd):
-                    want = [row for row in succ
-                            if row[0] & fixed == values
-                            and (keep is None or keep(row[0]))]
-                    assert search.obeying(c_vec, fixed, values, keep) == want
+                room = _room_by_definition(shape, k, depth + 1, nxt)
+                new = []
+                for j in range(lo + 1, hi + 1):
+                    need = k - 1 - (c_vec[j - 2] if j >= 2 else 0)
+                    if not (mask >> (n - j)) & 1 and need > 0:
+                        new.append(((j, need),))
+                if all(room[dem[0][0]] >= dem[0][1] for dem in new):
+                    want.append((mask, nxt, new, room))
+            assert got == want, (shape, k, depth, c_vec)
+    assert checked > 100, checked

@@ -1,5 +1,6 @@
 """Dihedral action, class membership, and plane-partition symmetries."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from iamkit.bijection import enumerate_pp, matrix_to_pp
 from iamkit.core import BinaryMatrix
-from iamkit.formulas import count_symmetry
+from iamkit.formulas import SYMMETRY_TAGS, count_symmetry
 from iamkit.oracle import (
     BudgetExceeded,
     EnumerationBudget,
@@ -150,6 +151,31 @@ def test_fixed_points_equal_the_filtered_stream():
             want = [M for M in stream if apply(M, g) == M]
             assert list(enumerate_fixed_points(m, n, k, g)) == want, \
                 (m, n, k, g)
+
+
+def test_brute_count_class_equals_the_census():
+    # brute_count_class runs only the one search that counts its tag
+    for m, n, k in boards(6):
+        hist = class_histogram(m, n, k)
+        for tag in SYMMETRY_TAGS:
+            assert brute_count_class(tag, m, n, k) == hist[tag], (m, n, k, tag)
+    with pytest.raises(ValueError):
+        brute_count_class("XS", 3, 3, 2)
+
+
+@pytest.mark.parametrize("g,size,digest", [
+    ("rot180", 120,
+     "090069368bf50e99d85d2bcd8647f054f7d6a9b173f61d9a90c31e9fed168a39"),
+    ("transpose", 672,
+     "8d218f8a91af959c0121bb29a56f57c08ccc9710f403b537c57636e81fdcebf3"),
+])
+def test_fixed_points_are_pinned(g, size, digest):
+    # frozen from the rectangle search that kept the ones count in its
+    # state: the same matrices in the same order
+    masks = [M.masks for M in enumerate_fixed_points(
+        7, 7, 4, g, EnumerationBudget(max_cells=49))]
+    assert len(masks) == size
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
 
 
 def test_fixed_points_reject_other_elements():
