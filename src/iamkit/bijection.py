@@ -15,8 +15,8 @@ from __future__ import annotations
 from .core import (
     BinaryMatrix,
     Partition,
+    _is_maximal_rows,
     check_mnk,
-    diag_ones_below,
     is_maximal_iam,
     max_ones,
 )
@@ -33,11 +33,20 @@ class PlanePartition:
     __slots__ = ("a", "b", "c", "pi")
 
     def __init__(self, a, b, c, pi):
+        for side in (a, b, c):
+            if type(side) is not int:  # not bool, float or str
+                raise ValueError("box sides must be integers, got %r"
+                                 % (side,))
         if a < 0 or b < 0 or c < 0:
             raise ValueError("box sides must be nonnegative")
-        pi = tuple(tuple(int(x) for x in row) for row in pi)
+        pi = tuple(tuple(row) for row in pi)
         if len(pi) != a or any(len(row) != b for row in pi):
             raise ValueError("array must be %d x %d" % (a, b))
+        for row in pi:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError("entries must be integers, got %r"
+                                     % (x,))
         for i in range(a):
             for j in range(b):
                 x = pi[i][j]
@@ -139,6 +148,13 @@ class PathFamily:
         self.paths = tuple(tuple((int(x), int(y)) for (x, y) in p)
                            for p in paths)
 
+    @classmethod
+    def _of(cls, paths):
+        """From tuples of integer (x, y) tuples, taken as they are."""
+        obj = object.__new__(cls)
+        obj.paths = tuple(paths)
+        return obj
+
     def to_json(self):
         return [[[x, y] for (x, y) in p] for p in self.paths]
 
@@ -166,24 +182,30 @@ def path_endpoints(m, n, k):
     return starts, ends
 
 
-def _cell_to_point(i, j, m):
-    return (j - 1, m - i)
-
-
-def _point_to_cell(x, y, m):
-    return (m - y, x + 1)
-
-
-def _require_maximal(M, k):
-    if not is_maximal_iam(M, k):
+def _require_maximal(masks, m, n, k):
+    if not _is_maximal_rows(masks, m, n, k):
         raise ValueError("input must be a maximal I_k-avoiding matrix")
 
 
 def _require_walk(path, s):
     for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        if (x1 - x0, y1 - y0) not in ((1, 0), (0, 1)):
+        if not (x1 == x0 + 1 and y1 == y0 or x1 == x0 and y1 == y0 + 1):
             raise ValueError("path %d is not a unit east/north walk"
                              % (s + 1,))
+
+
+def _points_by_level(masks, m, n):
+    """The ones of an m x n matrix as lattice points, listed by level
+    0..m+n-2 and within a level with y ascending."""
+    by_level = [[] for _ in range(m + n - 1)]
+    # rows bottom up; a row meets a level at most once
+    for y, mk in enumerate(reversed(masks)):
+        while mk:
+            b = mk.bit_length()
+            mk ^= 1 << (b - 1)
+            x = n - b  # column j = n + 1 - b
+            by_level[x + y].append((x, y))
+    return by_level
 
 
 def matrix_to_paths(M, k):
@@ -194,48 +216,47 @@ def matrix_to_paths(M, k):
     of every level gives path s.  Everything is checked along the way, so a
     non-maximal input raises ValueError.
     """
-    m, n = M.m, M.n
+    return _paths_of_rows(M.masks, M.m, M.n, k)
+
+
+def _paths_of_rows(masks, m, n, k):
+    """`matrix_to_paths` on the packed rows of an m x n matrix."""
     check_mnk(m, n, k)
-    _require_maximal(M, k)
+    _require_maximal(masks, m, n, k)
     lo, hi = k - 2, m + n - k
-    by_level = {lev: [] for lev in range(lo, hi + 1)}
-    for (i, j) in M.one_cells():
-        x, y = _cell_to_point(i, j, m)
-        lev = x + y
-        if lo <= lev <= hi:
-            by_level[lev].append((x, y))
-    paths = [[] for _ in range(k - 1)]
-    for lev in range(lo, hi + 1):
-        pts = sorted(by_level[lev], key=lambda p: p[1])
+    by_level = _points_by_level(masks, m, n)[lo:hi + 1]
+    for lev, pts in enumerate(by_level, start=lo):
         if len(pts) != k - 1:
             raise ValueError("level %d carries %d path points, expected %d"
                              % (lev, len(pts), k - 1))
-        for s in range(k - 1):
-            paths[s].append(pts[s])
+    paths = list(zip(*by_level))
     starts, ends = path_endpoints(m, n, k)
     for s, path in enumerate(paths):
         if path[0] != starts[s] or path[-1] != ends[s]:
             raise ValueError("path %d has endpoints %r..%r"
                              % (s + 1, path[0], path[-1]))
         _require_walk(path, s)
-    return PathFamily(paths)
+    return PathFamily._of(paths)
 
 
-def _staircase_cells(m, n, k):
-    """The forced ones off the path window: two corner staircases.
+def _staircase_masks(m, n, k):
+    """The forced ones off the path window, as row masks: two corner
+    staircases.
 
-    Lower-left: columns j <= k-1, rows i >= m-k+j+1.  Upper-right: rows
-    i <= k-1, columns j >= n-k+i+1.  Their outer diagonals are the path
-    anchors; the strictly interior cells lie outside the level window.
+    Lower-left: columns j <= k-1, rows i >= m-k+j+1, so the first
+    i-m+k-1 columns of row i.  Upper-right: rows i <= k-1, columns
+    j >= n-k+i+1, so the last k-i columns of row i.  Their outer diagonals
+    are the path anchors; the strictly interior cells lie outside the level
+    window.
     """
-    cells = set()
-    for j in range(1, k):
-        for i in range(m - k + j + 1, m + 1):
-            cells.add((i, j))
-    for i in range(1, k):
-        for j in range(n - k + i + 1, n + 1):
-            cells.add((i, j))
-    return cells
+    masks = [0] * m
+    for i in range(1, m + 1):
+        left = i - m + k - 1
+        if left > 0:
+            masks[i - 1] |= ((1 << left) - 1) << (n - left)
+        if i < k:
+            masks[i - 1] |= (1 << (k - i)) - 1
+    return masks
 
 
 def paths_to_matrix(paths, m, n, k):
@@ -249,23 +270,21 @@ def paths_to_matrix(paths, m, n, k):
     if len(fam) != k - 1:
         raise ValueError("expected %d paths, got %d" % (k - 1, len(fam)))
     starts, ends = path_endpoints(m, n, k)
-    seen = set()
-    cells = _staircase_cells(m, n, k)
+    on_paths = [0] * m
     for s, path in enumerate(fam):
         if not path or path[0] != tuple(starts[s]) \
                 or path[-1] != tuple(ends[s]):
             raise ValueError("path %d endpoints are off" % (s + 1,))
         _require_walk(path, s)
         for pt in path:
-            if pt in seen:
+            i, j = m - pt[1], pt[0] + 1
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ValueError("cell %r out of range" % ((i, j),))
+            bit = 1 << (n - j)
+            if on_paths[i - 1] & bit:
                 raise ValueError("paths intersect at %r" % (pt,))
-            seen.add(pt)
-            cells.add(_point_to_cell(pt[0], pt[1], m))
-    masks = [0] * m
-    for (i, j) in cells:
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ValueError("cell %r out of range" % ((i, j),))
-        masks[i - 1] |= 1 << (n - j)
+            on_paths[i - 1] |= bit
+    masks = [a | b for a, b in zip(on_paths, _staircase_masks(m, n, k))]
     M = BinaryMatrix.from_masks(m, n, masks)
     if not is_maximal_iam(M, k):
         raise ValueError("reconstruction is not maximal")
@@ -285,20 +304,35 @@ def matrix_to_pp(M, k):
     """
     m, n = M.m, M.n
     check_mnk(m, n, k)
-    _require_maximal(M, k)
+    _require_maximal(M.masks, m, n, k)
     a, b, c = m - k + 1, n - k + 1, k - 1
-    grid = [[None] * b for _ in range(a)]
-    for (i, j) in M.zero_cells():
-        h = diag_ones_below(M, i, j)
-        r, s = i - (k - 1) + h, j - (k - 1) + h
-        if not (1 <= r <= a and 1 <= s <= b):
-            raise ValueError("zero (%d,%d) lands outside the array" % (i, j))
-        if grid[r - 1][s - 1] is not None:
-            raise ValueError("array position (%d,%d) hit twice" % (r, s))
-        grid[r - 1][s - 1] = h
-    if any(x is None for row in grid for x in row):
+    grid = [None] * (a * b)  # row-major
+    full = (1 << n) - 1
+    # below[j-1]: the ones strictly down-diagonal of (i, j), for the
+    # current row i, built from the row under it, bottom up; below[n] = 0
+    below = [0] * (n + 1)
+    for i in range(m, 0, -1):
+        mk = M.masks[i - 1]
+        z = ~mk & full
+        while z:
+            bl = z.bit_length()
+            z ^= 1 << (bl - 1)
+            j = n + 1 - bl
+            h = below[j - 1]
+            r, s = i - c + h, j - c + h
+            if not (1 <= r <= a and 1 <= s <= b):
+                raise ValueError("zero (%d,%d) lands outside the array"
+                                 % (i, j))
+            if grid[(r - 1) * b + s - 1] is not None:
+                raise ValueError("array position (%d,%d) hit twice" % (r, s))
+            grid[(r - 1) * b + s - 1] = h
+        # row i-1 sees (i, j+1) and what lies below it
+        below = [((mk >> (n - 2 - t)) & 1) + below[t + 1]
+                 for t in range(n - 1)] + [0, 0]
+    if None in grid:
         raise ValueError("some array position was never hit")
-    return PlanePartition(a, b, c, tuple(tuple(row) for row in grid))
+    return PlanePartition(a, b, c, tuple(tuple(grid[r * b:(r + 1) * b])
+                                         for r in range(a)))
 
 
 def pp_to_matrix(pp, m, n, k):
@@ -308,21 +342,17 @@ def pp_to_matrix(pp, m, n, k):
     if (pp.a, pp.b, pp.c) != (m - k + 1, n - k + 1, k - 1):
         raise ValueError("array box %r does not match (m, n, k)" %
                          ((pp.a, pp.b, pp.c),))
-    zeros = set()
-    for r in range(1, pp.a + 1):
-        for s in range(1, pp.b + 1):
-            h = pp.pi[r - 1][s - 1]
+    masks = [(1 << n) - 1] * m
+    for r, row in enumerate(pp.pi, start=1):
+        for s, h in enumerate(row, start=1):
             i, j = k - 1 + r - h, k - 1 + s - h
             if not (1 <= i <= m and 1 <= j <= n):
                 raise ValueError("entry at (%d,%d) places a zero outside the "
                                  "matrix" % (r, s))
-            if (i, j) in zeros:
+            bit = 1 << (n - j)
+            if not masks[i - 1] & bit:
                 raise ValueError("two entries place the same zero")
-            zeros.add((i, j))
-    full = (1 << n) - 1
-    masks = [full] * m
-    for (i, j) in zeros:
-        masks[i - 1] &= ~(1 << (n - j))
+            masks[i - 1] ^= bit
     M = BinaryMatrix.from_masks(m, n, masks)
     if not is_maximal_iam(M, k):
         raise ValueError("decoded matrix is not maximal")
@@ -344,68 +374,58 @@ def count_zigzag_decompositions(M, k):
     """
     m, n = M.m, M.n
     check_mnk(m, n, k)
-    _require_maximal(M, k)
+    _require_maximal(M.masks, m, n, k)
     if M.ones_count() != max_ones(m, n, k):
         raise ValueError("input must hold the extremal number of ones")
     top = m + n - 2
-    by_level = {lev: [] for lev in range(top + 1)}
-    for (i, j) in M.one_cells():
-        x, y = _cell_to_point(i, j, m)
-        by_level[x + y].append((x, y))
-    for lev in range(top + 1):
-        by_level[lev].sort()
+    by_level = _points_by_level(M.masks, m, n)
+    # steps[lev][a]: the points of level lev+1 one east/north step from
+    # point a of level lev, as a bit set over their positions in by_level
+    steps = []
+    for lev in range(top):
+        at = {p: t for t, p in enumerate(by_level[lev + 1])}
+        steps.append([(1 << at[(x + 1, y)] if (x + 1, y) in at else 0)
+                      | (1 << at[(x, y + 1)] if (x, y + 1) in at else 0)
+                      for (x, y) in by_level[lev]])
     lengths = frozenset(m + n - (2 * s - 1) for s in range(1, k))
 
-    def close(length, remaining):
-        return remaining - {length} if length in remaining else None
-
     def sweep(lev, active, remaining, opened):
-        # active: tuple of (point, length) for chains whose last point is on
-        # level lev-1
+        # active: (position on level lev-1, length) of each open chain
         if lev > top:
-            rem = remaining
             for (_, length) in active:
-                rem2 = close(length, rem)
-                if rem2 is None:
+                if length not in remaining:
                     return 0
-                rem = rem2
-            return 1 if (opened == k - 1 and not rem) else 0
-        pts = by_level[lev]
+                remaining = remaining - {length}
+            return 1 if (opened == k - 1 and not remaining) else 0
+        size = len(by_level[lev])
+        step = steps[lev - 1] if lev else ()
         total = 0
 
-        # each point either extends one unused adjacent active chain or
-        # starts a new one; chains left unextended close at this level
-        def assign(idx, used, updates, starts):
+        # chain by chain: extend to an unused east/north neighbour on this
+        # level, or close if its length is still wanted; the points left
+        # over start new chains while no more than k-1 have been opened
+        def assign(idx, used, extended, remaining):
             nonlocal total
-            if idx == len(pts):
-                rem = remaining
-                nxt_active = []
-                for pos, (pt, length) in enumerate(active):
-                    if pos in updates:
-                        nxt_active.append((updates[pos], length + 1))
-                    else:
-                        rem = close(length, rem)
-                        if rem is None:
-                            return
-                opened2 = opened + len(starts)
-                if opened2 <= k - 1:
-                    nxt_active.extend((p, 1) for p in starts)
-                    total += sweep(lev + 1, tuple(nxt_active), rem, opened2)
+            left = size - used.bit_count()  # points not yet taken
+            if left - (len(active) - idx) > k - 1 - opened:
+                return  # the chains still to place cannot take enough
+            if idx == len(active):
+                fresh = [(t, 1) for t in range(size) if not used >> t & 1]
+                total += sweep(lev + 1, tuple(extended + fresh), remaining,
+                               opened + left)
                 return
-            x, y = pts[idx]
-            for pos, (pt, length) in enumerate(active):
-                if pos in used:
-                    continue
-                px, py = pt
-                if (x - px, y - py) in ((1, 0), (0, 1)):
-                    updates[pos] = (x, y)
-                    assign(idx + 1, used | {pos}, updates, starts)
-                    del updates[pos]
-            starts.append((x, y))
-            assign(idx + 1, used, updates, starts)
-            starts.pop()
+            a, length = active[idx]
+            free = step[a] & ~used
+            while free:
+                low = free & -free
+                free ^= low
+                assign(idx + 1, used | low,
+                       extended + [(low.bit_length() - 1, length + 1)],
+                       remaining)
+            if length in remaining:
+                assign(idx + 1, used, extended, remaining - {length})
 
-        assign(0, frozenset(), {}, [])
+        assign(0, 0, [], remaining)
         return total
 
     return sweep(0, (), lengths, 0)

@@ -9,21 +9,46 @@ a matrix "contains I_k" when such a chain exists.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 
 # ---------------------------------------------------------------------------
 # binary matrices
 
 
-class BinaryMatrix:
-    """An immutable m-by-n (0,1)-matrix.
+class _PackedGrid:
+    """Rows stored packed as integers, bit (w - j) holding column j of the
+    grid's w columns, so integer order on a row mask equals lexicographic
+    order on its entries.  Shared by BinaryMatrix and Filling."""
 
-    Rows are stored packed as integers with bit (n - j) holding column j, so
-    integer order on a row mask equals lexicographic order on its entries.
-    """
+    __slots__ = ("_rows",)
 
-    __slots__ = ("m", "n", "_rows")
+    @property
+    def masks(self):
+        return self._rows
+
+    def ones_count(self):
+        return sum(mk.bit_count() for mk in self._rows)
+
+    def one_cells(self):
+        """All (i, j) with a 1, in row-major order."""
+        return self._cells(self._rows)
+
+    def _cells(self, rows):
+        """All (i, j) whose bit is set in the i-th of `rows`, row-major."""
+        out = []
+        n = self._width()
+        for i, mk in enumerate(rows, start=1):
+            while mk:  # highest bit first: columns ascending
+                b = mk.bit_length()
+                out.append((i, n + 1 - b))
+                mk ^= 1 << (b - 1)
+        return out
+
+
+class BinaryMatrix(_PackedGrid):
+    """An immutable m-by-n (0,1)-matrix, rows packed with bit (n - j)
+    holding column j."""
+
+    __slots__ = ("m", "n")
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
@@ -73,35 +98,17 @@ class BinaryMatrix:
     def row_mask(self, i):
         return self._rows[i - 1]
 
-    @property
-    def masks(self):
-        return self._rows
+    def _width(self):
+        return self.n
 
     def to_lists(self):
         n = self.n
         return [[(mk >> (n - j)) & 1 for j in range(1, n + 1)] for mk in self._rows]
 
-    def ones_count(self):
-        return sum(mk.bit_count() for mk in self._rows)
-
-    def one_cells(self):
-        """All (i, j) with a 1, in row-major order."""
-        out = []
-        n = self.n
-        for i, mk in enumerate(self._rows, start=1):
-            for j in range(1, n + 1):
-                if (mk >> (n - j)) & 1:
-                    out.append((i, j))
-        return out
-
     def zero_cells(self):
-        out = []
-        n = self.n
-        for i, mk in enumerate(self._rows, start=1):
-            for j in range(1, n + 1):
-                if not (mk >> (n - j)) & 1:
-                    out.append((i, j))
-        return out
+        """All (i, j) with a 0, in row-major order."""
+        full = (1 << self.n) - 1
+        return self._cells(~mk & full for mk in self._rows)
 
     # -- serialization -----------------------------------------------------
 
@@ -141,36 +148,39 @@ class BinaryMatrix:
 # increasing chains
 
 
-def _longest_chain_from_cells(cells):
-    """Longest strictly increasing chain among (row, col) cells.
+def _longest_chain(masks, limit=None):
+    """Longest increasing chain among the ones of packed rows (bit n-j =
+    column j of n), or `limit` as soon as a chain that long is found.
 
-    `cells` must be sorted in row-major order.  Patience-sorting sweep:
-    process rows top to bottom and, inside a row, columns right to left so no
-    two cells of the same row land in one chain; tails[p] is the least end
-    column of a chain of length p+1.
+    Patience-sorting threshold sweep (Aldous-Diaconis 1999): tails[p] is
+    the bit of the least column at which a chain of length p+1 ends among
+    the rows so far.  The ones strictly right of that column are the bits
+    below it, and the first of them is the highest.  Each row moves every
+    threshold from the one before it, read before the row: O(len(tails))
+    per row.  Cells outside a skew shape never hold ones, so one routine
+    serves matrices and fillings.
     """
     tails = []
-    idx = 0
-    total = len(cells)
-    while idx < total:
-        row = cells[idx][0]
-        stop = idx
-        while stop < total and cells[stop][0] == row:
-            stop += 1
-        for pos in range(stop - 1, idx - 1, -1):
-            j = cells[pos][1]
-            p = bisect_left(tails, j)
-            if p == len(tails):
-                tails.append(j)
-            elif tails[p] > j:
-                tails[p] = j
-        idx = stop
+    for mk in masks:
+        right = mk  # the ones right of column 0
+        for p, old in enumerate(tails):
+            if not right:
+                break  # nothing right of this threshold, so of any later one
+            t = right.bit_length() - 1
+            right = mk & ((1 << old) - 1)  # read before threshold p moves
+            if t > old:
+                tails[p] = t
+        else:
+            if right:
+                tails.append(right.bit_length() - 1)
+                if len(tails) == limit:
+                    return limit
     return len(tails)
 
 
 def longest_increasing_chain(M):
     """Length of the longest increasing chain of ones in M."""
-    return _longest_chain_from_cells(M.one_cells())
+    return _longest_chain(M.masks)
 
 
 def longest_increasing_chain_quadratic(M):
@@ -194,7 +204,7 @@ def contains_ik(M, k):
     """Does M contain an increasing chain of k ones?"""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return longest_increasing_chain(M) >= k
+    return _longest_chain(M.masks, k) >= k
 
 
 def max_ones(m, n, k):
@@ -263,15 +273,19 @@ def is_maximal_iam(M, k):
     always maximal.  Otherwise every 0 is flipped (via chain tables) and must
     complete a chain of length k.
     """
-    check_mnk(M.m, M.n, k)
-    if longest_increasing_chain(M) >= k:
+    return _is_maximal_rows(M.masks, M.m, M.n, k)
+
+
+def _is_maximal_rows(masks, m, n, k):
+    """`is_maximal_iam` on the packed rows of an m x n matrix."""
+    check_mnk(m, n, k)
+    if _longest_chain(masks, k) >= k:
         return False
-    if M.ones_count() == max_ones(M.m, M.n, k):
+    if sum(map(int.bit_count, masks)) == max_ones(m, n, k):
         return True
-    m, n = M.m, M.n
-    U, D = _chain_tables(M.masks, n)
+    U, D = _chain_tables(masks, n)
     for i in range(1, m + 1):
-        mk = M.row_mask(i)
+        mk = masks[i - 1]
         for j in range(1, n + 1):
             if not (mk >> (n - j)) & 1:
                 if U[i][j] + 1 + D[i][j] < k:
@@ -459,14 +473,14 @@ class SkewShape:
         return "SkewShape(%r, %r)" % (self.lam.parts, self.mu.parts)
 
 
-class Filling:
+class Filling(_PackedGrid):
     """A 0/1 value on every cell of a skew shape (packed row masks).
 
     Row masks use the same convention as BinaryMatrix over the full column
     range 1..lambda_1; bits outside the shape are zero.
     """
 
-    __slots__ = ("shape", "_rows")
+    __slots__ = ("shape",)
 
     def __init__(self, shape, values):
         """values: mapping (i, j) -> 0/1 whose domain is exactly the cells."""
@@ -492,9 +506,8 @@ class Filling:
         obj._rows = tuple(masks)
         return obj
 
-    @property
-    def masks(self):
-        return self._rows
+    def _width(self):
+        return self.shape.n_cols
 
     def value(self, i, j):
         if not self.shape.contains_cell(i, j):
@@ -504,21 +517,10 @@ class Filling:
     def items(self):
         return [((i, j), self.value(i, j)) for (i, j) in self.shape.cells()]
 
-    def one_cells(self):
-        out = []
-        n = self.shape.n_cols
-        for i, mk in enumerate(self._rows, start=1):
-            for j in range(1, n + 1):
-                if (mk >> (n - j)) & 1:
-                    out.append((i, j))
-        return out
-
     def zero_cells(self):
+        """The in-shape cells holding a 0, in row-major order."""
         return [c for c in self.shape.cells()
                 if not (self._rows[c[0] - 1] >> (self.shape.n_cols - c[1])) & 1]
-
-    def ones_count(self):
-        return sum(mk.bit_count() for mk in self._rows)
 
     def as_matrix(self):
         """Embed a rectangular filling as a BinaryMatrix."""
@@ -605,14 +607,14 @@ def contains_ik_in_shape(F, k):
 
 def longest_chain_in_filling(F):
     """Longest increasing chain among the ones of a filling (chain semantics)."""
-    return _longest_chain_from_cells(F.one_cells())
+    return _longest_chain(F.masks)
 
 
 def is_maximal_filling(F, k):
     """Avoids I_k inside the shape, and no in-shape 0 can be flipped to 1."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    if longest_chain_in_filling(F) >= k:
+    if _longest_chain(F.masks, k) >= k:
         return False
     n = F.shape.n_cols
     U, D = _chain_tables(F.masks, n)

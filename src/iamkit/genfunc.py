@@ -17,11 +17,12 @@ the identity becomes a polynomial one, handled by QPoly below.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symmetry
-from .bijection import enumerate_pp, matrix_to_paths
+from .bijection import _paths_of_rows, enumerate_pp, matrix_to_paths
 from .core import (
     VerificationError,
     check_mnk,
@@ -45,12 +46,34 @@ def stat_v_cell(M, i, j):
 
 
 def stat_v(M):
-    return sum(diag_ones_below(M, i, j) for (i, j) in M.zero_cells())
+    """Sum of `stat_v_cell` over the zeros, by shifting masks: a zero of
+    row i with a one d steps down its diagonal is a bit of
+    ~mask_i & (mask_{i+d} << d)."""
+    masks = M.masks
+    full = (1 << M.n) - 1
+    total = 0
+    for i, mk in enumerate(masks):
+        zeros = ~mk & full
+        for d, below in enumerate(masks[i + 1:], start=1):
+            total += (zeros & (below << d)).bit_count()
+    return total
+
+
+def _diagonal(masks, n):
+    """Entries (1, 1), (2, 2), ... of the main diagonal, top down."""
+    return [(mk >> (n - i)) & 1
+            for i, mk in enumerate(masks[:n], start=1)]
 
 
 def stat_vd(M):
-    return sum(diag_ones_below(M, i, i)
-               for i in range(1, min(M.m, M.n) + 1) if M.entry(i, i) == 0)
+    """Sum of `stat_v_cell` over the zeros on the main diagonal."""
+    total = ones = 0
+    for bit in reversed(_diagonal(M.masks, M.n)):
+        if bit:
+            ones += 1
+        else:
+            total += ones  # a zero on the diagonal, with `ones` below it
+    return total
 
 
 def stat_w_cell(M, i, j):
@@ -64,10 +87,16 @@ def stat_d(M, k):
     """The tuple (d_1, ..., d_{k-1}) of up-diagonal zero counts at the
     main-diagonal points of the paths, bottom path first.  Matrices with
     m > n are transposed first so the diagonal crosses every path."""
-    if M.m > M.n:
-        M = symmetry.apply(M, "transpose")
-    m = M.m
-    fam = matrix_to_paths(M, k)
+    m, n, masks = M.m, M.n, M.masks
+    if m > n:
+        masks = symmetry._transpose_masks(masks, m, n)
+        m, n = n, m
+        fam = _paths_of_rows(masks, m, n, k)
+    else:
+        fam = matrix_to_paths(M, k)
+    zeros_above = [0]  # zeros_above[i-1]: zeros at (1, 1) .. (i-1, i-1)
+    for bit in _diagonal(masks, n):
+        zeros_above.append(zeros_above[-1] + 1 - bit)
     out = []
     for path in fam.paths:
         pts = [p for p in path if p[0] + p[1] == m - 1]
@@ -78,7 +107,7 @@ def stat_d(M, k):
         if i != j:
             raise VerificationError(
                 "diagonal-level point is off the main diagonal")
-        out.append(diag_zeros_above(M, i, j))
+        out.append(zeros_above[i - 1])
     return tuple(out)
 
 
@@ -116,15 +145,14 @@ def weight_at(M, k, q, t):
     Raises ValueError when a Pochhammer denominator vanishes; nothing is
     ever divided through silently.
     """
-    q = Fraction(q)
-    t = Fraction(t)
-    v = stat_v(M)
-    vd = stat_vd(M)
-    d = stat_d(M, k)
-    out = q ** v * t ** vd
+    return _weight(stat_record(M, k), k, Fraction(q), Fraction(t))
+
+
+def _weight(rec, k, q, t):
+    out = q ** rec.v * t ** rec.v_d
     for s in range(1, k):
-        num = _qpochhammer(q ** (k - s), q, d[s - 1])
-        den = _qpochhammer(t * q ** (k - s), q, d[s - 1])
+        num = _qpochhammer(q ** (k - s), q, rec.d[s - 1])
+        den = _qpochhammer(t * q ** (k - s), q, rec.d[s - 1])
         if den == 0:
             raise ValueError("vanishing Pochhammer denominator at s=%d" % s)
         out *= num / den
@@ -132,9 +160,14 @@ def weight_at(M, k, q, t):
 
 
 def gf_lhs(m, n, k, q, t):
-    """Sum of weights over every maximal I_k-avoiding m x n matrix."""
+    """Sum of weights over every maximal I_k-avoiding m x n matrix: the
+    statistics are taken once per matrix, and the weight once per distinct
+    (v, v_d, d)."""
     check_mnk(m, n, k)
-    return sum(weight_at(M, k, q, t) for M in enumerate_maximal_iams(m, n, k))
+    q = Fraction(q)
+    t = Fraction(t)
+    recs = Counter(stat_record(M, k) for M in enumerate_maximal_iams(m, n, k))
+    return sum(count * _weight(rec, k, q, t) for rec, count in recs.items())
 
 
 def gf_rhs(m, n, k, q, t):
@@ -297,9 +330,7 @@ def volume_gf(m, n, k):
     closed product of q-integer ratios -- and the two must agree.
     """
     check_mnk(m, n, k)
-    total = QPoly()
-    for M in enumerate_maximal_iams(m, n, k):
-        total = total + QPoly.q_power(stat_v(M))
+    total = _tally(stat_v(M) for M in enumerate_maximal_iams(m, n, k))
     num = QPoly.one()
     den = QPoly.one()
     for i in range(1, m - k + 2):
@@ -315,7 +346,10 @@ def volume_gf(m, n, k):
 
 def pp_volume_gf(a, b, c):
     """Sum of q^{volume} over plane partitions in an a x b x c box."""
-    total = QPoly()
-    for pp in enumerate_pp(a, b, c):
-        total = total + QPoly.q_power(pp.volume())
-    return total
+    return _tally(pp.volume() for pp in enumerate_pp(a, b, c))
+
+
+def _tally(exponents):
+    """Sum of q^e over the exponents, as one polynomial."""
+    counts = Counter(exponents)
+    return QPoly([counts[e] for e in range(max(counts, default=-1) + 1)])

@@ -46,13 +46,13 @@ def _spread_table(stride):
     return tuple(spread)
 
 
-def _transpose(M):
+def _transpose_masks(masks, m, n):
+    """Row masks of the transpose of the m x n matrix with these rows."""
     # lay the rows out interleaved: column j's bits end up in one m-bit field,
     # row 1 in its high bit
-    m, n = M.m, M.n
     spread = _spread_table(m)
     acc = 0
-    for r in M.masks:
+    for r in masks:
         acc <<= 1
         shift = 0
         while r:
@@ -60,11 +60,17 @@ def _transpose(M):
             r >>= _CHUNK
             shift += _CHUNK * m
     full = (1 << m) - 1
-    cols = tuple((acc >> (t * m)) & full for t in range(n - 1, -1, -1))
-    return BinaryMatrix.from_masks(n, m, cols)
+    return tuple((acc >> (t * m)) & full for t in range(n - 1, -1, -1))
+
+
+def _transpose(M):
+    return BinaryMatrix.from_masks(M.n, M.m,
+                                   _transpose_masks(M.masks, M.m, M.n))
 
 
 def _bitrev(mask, n):
+    if n <= _CHUNK:
+        return _rev_table(n)[mask]
     out = 0
     while n > _CHUNK:
         out = (out << _CHUNK) | _rev_table(_CHUNK)[mask & _CHUNK_MASK]
@@ -124,35 +130,65 @@ def classes_of(M, k):
     """
     if not is_maximal_iam(M, k):
         raise ValueError("classes_of expects a maximal I_k-avoiding matrix")
-    return _tags_of(M)
+    return _tags_of(M.masks, M.m, M.n)
 
 
-def _tags_of(M):
-    tags = {"U"}
-    square = M.m == M.n
-    vs = M == _flipv(M)
-    hs = M == _fliph(M)
-    if vs:
-        tags.add("VS")
-    if hs:
-        tags.add("HS")
-    if vs and hs:
-        tags.add("VHS")
-    if M == _fliph(_flipv(M)):
-        tags.add("HTS")
-    if square:
-        ds = M == _transpose(M)
-        as_ = M == apply(M, "antitranspose")
-        if ds:
-            tags.add("DS")
-        if as_:
-            tags.add("AS")
-        if ds and as_:
-            tags.add("DAS")
-        if M == apply(M, "rot90"):
-            tags.add("QTS")
-        if all(M == apply(M, g) for g in D8_ELEMENTS):
-            tags.add("TS")
+# Each tag and the group elements a matrix carrying it is fixed by.
+_TAG_ELEMENTS = {
+    "U": (),
+    "VS": ("flipv",),
+    "HS": ("fliph",),
+    "VHS": ("flipv", "fliph"),
+    "HTS": ("rot180",),
+    "DS": ("transpose",),
+    "AS": ("antitranspose",),
+    "DAS": ("transpose", "antitranspose"),
+    "QTS": ("rot90",),
+    "TS": ("flipv", "fliph", "rot180", "transpose", "antitranspose",
+           "rot90", "rot270"),
+}
+_SQUARE_TAGS = ("DS", "AS", "DAS", "QTS", "TS")
+
+# Every element other than id is fliph (reversing the row order) after at
+# most one of three images: the rows bit-reversed (flipv), the transpose,
+# and the transpose of the rows reversed (rot90).
+_ELEMENT_IMAGES = {
+    "fliph": (None, True),
+    "flipv": ("flipv", False),
+    "rot180": ("flipv", True),
+    "transpose": ("transpose", False),
+    "rot270": ("transpose", True),
+    "rot90": ("rot90", False),
+    "antitranspose": ("rot90", True),
+}
+
+
+def _tags_of(masks, m, n, wanted=tuple(_TAG_ELEMENTS)):
+    """The tags among `wanted` carried by the m x n matrix with these row
+    masks (a tuple).  Each image is built at most once, and only when a
+    wanted tag needs it; the odd elements are compared only when m == n."""
+    images = {None: masks}
+    fixed = {}
+    tags = []
+    for tag in wanted:
+        if m != n and tag in _SQUARE_TAGS:
+            continue
+        for g in _TAG_ELEMENTS[tag]:
+            if g not in fixed:
+                base, reverse = _ELEMENT_IMAGES[g]
+                if base not in images:
+                    if base == "flipv":
+                        images[base] = tuple(_bitrev(r, n) for r in masks)
+                    else:
+                        images[base] = _transpose_masks(
+                            masks if base == "transpose" else masks[::-1],
+                            m, n)
+                image = images[base]
+                fixed[g] = (image[::-1] if reverse else image) == masks
+            if not fixed[g]:
+                break
+        else:
+            tags.append(tag)
     return frozenset(tags)
 
 
@@ -265,8 +301,7 @@ def _tag_counts(search, census):
         if g in _SQUARE_ELEMENTS and m != n:
             continue
         for masks in _fixed_masks(search, g):
-            hist.update(_tags_of(BinaryMatrix.from_masks(m, n, masks))
-                        .intersection(tags))
+            hist.update(_tags_of(masks, m, n, tags))
     return hist
 
 

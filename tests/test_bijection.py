@@ -1,5 +1,8 @@
 """Matrix <-> paths <-> plane partition: fixtures and round trips."""
 
+import hashlib
+import json
+
 import pytest
 
 from iamkit.bijection import (
@@ -16,7 +19,9 @@ from iamkit.bijection import (
 )
 from iamkit.core import BinaryMatrix, max_ones
 from iamkit.formulas import hprod
+from iamkit.genfunc import stat_record
 from iamkit.oracle import enumerate_maximal_iams
+from iamkit.symmetry import classes_of
 
 # ---------------------------------------------------------------------------
 # frozen fixtures: the six maximal 3x4 matrices for k=3 with their encodings
@@ -133,6 +138,41 @@ def test_paths_to_matrix_rejects_crossing_paths():
         paths_to_matrix(swapped, 3, 4, 3)
 
 
+def test_paths_to_matrix_rejects_intersecting_paths():
+    # right endpoints and unit steps, but both paths pass (1, 1) and (2, 1)
+    fam = [[(1, 0), (1, 1), (2, 1), (3, 1)], [(0, 1), (1, 1), (2, 1), (2, 2)]]
+    with pytest.raises(ValueError, match=r"intersect at \(1, 1\)"):
+        paths_to_matrix(fam, 3, 4, 3)
+
+
+# sha256 of every per-object route over every maximal matrix on every board
+# up to 6x6 (5,816 objects), measured when each route still read the matrix
+# cell by cell
+ROUTES_DIGEST = \
+    "f681561fe06fa3869eaa66ae117af62da273604b46eadeb145ebd140968d0909"
+
+
+def test_per_object_routes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(2, 7):
+        for n in range(2, 7):
+            for k in range(2, min(m, n) + 1):
+                for M in enumerate_maximal_iams(m, n, k):
+                    rec = stat_record(M, k)
+                    row = [m, n, k, list(M.masks),
+                           matrix_to_pp(M, k).to_json_dict(),
+                           matrix_to_paths(M, k).to_json(),
+                           [rec.v, rec.v_d, list(rec.d)],
+                           sorted(classes_of(M, k)),
+                           count_zigzag_decompositions(M, k)]
+                    digest.update(json.dumps(row, separators=(",", ":"))
+                                  .encode() + b"\n")
+                    count += 1
+    assert count == 5816
+    assert digest.hexdigest() == ROUTES_DIGEST
+
+
 def test_pp_validation():
     with pytest.raises(ValueError):
         PlanePartition(1, 2, 2, [[1, 2]])  # row increases
@@ -142,6 +182,21 @@ def test_pp_validation():
         PlanePartition(1, 1, 2, [[3]])  # exceeds the box
     pp = PlanePartition(2, 2, 3, [[3, 1], [2, 0]])
     assert pp.volume() == 6 and pp.trace() == 3
+
+
+@pytest.mark.parametrize("sides,pi", [
+    ((1, 1, 1), [[1.5]]),
+    ((1, 1, 1), [[True]]),
+    ((1, 1, 1), [["1"]]),
+    ((1, 1, 1), [[1.0]]),
+    ((1.0, 1, 1), [[1]]),
+    ((1, True, 1), [[1]]),
+    ((1, 1, "1"), [[1]]),
+])
+def test_pp_rejects_what_is_not_an_integer(sides, pi):
+    # each of these compares equal to, or converts to, a valid integer
+    with pytest.raises(ValueError, match="must be integers"):
+        PlanePartition(*sides, pi)
 
 
 def test_pp_json_roundtrip():

@@ -1,17 +1,22 @@
 """Exercise the CLI in process through main(argv)."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iamkit.bijection
 import iamkit.formulas
 import iamkit.genfunc
+import iamkit.oracle
 from iamkit.cli import main
 
 M5_JSON = '{"m":3,"n":4,"rows":[[0,1,1,1],[1,1,0,1],[1,1,1,1]]}'
@@ -125,6 +130,76 @@ def test_biject_rejects_entries_that_are_not_integers(capsys, monkeypatch,
     assert captured.out == ""
     assert captured.err == ("invalid input: entries must be 0 or 1, got %s\n"
                             % {"true": "True", "1.0": "1.0"}[bad])
+
+
+@pytest.mark.parametrize("payload,bad", [
+    ('{"a":1,"b":1,"c":1,"pi":[[1.5]]}', "entries must be integers, got 1.5"),
+    ('{"a":1,"b":1,"c":1,"pi":[[true]]}', "entries must be integers, got True"),
+    ('{"a":1,"b":1,"c":1,"pi":[["1"]]}', "entries must be integers, got '1'"),
+    ('{"a":1.0,"b":1,"c":1,"pi":[[1]]}',
+     "box sides must be integers, got 1.0"),
+])
+def test_biject_rejects_plane_partitions_that_are_not_integers(
+        capsys, monkeypatch, payload, bad):
+    # int() once read 1.5, true and "1" as 1 and printed a matrix
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    rc = main(["biject", "--to", "matrix"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "invalid input: %s\n" % bad
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12)
+            | st.floats(-3, 12) | st.sampled_from(["", "1", "rows"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.sampled_from(
+                       ["m", "n", "rows", "a", "b", "c", "pi"]), inner,
+                       max_size=7)),
+    max_leaves=25)
+# near misses, so that most payloads get past the first key lookup: a
+# grid is clean (entries 0..3) or carries any scalar, and some payloads are
+# true maximal matrices and their plane partitions
+_GRID = st.lists(st.lists(st.integers(0, 3) | _SCALARS, max_size=5),
+                 max_size=5)
+_CLEAN_GRID = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    min_size=1, max_size=4))
+_MATRIX = (st.fixed_dictionaries(
+    {"m": st.integers(0, 5) | _SCALARS, "n": st.integers(0, 5) | _SCALARS,
+     "rows": _GRID | _JSON})
+    | _CLEAN_GRID.map(lambda rows: {"m": len(rows), "n": len(rows[0]),
+                                    "rows": rows}))
+_PP = st.fixed_dictionaries(
+    {"a": st.integers(0, 3) | _SCALARS, "b": st.integers(0, 3) | _SCALARS,
+     "c": st.integers(0, 3) | _SCALARS, "pi": _GRID | _JSON})
+_MAXIMAL = [M for (m, n, k) in [(3, 4, 3), (4, 4, 2), (4, 3, 3)]
+            for M in iamkit.oracle.enumerate_maximal_iams(m, n, k)]
+_GOOD = st.sampled_from(
+    [M.to_json_dict() for M in _MAXIMAL]
+    + [iamkit.bijection.matrix_to_pp(M, 3).to_json_dict()
+       for M in _MAXIMAL if min(M.m, M.n) == 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON | _MATRIX | _PP | _GOOD,
+       to=st.sampled_from(["pp", "paths", "matrix"]),
+       k=st.integers(-1, 4) | st.none())
+def test_biject_never_raises_on_any_json(payload, to, k):
+    # whatever the JSON on stdin, biject ends in a documented exit code
+    # with at most one line on stderr.  Box sides and entries are kept
+    # small: a large c asks for a (a+c) x (b+c) matrix.
+    argv = ["biject", "--to", to] + ([] if k is None else ["--k", str(k)])
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    if rc == 0:
+        assert len(out.getvalue().splitlines()) == 1 and not err.getvalue()
 
 
 def test_enumerate_shape(capsys):
@@ -357,6 +432,18 @@ def test_biject_non_maximal_exits_1_also_under_python_O(optimize):
     assert out == b""
     assert len(err.splitlines()) == 1
     assert b"maximal" in err and b"Traceback" not in err
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_biject_rejects_a_float_plane_partition_also_under_python_O(optimize):
+    proc = iamkit_process(["biject", "--to", "matrix"], optimize,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+    out, err = proc.communicate(b'{"a":1,"b":1,"c":1,"pi":[[1.5]]}',
+                                timeout=60)
+    assert proc.returncode == 1
+    assert out == b""
+    assert err == b"invalid input: entries must be integers, got 1.5\n"
 
 
 # Run with and without -O; it cannot use assert, which -O strips.

@@ -45,6 +45,50 @@ def test_chain_detectors_agree_random(rows):
     assert longest_increasing_chain(M) == longest_increasing_chain_quadratic(M)
 
 
+def _masks_of(n, max_rows):
+    """Row masks over n columns, one to `max_rows` rows."""
+    return st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n),
+                                                      _masks_of(n, 12))))
+def test_mask_chain_routine_matches_the_quadratic_twin(board):
+    # rectangles of any size up to 12x12 and any density, nearly never
+    # maximal
+    n, masks = board
+    M = BinaryMatrix.from_masks(len(masks), n, masks)
+    longest = longest_increasing_chain_quadratic(M)
+    assert longest_increasing_chain(M) == longest
+    for k in range(1, min(M.m, n) + 2):
+        assert contains_ik(M, k) == (longest >= k)
+
+
+@st.composite
+def _fillings(draw):
+    """A random 0/1 filling of a random skew shape in a 12x12 box."""
+    lam = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=12)),
+                 reverse=True)
+    mu = [draw(st.integers(0, part - 1)) for part in lam]
+    mu = [min(mu[:i + 1]) for i in range(len(mu))]  # weakly decreasing
+    sh = SkewShape(lam, mu)
+    n = sh.n_cols
+    masks = []
+    for i in range(1, sh.n_rows + 1):
+        lo, hi = sh.row_span(i)
+        inside = ((1 << (hi - lo)) - 1) << (n - hi)
+        masks.append(draw(st.integers(0, (1 << n) - 1)) & inside)
+    return Filling.from_masks(sh, masks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fillings())
+def test_mask_chain_routine_matches_the_quadratic_twin_on_fillings(F):
+    sh = F.shape
+    M = BinaryMatrix.from_masks(sh.n_rows, sh.n_cols, F.masks)
+    assert longest_chain_in_filling(F) == longest_increasing_chain_quadratic(M)
+
+
 def test_chain_known_values():
     assert longest_increasing_chain(BinaryMatrix([[0, 0], [0, 0]])) == 0
     assert longest_increasing_chain(BinaryMatrix([[1, 1], [1, 1]])) == 2
@@ -105,6 +149,19 @@ def test_matrix_validation():
     for x in (True, False, 1.0, 0.0):
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             BinaryMatrix([[0, x]])
+
+
+def test_packed_grids_share_their_cell_lists():
+    M = BinaryMatrix([[0, 1, 1], [1, 0, 0]])
+    assert M.one_cells() == [(1, 2), (1, 3), (2, 1)]
+    assert M.zero_cells() == [(1, 1), (2, 2), (2, 3)]
+    assert M.ones_count() == 3 and M.masks == (0b011, 0b100)
+    # a filling's zeros are its in-shape zeros only
+    sh = SkewShape((3, 2), (1, 0))
+    F = Filling(sh, {(1, 2): 1, (1, 3): 0, (2, 1): 0, (2, 2): 1})
+    assert F.one_cells() == [(1, 2), (2, 2)]
+    assert F.zero_cells() == [(1, 3), (2, 1)]
+    assert F.ones_count() == 2 and F.masks == (0b010, 0b010)
 
 
 def test_partition_basics():

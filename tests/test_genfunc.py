@@ -3,10 +3,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iamkit.genfunc
-from iamkit.bijection import PathFamily, matrix_to_pp, pp_layers
-from iamkit.core import BinaryMatrix, VerificationError
+from iamkit.bijection import (
+    PathFamily,
+    matrix_to_paths,
+    matrix_to_pp,
+    pp_layers,
+)
+from iamkit.core import (
+    BinaryMatrix,
+    VerificationError,
+    diag_ones_below,
+    diag_zeros_above,
+)
 from iamkit.genfunc import (
     QPoly,
     StatRecord,
@@ -90,6 +102,38 @@ def test_stat_d_transposes_tall_matrices():
         assert stat_d(M, 3) == stat_d(apply(M, "transpose"), 3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                         max_size=8))))
+def test_mask_statistics_equal_their_cell_definitions(board):
+    # any matrix, maximal or not: v sums stat_v_cell over the zeros, v_d
+    # the same over the zeros on the main diagonal
+    n, masks = board
+    M = BinaryMatrix.from_masks(len(masks), n, masks)
+    zeros = M.zero_cells()
+    assert stat_v(M) == sum(stat_v_cell(M, i, j) for (i, j) in zeros)
+    assert stat_vd(M) == sum(stat_v_cell(M, i, j) for (i, j) in zeros
+                             if i == j)
+
+
+def test_stat_d_equals_its_cell_definition():
+    # the literal route: transpose a tall matrix as a BinaryMatrix, find
+    # each path's point on the diagonal level, count the zeros above it
+    for m in range(2, 6):
+        for n in range(2, 6):
+            for k in range(2, min(m, n) + 1):
+                for M in enumerate_maximal_iams(m, n, k):
+                    T = apply(M, "transpose") if m > n else M
+                    want = []
+                    for path in matrix_to_paths(T, k).paths:
+                        (x, y), = [p for p in path if sum(p) == T.m - 1]
+                        want.append(diag_zeros_above(T, T.m - y, x + 1))
+                    assert stat_d(M, k) == tuple(want)
+                    assert stat_v(M) == sum(diag_ones_below(M, i, j)
+                                            for (i, j) in M.zero_cells())
+
+
 def test_stat_d_raises_when_a_path_misses_the_diagonal(monkeypatch):
     # the path family is trusted, but a fault in it must raise, also
     # under python -O, rather than give a wrong tuple
@@ -129,6 +173,20 @@ def test_gf_rhs_closed_form_example():
 def test_seeded_points_deterministic():
     assert seeded_points(10) == seeded_points(10)
     assert seeded_points(5, seed=3) != seeded_points(5, seed=4)
+
+
+def test_grouped_sums_equal_the_per_matrix_sums():
+    # volume_gf tallies v and gf_lhs weighs each distinct (v, v_d, d) once;
+    # both must equal the sums taken matrix by matrix
+    for (m, n, k) in [(3, 4, 3), (4, 4, 2), (4, 5, 3)]:
+        matrices = list(enumerate_maximal_iams(m, n, k))
+        total = QPoly()
+        for M in matrices:
+            total = total + QPoly.q_power(stat_v(M))
+        assert volume_gf(m, n, k) == total
+        for (q, t) in seeded_points(2, seed=3, span=m + n + k):
+            assert gf_lhs(m, n, k, q, t) == \
+                sum(weight_at(M, k, q, t) for M in matrices)
 
 
 def test_volume_gf_values():

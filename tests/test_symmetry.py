@@ -18,6 +18,7 @@ from iamkit.oracle import (
 from iamkit.symmetry import (
     D8_ELEMENTS,
     FIXED_POINT_ELEMENTS,
+    _tags_of,
     apply,
     brute_count_class,
     class_histogram,
@@ -112,6 +113,34 @@ def test_classes_of_wide_fixture():
     tags = classes_of(M, 5)
     assert {"U", "VS", "HS", "VHS", "HTS"} <= tags
     assert "DS" not in tags and "QTS" not in tags  # not square
+
+
+def _tags_by_apply(M):
+    """The tags of M from their definition, through `apply` alone."""
+    fixed = {g: apply(M, g) == M for g in D8_ELEMENTS}
+    tags = {"U"}
+    pairs = [("VS", ("flipv",)), ("HS", ("fliph",)),
+             ("VHS", ("flipv", "fliph")), ("HTS", ("rot180",))]
+    if M.m == M.n:
+        pairs += [("DS", ("transpose",)), ("AS", ("antitranspose",)),
+                  ("DAS", ("transpose", "antitranspose")),
+                  ("QTS", ("rot90",)), ("TS", D8_ELEMENTS)]
+    tags.update(tag for tag, gs in pairs if all(fixed[g] for g in gs))
+    return frozenset(tags)
+
+
+def test_tags_equal_their_apply_definition():
+    # every maximal matrix on every board up to 5x5; each tag also alone,
+    # as a census entry asks for it
+    for m in range(2, 6):
+        for n in range(2, 6):
+            for k in range(2, min(m, n) + 1):
+                for M in enumerate_maximal_iams(m, n, k):
+                    want = _tags_by_apply(M)
+                    assert classes_of(M, k) == want
+                    for tag in SYMMETRY_TAGS:
+                        assert _tags_of(M.masks, m, n, (tag,)) == \
+                            want & {tag}
 
 
 def test_classes_of_rejects_non_maximal():
