@@ -15,7 +15,6 @@ from __future__ import annotations
 from .core import (
     BinaryMatrix,
     Partition,
-    _is_maximal_rows,
     check_mnk,
     is_maximal_iam,
     max_ones,
@@ -148,13 +147,6 @@ class PathFamily:
         self.paths = tuple(tuple((int(x), int(y)) for (x, y) in p)
                            for p in paths)
 
-    @classmethod
-    def _of(cls, paths):
-        """From tuples of integer (x, y) tuples, taken as they are."""
-        obj = object.__new__(cls)
-        obj.paths = tuple(paths)
-        return obj
-
     def to_json(self):
         return [[[x, y] for (x, y) in p] for p in self.paths]
 
@@ -182,8 +174,8 @@ def path_endpoints(m, n, k):
     return starts, ends
 
 
-def _require_maximal(masks, m, n, k):
-    if not _is_maximal_rows(masks, m, n, k):
+def _require_maximal(M, k):
+    if not is_maximal_iam(M, k):
         raise ValueError("input must be a maximal I_k-avoiding matrix")
 
 
@@ -216,15 +208,11 @@ def matrix_to_paths(M, k):
     of every level gives path s.  Everything is checked along the way, so a
     non-maximal input raises ValueError.
     """
-    return _paths_of_rows(M.masks, M.m, M.n, k)
-
-
-def _paths_of_rows(masks, m, n, k):
-    """`matrix_to_paths` on the packed rows of an m x n matrix."""
+    m, n = M.m, M.n
     check_mnk(m, n, k)
-    _require_maximal(masks, m, n, k)
+    _require_maximal(M, k)
     lo, hi = k - 2, m + n - k
-    by_level = _points_by_level(masks, m, n)[lo:hi + 1]
+    by_level = _points_by_level(M.masks, m, n)[lo:hi + 1]
     for lev, pts in enumerate(by_level, start=lo):
         if len(pts) != k - 1:
             raise ValueError("level %d carries %d path points, expected %d"
@@ -236,7 +224,7 @@ def _paths_of_rows(masks, m, n, k):
             raise ValueError("path %d has endpoints %r..%r"
                              % (s + 1, path[0], path[-1]))
         _require_walk(path, s)
-    return PathFamily._of(paths)
+    return PathFamily(paths)
 
 
 def _staircase_masks(m, n, k):
@@ -304,7 +292,7 @@ def matrix_to_pp(M, k):
     """
     m, n = M.m, M.n
     check_mnk(m, n, k)
-    _require_maximal(M.masks, m, n, k)
+    _require_maximal(M, k)
     a, b, c = m - k + 1, n - k + 1, k - 1
     grid = [None] * (a * b)  # row-major
     full = (1 << n) - 1
@@ -374,7 +362,7 @@ def count_zigzag_decompositions(M, k):
     """
     m, n = M.m, M.n
     check_mnk(m, n, k)
-    _require_maximal(M.masks, m, n, k)
+    _require_maximal(M, k)
     if M.ones_count() != max_ones(m, n, k):
         raise ValueError("input must hold the extremal number of ones")
     top = m + n - 2

@@ -273,11 +273,7 @@ def is_maximal_iam(M, k):
     always maximal.  Otherwise every 0 is flipped (via chain tables) and must
     complete a chain of length k.
     """
-    return _is_maximal_rows(M.masks, M.m, M.n, k)
-
-
-def _is_maximal_rows(masks, m, n, k):
-    """`is_maximal_iam` on the packed rows of an m x n matrix."""
+    m, n, masks = M.m, M.n, M.masks
     check_mnk(m, n, k)
     if _longest_chain(masks, k) >= k:
         return False

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symmetry
-from .bijection import _paths_of_rows, enumerate_pp, matrix_to_paths
+from .bijection import enumerate_pp, matrix_to_paths
 from .core import (
     VerificationError,
     check_mnk,
@@ -87,13 +87,10 @@ def stat_d(M, k):
     """The tuple (d_1, ..., d_{k-1}) of up-diagonal zero counts at the
     main-diagonal points of the paths, bottom path first.  Matrices with
     m > n are transposed first so the diagonal crosses every path."""
+    if M.m > M.n:
+        M = symmetry._transpose(M)
     m, n, masks = M.m, M.n, M.masks
-    if m > n:
-        masks = symmetry._transpose_masks(masks, m, n)
-        m, n = n, m
-        fam = _paths_of_rows(masks, m, n, k)
-    else:
-        fam = matrix_to_paths(M, k)
+    fam = matrix_to_paths(M, k)
     zeros_above = [0]  # zeros_above[i-1]: zeros at (1, 1) .. (i-1, i-1)
     for bit in _diagonal(masks, n):
         zeros_above.append(zeros_above[-1] + 1 - bit)

@@ -69,8 +69,6 @@ def _transpose(M):
 
 
 def _bitrev(mask, n):
-    if n <= _CHUNK:
-        return _rev_table(n)[mask]
     out = 0
     while n > _CHUNK:
         out = (out << _CHUNK) | _rev_table(_CHUNK)[mask & _CHUNK_MASK]
