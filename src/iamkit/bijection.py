@@ -147,6 +147,14 @@ class PathFamily:
         self.paths = tuple(tuple((int(x), int(y)) for (x, y) in p)
                            for p in paths)
 
+    @classmethod
+    def _of(cls, paths):
+        """From tuples of integer (x, y) tuples, taken as they are: the
+        `int()` pass of `__init__` is a fifth of `matrix_to_paths`."""
+        obj = object.__new__(cls)
+        obj.paths = tuple(paths)
+        return obj
+
     def to_json(self):
         return [[[x, y] for (x, y) in p] for p in self.paths]
 
@@ -224,7 +232,7 @@ def matrix_to_paths(M, k):
             raise ValueError("path %d has endpoints %r..%r"
                              % (s + 1, path[0], path[-1]))
         _require_walk(path, s)
-    return PathFamily(paths)
+    return PathFamily._of(paths)
 
 
 def _staircase_masks(m, n, k):
