@@ -136,12 +136,14 @@ def test_stat_d_equals_its_cell_definition():
 
 def test_stat_d_raises_when_a_path_misses_the_diagonal(monkeypatch):
     # the path family is trusted, but a fault in it must raise, also
-    # under python -O, rather than give a wrong tuple
-    M = next(enumerate_maximal_iams(3, 4, 3))
+    # under python -O, rather than give a wrong tuple; a tall matrix is
+    # transposed first and takes the same route
     monkeypatch.setattr(iamkit.genfunc, "matrix_to_paths",
                         lambda M, k: PathFamily(paths=((), ())))
-    with pytest.raises(VerificationError):
-        stat_d(M, 3)
+    for m, n in ((3, 4), (4, 3)):
+        M = next(enumerate_maximal_iams(m, n, 3))
+        with pytest.raises(VerificationError):
+            stat_d(M, 3)
 
 
 def test_weight_closed_form_one_matrix():
