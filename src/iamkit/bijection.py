@@ -138,19 +138,29 @@ def pp_layers(pp):
 # path families
 
 
+def _point(pt):
+    """A path point as an (x, y) tuple of integers, or ValueError."""
+    if type(pt) not in (tuple, list) or len(pt) != 2:
+        raise ValueError("a path point must be a pair (x, y), got %r" % (pt,))
+    x, y = pt
+    if type(x) is not int or type(y) is not int:  # not bool, float or str
+        raise ValueError("path coordinates must be integers, got %r" % (pt,))
+    return x, y
+
+
 class PathFamily:
     """A tuple of lattice paths, each a tuple of (x, y) points."""
 
     __slots__ = ("paths",)
 
     def __init__(self, paths):
-        self.paths = tuple(tuple((int(x), int(y)) for (x, y) in p)
-                           for p in paths)
+        self.paths = tuple(tuple(map(_point, p)) for p in paths)
 
     @classmethod
     def _of(cls, paths):
         """From tuples of integer (x, y) tuples, taken as they are: the
-        `int()` pass of `__init__` is a fifth of `matrix_to_paths`."""
+        point checks of `__init__` would add a third to `matrix_to_paths`
+        (6.5 us on 18 us per 6x6 matrix, k = 4)."""
         obj = object.__new__(cls)
         obj.paths = tuple(paths)
         return obj
@@ -259,17 +269,15 @@ def paths_to_matrix(paths, m, n, k):
     """Rebuild the matrix from its path family: ones along the paths plus
     the two forced corner staircases."""
     check_mnk(m, n, k)
-    if isinstance(paths, PathFamily):
-        fam = paths.paths
-    else:
-        fam = tuple(tuple(p) for p in paths)
+    if not isinstance(paths, PathFamily):
+        paths = PathFamily(paths)
+    fam = paths.paths
     if len(fam) != k - 1:
         raise ValueError("expected %d paths, got %d" % (k - 1, len(fam)))
     starts, ends = path_endpoints(m, n, k)
     on_paths = [0] * m
     for s, path in enumerate(fam):
-        if not path or path[0] != tuple(starts[s]) \
-                or path[-1] != tuple(ends[s]):
+        if not path or path[0] != starts[s] or path[-1] != ends[s]:
             raise ValueError("path %d endpoints are off" % (s + 1,))
         _require_walk(path, s)
         for pt in path:

@@ -167,6 +167,8 @@ def _cmd_biject(args, out, stdin):
         if args.k is not None and args.k != k:
             raise ValueError("--k disagrees with the array box")
         m, n = pp.a + pp.c, pp.b + pp.c
+        # a few bytes of box sides can ask for a huge matrix
+        oracle._check_budget(m * n, EnumerationBudget(max_cells=args.budget))
         M = bijection.pp_to_matrix(pp, m, n, k)
         if bijection.matrix_to_pp(M, k) != pp:
             _emit(out, "round trip failed")
@@ -184,15 +186,16 @@ def _cmd_genfunc(args, out):
     if None in (args.m, args.n, args.k):
         raise ValueError("genfunc needs --m --n --k")
     m, n, k = args.m, args.n, args.k
+    budget = EnumerationBudget(max_cells=args.budget)
     if args.t1:
-        poly = genfunc.volume_gf(m, n, k)
+        poly = genfunc.volume_gf(m, n, k, budget)
         _emit(out, ",".join(str(c) for c in poly.to_list()))
         return EXIT_OK
     pts = genfunc.seeded_points(args.points, seed=args.seed,
                                 span=m + n + k)
     bad = 0
     for (q, t) in pts:
-        lhs = genfunc.gf_lhs(m, n, k, q, t)
+        lhs = genfunc.gf_lhs(m, n, k, q, t, budget)
         rhs = genfunc.gf_rhs(m, n, k, q, t)
         status = "OK" if lhs == rhs else "MISMATCH"
         if lhs != rhs:

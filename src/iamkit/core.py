@@ -148,19 +148,21 @@ class BinaryMatrix(_PackedGrid):
 # increasing chains
 
 
-def _longest_chain(masks, limit=None):
-    """Longest increasing chain among the ones of packed rows (bit n-j =
-    column j of n), or `limit` as soon as a chain that long is found.
+def _sweep(tails, masks, limit=None):
+    """Advance the thresholds `tails` of the rows above past the packed
+    rows `masks` (bit n-j = column j of n), in place; return how many there
+    are, or `limit` as soon as that many are found.
 
     Patience-sorting threshold sweep (Aldous-Diaconis 1999): tails[p] is
     the bit of the least column at which a chain of length p+1 ends among
-    the rows so far.  The ones strictly right of that column are the bits
-    below it, and the first of them is the highest.  Each row moves every
-    threshold from the one before it, read before the row: O(len(tails))
-    per row.  Cells outside a skew shape never hold ones, so one routine
-    serves matrices and fillings.
+    the rows so far, so the longest chain ending at or left of a column is
+    the number of thresholds at or left of it.  The ones strictly right of
+    that column are the bits below it, and the first of them is the
+    highest.  Each row moves every threshold from the one before it, read
+    before the row: O(len(tails)) per row.  Cells outside a skew shape
+    never hold ones, so one routine serves matrices, fillings and the row
+    search of `oracle`, which carries the thresholds as its state.
     """
-    tails = []
     for mk in masks:
         right = mk  # the ones right of column 0
         for p, old in enumerate(tails):
@@ -176,6 +178,12 @@ def _longest_chain(masks, limit=None):
                 if len(tails) == limit:
                     return limit
     return len(tails)
+
+
+def _longest_chain(masks, limit=None):
+    """Longest increasing chain among the ones of packed rows, or `limit`
+    as soon as a chain that long is found."""
+    return _sweep([], masks, limit)
 
 
 def longest_increasing_chain(M):

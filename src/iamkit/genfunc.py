@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import symmetry
@@ -156,14 +156,24 @@ def _weight(rec, k, q, t):
     return out
 
 
-def gf_lhs(m, n, k, q, t):
+def _every_maximal(m, n, k, budget):
+    """The whole stream of maximal matrices: a sum needs every one, so the
+    budget's cell cap applies (the default one when none is given) and its
+    `max_results` does not."""
+    if budget is not None:
+        budget = replace(budget, max_results=None)
+    return enumerate_maximal_iams(m, n, k, budget)
+
+
+def gf_lhs(m, n, k, q, t, budget=None):
     """Sum of weights over every maximal I_k-avoiding m x n matrix: the
     statistics are taken once per matrix, and the weight once per distinct
     (v, v_d, d)."""
     check_mnk(m, n, k)
     q = Fraction(q)
     t = Fraction(t)
-    recs = Counter(stat_record(M, k) for M in enumerate_maximal_iams(m, n, k))
+    recs = Counter(stat_record(M, k)
+                   for M in _every_maximal(m, n, k, budget))
     return sum(count * _weight(rec, k, q, t) for rec, count in recs.items())
 
 
@@ -320,14 +330,14 @@ class QPoly:
         return "QPoly(%r)" % (list(self.coeffs),)
 
 
-def volume_gf(m, n, k):
+def volume_gf(m, n, k, budget=None):
     """Sum of q^{v(M)} over maximal matrices, as a polynomial.
 
     Computed twice -- once from the matrix stream, once by expanding the
     closed product of q-integer ratios -- and the two must agree.
     """
     check_mnk(m, n, k)
-    total = _tally(stat_v(M) for M in enumerate_maximal_iams(m, n, k))
+    total = _tally(stat_v(M) for M in _every_maximal(m, n, k, budget))
     num = QPoly.one()
     den = QPoly.one()
     for i in range(1, m - k + 2):

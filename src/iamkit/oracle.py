@@ -11,8 +11,9 @@ Three routes, kept deliberately separate:
   `symmetry` lists only the matrices fixed by a group element, so a
   symmetry census never filters the full stream;
 * `oracle_count` and `oracle_count_shape` count the same search by the
-  transfer-matrix method: a memoized sum over its row state (row, C-vector,
-  demands), with the same transitions and prunes, so they list nothing;
+  transfer-matrix method: a memoized sum over its row state (row, chain
+  thresholds, demands), with the same transitions and prunes, so they list
+  nothing;
 * `naive_enumerate` scans every (0,1)-matrix and applies the literal
   flip-based maximality test, with no pruning at all.
 
@@ -21,7 +22,6 @@ Every stream is in row-major lexicographic order on the entries.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 
@@ -30,6 +30,8 @@ from .core import (
     Filling,
     SkewShape,
     VerificationError,
+    _chain_tables,
+    _sweep,
     check_mnk,
     is_maximal_filling,
     is_maximal_iam_by_flips,
@@ -68,10 +70,14 @@ def _check_budget(cells, budget):
 #
 # Rows are placed top to bottom over the cells of a skew shape; a rectangle
 # is the shape (n^m)/().  The interface between the placed prefix and the
-# future is the vector C with C[j] = longest chain among placed rows that
-# ends in a column <= j+1 (weakly increasing in j).  A new row mask updates C
-# in one left-to-right sweep; a new one in column j would end a chain of
-# length C[j-1]+1, which must stay below k.
+# future is its tuple of chain thresholds, those of `core._sweep`: entry p
+# is the bit of the least column at which a chain of length p+1 ends among
+# the placed rows.  So the longest chain ending at or left of column c is
+# the number of thresholds at or left of c.  A new one in column j would
+# end a chain one longer than that for c = j-1, which must stay below k:
+# there are at most k-1 thresholds, and once there are k-1, ones go only at
+# or left of the column of the last.  A new row moves the thresholds by one
+# step of the sweep.
 #
 # Maximality is local (no extremal ones count is assumed): the ones must stay
 # chain-free, and every zero must be *justified* -- flipping it completes a
@@ -87,51 +93,24 @@ def _check_budget(cells, budget):
 #   is then dropped.
 # * A pair needs room below the row: r must not exceed the longest run of
 #   in-shape cells strictly below-right of (i, c) (the geometric zero test),
-#   nor k-1-C[c-1], since those r ones would extend the longest chain the
-#   placed rows end at or left of column c.  Other pairs are dropped; a
-#   demand with no pair left kills the branch.
+#   nor k-1 minus the thresholds at or left of column c, since those r ones
+#   would extend the longest chain the placed rows end there.  Other pairs
+#   are dropped; a demand with no pair left kills the branch.
 # * Within a demand only undominated pairs stay (none other has column <=
 #   and need <=); within the state only demands that no other one implies.
 #
-# So the state (depth, C-vector, demands) decides exactly which completions
-# are valid.  The count is a memoized sum over it (the transfer-matrix
-# method), and the listing enters only states with a nonzero count, so it
-# reaches no dead leaf.  Every listed filling is still put through the
-# literal maximality test, as an invariant that raises if it ever fails.
+# So the state (depth, thresholds, demands) decides exactly which
+# completions are valid.  The count is a memoized sum over it (the
+# transfer-matrix method), and the listing enters only states with a
+# nonzero count, so it reaches no dead leaf.  Every listed filling is still
+# put through the literal maximality test, as an invariant that raises if
+# it ever fails.
 
 
-def _push_row(c_vec, mask, n, k):
-    """C-vector after one more row; None if the row completes a k-chain."""
-    out = []
-    prev = 0
-    for j in range(n):
-        v = c_vec[j]
-        if (mask >> (n - 1 - j)) & 1:
-            w = (c_vec[j - 1] if j else 0) + 1
-            if w >= k:
-                return None
-            if w > v:
-                v = w
-        if prev > v:
-            v = prev
-        out.append(v)
-        prev = v
-    return tuple(out)
-
-
-def _geo_down_table(shape):
-    """geo[i][j]: longest strictly-increasing run of in-shape cells starting
-    strictly below and to the right of (i, j)."""
-    m, n = shape.n_rows, shape.n_cols
-    geo = [[0] * (n + 2) for _ in range(m + 2)]
-    best = [[0] * (n + 2) for _ in range(m + 2)]  # run starting at (i, j)
-    for i in range(m, 0, -1):
-        for j in range(n, 0, -1):
-            g = max(geo[i + 1][j], geo[i][j + 1], best[i + 1][j + 1])
-            geo[i][j] = g
-            if shape.contains_cell(i, j):
-                best[i][j] = g + 1
-    return geo
+def _at_or_left(tails, n, c):
+    """The longest chain ending at or left of column c, for thresholds
+    `tails` over n columns: the number of them at or left of c."""
+    return sum(t >= n - c for t in tails)
 
 
 def _implies(b, a):
@@ -165,37 +144,42 @@ def _strongest(demands):
 
 class _Search:
     """One (shape, k) search engine: counting and listing over the row
-    state (depth, C-vector, demands)."""
+    state (depth, thresholds, demands)."""
 
     def __init__(self, shape, k):
         self.k = k
         self.m, self.n = shape.n_rows, shape.n_cols
         self.spans = [shape.row_span(i) for i in range(1, self.m + 1)]
-        self.geo = _geo_down_table(shape)
-        self._rows = {}    # (row span, c_vec) -> [(mask, next c_vec)]
-        self._room = {}    # (depth, next c_vec) -> room below the row
-        self._succ = {}    # (depth, c_vec) -> [(mask, next c_vec,
-                           #                     new demands, room)]
-        self._states = {}  # c_vec -> itself, so successor lists share tuples
-        self._count = {}   # (depth, c_vec, demands) -> number of completions
+        # geo[i][j]: the longest run of in-shape cells strictly below-right
+        # of (i, j), the chain bound D with every in-shape cell a one
+        _, self.geo = _chain_tables(
+            [((1 << (hi - lo)) - 1) << (self.n - hi) for lo, hi in self.spans],
+            self.n)
+        self._rows = {}    # (row span, tails) -> [(mask, next tails)]
+        self._room = {}    # (depth, next tails) -> room below the row
+        self._succ = {}    # (depth, tails) -> [(mask, next tails,
+                           #                    new demands, room)]
+        self._states = {}  # tails -> itself, so successor lists share tuples
+        self._count = {}   # (depth, tails, demands) -> number of completions
 
-    def rows(self, span, c_vec):
-        """(mask, next C-vector) for every row inside the span that
-        completes no k-chain after this C-vector, masks ascending."""
-        key = (span, c_vec)
+    def rows(self, span, tails):
+        """(mask, next thresholds) for every row inside the span that
+        completes no k-chain after these thresholds, masks ascending."""
+        key = (span, tails)
         got = self._rows.get(key)
         if got is None:
             n, k, states = self.n, self.k, self._states
-            # a one in column j >= 2 ends a chain of length C[j-2] + 1, which
-            # must stay below k; C is weakly increasing, so the columns
-            # where it does are a prefix 1..J, and only masks inside both
-            # it and the span are tried
+            # with k-1 thresholds a one right of the last would end a
+            # k-chain, so only masks inside both the span and the columns
+            # up to that one are tried
             lo, hi = span
-            top = min(hi, 1 + bisect_left(c_vec, k - 1, 0, n - 1))
+            top = hi if len(tails) < k - 1 else min(hi, n - tails[k - 2])
             got = []
             for x in range(1 << max(top - lo, 0)):
                 mask = x << (n - top)
-                nxt = _push_row(c_vec, mask, n, k)
+                nxt = list(tails)
+                _sweep(nxt, (mask,))
+                nxt = tuple(nxt)
                 got.append((mask, states.setdefault(nxt, nxt)))
             self._rows[key] = got
         return got
@@ -207,17 +191,17 @@ class _Search:
         key = (depth, nxt)
         got = self._room.get(key)
         if got is None:
-            geo, k = self.geo[depth + 1], self.k
-            got = [0] + [min(geo[c], k - 1 - nxt[c - 1])
-                         for c in range(1, self.n + 1)]
+            geo, k, n = self.geo[depth + 1], self.k, self.n
+            got = [0] + [min(geo[c], k - 1 - _at_or_left(nxt, n, c))
+                         for c in range(1, n + 1)]
             self._room[key] = got
         return got
 
-    def succ(self, depth, c_vec):
+    def succ(self, depth, tails):
         """Every row after this state that completes no k-chain and leaves
-        no zero unjustifiable, masks ascending, as (mask, next C-vector,
+        no zero unjustifiable, masks ascending, as (mask, next thresholds,
         the demands of the row's zeros, room)."""
-        key = (depth, c_vec)
+        key = (depth, tails)
         got = self._succ.get(key)
         if got is None:
             n, k = self.n, self.k
@@ -226,11 +210,11 @@ class _Search:
             # its need is known before the row is chosen
             needs = []
             for j in range(span[0] + 1, span[1] + 1):
-                need = k - 1 - (c_vec[j - 2] if j >= 2 else 0)
+                need = k - 1 - _at_or_left(tails, n, j - 1)
                 if need > 0:
                     needs.append((1 << (n - j), j, need))
             got = []
-            for mask, nxt in self.rows(span, c_vec):
+            for mask, nxt in self.rows(span, tails):
                 room = self.room(depth, nxt)
                 new = []
                 for bit, j, need in needs:
@@ -272,7 +256,7 @@ class _Search:
         return _strongest(out)
 
     def _children(self, demands, rows):
-        """(mask, next C-vector, next demands) for each of these successor
+        """(mask, next thresholds, next demands) for each of these successor
         rows that keeps every demand satisfiable, in their order."""
         out = []
         for mask, nxt, new, room in rows:
@@ -281,21 +265,21 @@ class _Search:
                 out.append((mask, nxt, dem))
         return out
 
-    def count(self, depth, c_vec, demands):
+    def count(self, depth, tails, demands):
         """Number of full fillings extending any prefix with this state."""
         if depth == self.m:
             return 0 if demands else 1
-        key = (depth, c_vec, demands)
+        key = (depth, tails, demands)
         got = self._count.get(key)
         if got is None:
             got = 0
             for _, nxt, dem in self._children(demands,
-                                              self.succ(depth, c_vec)):
+                                              self.succ(depth, tails)):
                 got += self.count(depth + 1, nxt, dem)
             self._count[key] = got
         return got
 
-    def complete(self, prefix_masks, c_vec, demands, rule=None):
+    def complete(self, prefix_masks, tails, demands, rule=None):
         """Yield full row-mask tuples extending the given prefix; enters a
         state only when some completion of it is valid.
 
@@ -308,7 +292,7 @@ class _Search:
         if depth == self.m:
             yield prefix_masks
             return
-        rows = self.succ(depth, c_vec)
+        rows = self.succ(depth, tails)
         forced = rule(prefix_masks) if rule is not None else None
         if forced is not None:
             fixed, values, keep = forced
@@ -322,11 +306,11 @@ class _Search:
     def start(self, rule=None):
         """Every full row-mask tuple (obeying the rule, if given), in
         stream order."""
-        return self.complete((), (0,) * self.n, (), rule)
+        return self.complete((), (), (), rule)
 
     def total(self):
         """Number of full fillings."""
-        return self.count(0, (0,) * self.n, ())
+        return self.count(0, (), ())
 
 
 def enumerate_maximal_iams(m, n, k, budget=None):

@@ -199,6 +199,32 @@ def test_pp_rejects_what_is_not_an_integer(sides, pi):
         PlanePartition(*sides, pi)
 
 
+@pytest.mark.parametrize("point", [
+    (1.5, 0.9), (True, 0), (0, False), (0, 1.0), ("0", 1), (0, None),
+    (0, 1, 2), (0,), "01", 0, None,
+])
+def test_path_family_rejects_what_is_not_an_integer_pair(point):
+    # each point is a pair of integers; a bool, a float or a string that
+    # converts to one is not, nor is a point with another number of parts
+    paths = [[(0, 0), point]]
+    with pytest.raises(ValueError):
+        PathFamily(paths)
+    with pytest.raises(ValueError):
+        paths_to_matrix(paths, 2, 2, 2)
+
+
+def test_path_family_does_not_round_points_to_integers():
+    # int() would make this ((1, 0), (1, 2))
+    with pytest.raises(ValueError, match="must be integers"):
+        PathFamily([[(1.5, 0.9), (True, "2")]])
+
+
+def test_path_family_takes_lists_and_tuples():
+    fam = PathFamily([[[0, 1], (1, 1)]])
+    assert fam.paths == (((0, 1), (1, 1)),)
+    assert PathFamily.from_json(fam.to_json()) == fam
+
+
 def test_pp_json_roundtrip():
     pp = PlanePartition(2, 3, 4, [[4, 2, 1], [2, 2, 0]])
     assert PlanePartition.from_json_dict(pp.to_json_dict()) == pp

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iamkit.bijection
+import iamkit.core
 import iamkit.formulas
 import iamkit.genfunc
 import iamkit.oracle
@@ -223,6 +224,38 @@ def test_biject_to_matrix_derives_k(capsys, monkeypatch):
     assert json.loads(out) == json.loads(M5_JSON)
 
 
+def test_biject_to_matrix_checks_the_board_against_the_budget(capsys,
+                                                             monkeypatch):
+    # a 33-byte plane partition asks for a 401 x 401 matrix: refused
+    # before it is decoded
+    def decode(pp, m, n, k):
+        raise AssertionError("decoded a board over the budget")
+
+    monkeypatch.setattr(iamkit.bijection, "pp_to_matrix", decode)
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO('{"a":1,"b":1,"c":400,"pi":[[0]]}'))
+    rc = main(["biject", "--to", "matrix"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: board has 160801 cells, "
+                            "budget allows 64\n")
+
+
+def test_biject_to_matrix_decodes_within_the_budget(capsys, monkeypatch):
+    pp = '{"a":1,"b":1,"c":10,"pi":[[3]]}'   # an 11 x 11 board
+    monkeypatch.setattr("sys.stdin", io.StringIO(pp))
+    assert main(["biject", "--to", "matrix", "--budget", "120"]) == 3
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(pp))
+    rc, out = run(capsys, ["biject", "--to", "matrix", "--budget", "121"])
+    assert rc == 0
+    M = iamkit.core.BinaryMatrix.from_json_dict(json.loads(out))
+    assert (M.m, M.n) == (11, 11)
+    assert iamkit.bijection.matrix_to_pp(M, 11).to_json_dict() == \
+        json.loads(pp)
+
+
 def test_biject_to_paths_round_trip(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(M5_JSON))
     rc, out = run(capsys, ["biject", "--to", "paths", "--k", "3"])
@@ -260,6 +293,27 @@ def test_genfunc_points(capsys):
     assert len(lines) == 4
     assert all(line.endswith("OK") for line in lines[:3])
     assert lines[3] == "genfunc identity: 3/3 points agree"
+
+
+def test_genfunc_honours_budget(capsys):
+    # 9 x 8, k = 8: 72 cells over the default budget, but only 36 maximal
+    # matrices, so a larger budget lets it run
+    rc, out = run(capsys, ["genfunc", "--m", "9", "--n", "8", "--k", "8",
+                           "--t1", "--budget", "100"])
+    assert rc == 0
+    assert out == ",".join(
+        map(str, iamkit.genfunc.pp_volume_gf(2, 1, 7).to_list())) + "\n"
+    for argv in (["--m", "9", "--n", "8", "--k", "8", "--t1"],
+                 ["--m", "3", "--n", "3", "--k", "2", "--t1",
+                  "--budget", "4"],
+                 ["--m", "3", "--n", "3", "--k", "2", "--points", "2",
+                  "--budget", "4"]):
+        rc = main(["genfunc"] + argv)
+        captured = capsys.readouterr()
+        assert rc == 3, argv
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "budget exceeded" in captured.err
 
 
 def test_genfunc_mismatch_exits_2(capsys, monkeypatch):
@@ -383,7 +437,7 @@ def test_verification_error_exits_2(capsys, monkeypatch):
     # the stream and the product expansion of the volume polynomial
     # disagree: a fault of iamkit, reported as one line
     monkeypatch.setattr(iamkit.genfunc, "enumerate_maximal_iams",
-                        lambda m, n, k: iter(()))
+                        lambda m, n, k, budget=None: iter(()))
     rc = main(["genfunc", "--m", "2", "--n", "2", "--k", "2", "--t1"])
     captured = capsys.readouterr()
     assert rc == 2
@@ -465,7 +519,7 @@ try:
     sys.exit("_int_of returned an integer for 1/2")
 except VerificationError:
     pass
-iamkit.genfunc.enumerate_maximal_iams = lambda m, n, k: iter(())
+iamkit.genfunc.enumerate_maximal_iams = lambda m, n, k, budget=None: iter(())
 sys.exit(main(["genfunc", "--m", "2", "--n", "2", "--k", "2", "--t1"]))
 """
 

@@ -11,6 +11,7 @@ from iamkit.core import (
     Filling,
     Partition,
     SkewShape,
+    _sweep,
     contains_ik,
     contains_ik_in_shape,
     is_maximal_filling,
@@ -62,6 +63,31 @@ def test_mask_chain_routine_matches_the_quadratic_twin(board):
     assert longest_increasing_chain(M) == longest
     for k in range(1, min(M.m, n) + 2):
         assert contains_ik(M, k) == (longest >= k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n),
+                                                      _masks_of(n, 10))))
+def test_thresholds_match_their_definition(board):
+    # threshold p is the bit of the least column c at which the rows, cut
+    # to columns <= c, hold a chain of length p+1
+    n, masks = board
+    m = len(masks)
+    want = []
+    for c in range(1, n + 1):
+        cut = BinaryMatrix.from_masks(m, c, [mk >> (n - c) for mk in masks])
+        while len(want) < longest_increasing_chain_quadratic(cut):
+            want.append(n - c)
+    tails = []
+    assert _sweep(tails, masks) == len(want)
+    assert tails == want
+    # the row search advances a tuple of thresholds one row at a time
+    state = ()
+    for mk in masks:
+        nxt = list(state)
+        _sweep(nxt, (mk,))
+        state = tuple(nxt)
+    assert state == tuple(want)
 
 
 @st.composite

@@ -36,7 +36,11 @@ from iamkit.genfunc import (
     weight_at,
 )
 from iamkit.formulas import hprod
-from iamkit.oracle import enumerate_maximal_iams
+from iamkit.oracle import (
+    BudgetExceeded,
+    EnumerationBudget,
+    enumerate_maximal_iams,
+)
 from iamkit.symmetry import apply
 
 SIX_STATS = {
@@ -205,10 +209,27 @@ def test_volume_gf_matches_pp_volume_gf():
                     pp_volume_gf(m - k + 1, n - k + 1, k - 1)
 
 
+def test_sums_over_the_stream_honour_the_cell_budget():
+    # a sum needs every matrix, so the cap on cells applies (the default
+    # one when no budget is given) and a cap on results does not
+    with pytest.raises(BudgetExceeded):
+        volume_gf(9, 8, 8)
+    assert volume_gf(9, 8, 8, EnumerationBudget(max_cells=72)) == \
+        pp_volume_gf(2, 1, 7)
+    small = EnumerationBudget(max_cells=8)
+    with pytest.raises(BudgetExceeded):
+        volume_gf(3, 3, 2, small)
+    with pytest.raises(BudgetExceeded):
+        gf_lhs(3, 3, 2, Fraction(1, 2), Fraction(1, 3), small)
+    cut = EnumerationBudget(max_results=1)
+    assert volume_gf(3, 4, 3, cut).to_list() == [1, 1, 2, 1, 1]
+    assert gf_lhs(3, 4, 3, 2, 3, cut) == gf_rhs(3, 4, 3, 2, 3)
+
+
 def test_volume_gf_disagreement_raises(monkeypatch):
     # an empty stream cannot match the product expansion
     monkeypatch.setattr(iamkit.genfunc, "enumerate_maximal_iams",
-                        lambda m, n, k: iter(()))
+                        lambda m, n, k, budget=None: iter(()))
     with pytest.raises(VerificationError):
         volume_gf(3, 4, 3)
 

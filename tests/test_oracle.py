@@ -392,11 +392,41 @@ def _room_by_definition(shape, k, i, nxt):
                   for c in range(1, n + 1)]
 
 
+def _push_row(c_vec, mask, n, k):
+    """The C-vector after one more row, C[j] being the longest chain among
+    the rows so far that ends in a column <= j+1; None if the row completes
+    a k-chain.  One left-to-right sweep: a one in column j+1 ends a chain
+    one longer than C[j-1]."""
+    out = []
+    prev = 0
+    for j in range(n):
+        v = c_vec[j]
+        if (mask >> (n - 1 - j)) & 1:
+            w = (c_vec[j - 1] if j else 0) + 1
+            if w >= k:
+                return None
+            if w > v:
+                v = w
+        if prev > v:
+            v = prev
+        out.append(v)
+        prev = v
+    return tuple(out)
+
+
+def _c_vector(tails, n):
+    """The C-vector of chain thresholds (bit n-j = column j): a chain of
+    length p+1 ends at or left of column j exactly when threshold p does,
+    so C[j-1] is the number of thresholds at or left of column j."""
+    return tuple(sum(n - t <= j for t in tails) for j in range(1, n + 1))
+
+
 def test_successors_match_their_definition():
     # succ tries only masks inside the row span and the unblocked prefix of
     # columns, and shares its tables across rows; it must still list exactly
-    # the masks inside the row span that _push_row accepts and whose zeros
-    # pass the room test, masks ascending
+    # the masks inside the row span that the C-vector update above accepts
+    # and whose zeros pass the room test, masks ascending.  The state holds
+    # chain thresholds, read here as their C-vector
     from test_skew import CATALOG
     boards = [(SkewShape((n,) * m), k)
               for m, n, k in [(4, 4, 2), (5, 5, 3), (4, 6, 4), (6, 4, 3)]]
@@ -407,12 +437,14 @@ def test_successors_match_their_definition():
         search.total()
         checked += len(search._succ)
         n = shape.n_cols
-        for (depth, c_vec), got in search._succ.items():
+        for (depth, tails), got in search._succ.items():
+            assert len(tails) <= k - 1, (shape, k, depth, tails)
+            c_vec = _c_vector(tails, n)
             lo, hi = shape.row_span(depth + 1)
             inside = ((1 << (hi - lo)) - 1) << (n - hi)
             want = []
             for mask in range(1 << n):
-                nxt = oracle._push_row(c_vec, mask, n, k)
+                nxt = _push_row(c_vec, mask, n, k)
                 if mask & ~inside or nxt is None:
                     continue
                 room = _room_by_definition(shape, k, depth + 1, nxt)
@@ -423,5 +455,7 @@ def test_successors_match_their_definition():
                         new.append(((j, need),))
                 if all(room[dem[0][0]] >= dem[0][1] for dem in new):
                     want.append((mask, nxt, new, room))
-            assert got == want, (shape, k, depth, c_vec)
+            got = [(mask, _c_vector(nxt, n), new, room)
+                   for mask, nxt, new, room in got]
+            assert got == want, (shape, k, depth, tails)
     assert checked > 100, checked
