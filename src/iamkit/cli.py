@@ -343,8 +343,20 @@ def _cmd_selftest(args, out):
 # wiring
 
 
+class _UsageError(Exception):
+    """A command line argparse refuses; `main` reports it in one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints the usage text before its error and exits 2; raise
+    # instead, so that a usage error ends like any other invalid input
+    # (subparsers are built from this class too)
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="iamkit",
         description="Exact counts, enumeration and bijections for maximal "
                     "I_k-avoiding matrices and skew-shape fillings.")
@@ -425,9 +437,11 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; remap to our usage code
-        return EXIT_USAGE if exc.code else EXIT_OK
+    except _UsageError as exc:
+        print("invalid input: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except SystemExit:
+        return EXIT_OK  # --help, the only exit left to argparse
     if args.format not in _FORMATS[args.command]:
         print("invalid input: --format %s is not supported by %s"
               % (args.format, args.command), file=sys.stderr)

@@ -355,7 +355,10 @@ class Partition:
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
             parts = parts.parts
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        for p in parts:
+            if type(p) is not int:  # not bool, float or str
+                raise ValueError("parts must be integers, got %r" % (p,))
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
@@ -496,8 +499,8 @@ class Filling(_PackedGrid):
         n = shape.n_cols
         masks = [0] * shape.n_rows
         for (i, j), v in values.items():
-            if v not in (0, 1):
-                raise ValueError("entries must be 0 or 1")
+            if type(v) is not int or v not in (0, 1):  # not bool
+                raise ValueError("entries must be 0 or 1, got %r" % (v,))
             if v:
                 masks[i - 1] |= 1 << (n - j)
         self.shape = shape

@@ -7,9 +7,9 @@ Three routes, kept deliberately separate:
   (n^m)/(); its prunes are safe: chain length, and every zero not yet
   justified carried in the row state as a demand on later rows, so it is
   exact, assumes nothing about the ones count and lists no dead leaf; it
-  also takes one extra rule per row, with which `class_histogram` in
-  `symmetry` lists only the matrices fixed by a group element, so a
-  symmetry census never filters the full stream;
+  also takes one extra rule per row, with which `symmetry` lists only the
+  matrices fixed by a subgroup (the rule copies each cell from the first
+  cell of its orbit), so a symmetry census never filters the full stream;
 * `oracle_count` and `oracle_count_shape` count the same search by the
   transfer-matrix method: a memoized sum over its row state (row, chain
   thresholds, demands), with the same transitions and prunes, so they list

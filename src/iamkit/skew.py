@@ -222,29 +222,21 @@ def count_truncated_rect(m, n, k, t):
     return out.numerator
 
 
-def reflection_count(m, n, k, t, i, j, variant="m"):
+def reflection_count(m, n, k, t, i, j):
     """Single path count b_{ij} by the reflection principle: free count
     minus the count through the cut, C(N, m-k-i+j+1) - C(N, m-k-i-j+2-delta)
-    with N = m+n-2k+2.
-
-    `variant` selects which side the Kronecker delta compares t against;
-    "m" (delta = [t = m-k]) is the one that matches the search oracle."""
+    with N = m+n-2k+2 and delta = [t = m-k]."""
     TruncatedRect(m, n, k, t)
-    if variant == "m":
-        delta = 1 if t == m - k else 0
-    elif variant == "n":
-        delta = 1 if t == n - k else 0
-    else:
-        raise ValueError("variant must be 'm' or 'n'")
+    delta = 1 if t == m - k else 0
     N = m + n - 2 * k + 2
     return (binom(N, m - k - i + j + 1)
             - binom(N, m - k - i - j + 2 - delta))
 
 
-def reflection_det(m, n, k, t, variant="m"):
+def reflection_det(m, n, k, t):
     """Determinant of the reflection counts, order k-1."""
     d = k - 1
-    rows = [[reflection_count(m, n, k, t, i, j, variant)
+    rows = [[reflection_count(m, n, k, t, i, j)
              for j in range(1, d + 1)] for i in range(1, d + 1)]
     return det_bareiss(rows)
 

@@ -142,12 +142,11 @@ _TAG_ELEMENTS = {
     "AS": ("antitranspose",),
     "DAS": ("transpose", "antitranspose"),
     "QTS": ("rot90",),
-    "TS": ("flipv", "fliph", "rot180", "transpose", "antitranspose",
-           "rot90", "rot270"),
+    "TS": ("flipv", "transpose"),  # they generate the whole group
 }
 _SQUARE_TAGS = ("DS", "AS", "DAS", "QTS", "TS")
 
-# Every element other than id is fliph (reversing the row order) after at
+# Each element a tag lists is fliph (reversing the row order) after at
 # most one of three images: the rows bit-reversed (flipv), the transpose,
 # and the transpose of the rows reversed (rot90).
 _ELEMENT_IMAGES = {
@@ -155,20 +154,19 @@ _ELEMENT_IMAGES = {
     "flipv": ("flipv", False),
     "rot180": ("flipv", True),
     "transpose": ("transpose", False),
-    "rot270": ("transpose", True),
     "rot90": ("rot90", False),
     "antitranspose": ("rot90", True),
 }
 
 
-def _tags_of(masks, m, n, wanted=tuple(_TAG_ELEMENTS)):
-    """The tags among `wanted` carried by the m x n matrix with these row
-    masks (a tuple).  Each image is built at most once, and only when a
-    wanted tag needs it; the odd elements are compared only when m == n."""
+def _tags_of(masks, m, n):
+    """The tags carried by the m x n matrix with these row masks (a tuple).
+    Each image is built at most once, and only when a tag needs it; the
+    odd elements are compared only when m == n."""
     images = {None: masks}
     fixed = {}
     tags = []
-    for tag in wanted:
+    for tag in _TAG_ELEMENTS:
         if m != n and tag in _SQUARE_TAGS:
             continue
         for g in _TAG_ELEMENTS[tag]:
@@ -193,74 +191,73 @@ def _tags_of(masks, m, n, wanted=tuple(_TAG_ELEMENTS)):
 # ---------------------------------------------------------------------------
 # fixed points and class counts
 #
-# The matrices fixed by one group element are listed by the oracle's row
-# search itself, with one extra rule per element: from the rows placed so
-# far it gives the next row's forced bits and their values, and whether the
-# row must read the same reversed.
-#
-# * flipv: every row reads the same reversed;
-# * fliph: a row in the lower half is its mirror row above;
-# * rot180: the same, bit-reversed, and a middle row reads the same reversed;
-# * transpose: row i left of the diagonal is column i of the rows above,
-#   read top down;
-# * antitranspose: row i right of the anti-diagonal is column n+1-i of the
-#   rows above, read bottom up.
-
-# Each tag other than U, and the one search it is counted from: a matrix
-# carrying the tag is fixed by that element.
-_CENSUS = (("flipv", ("VS", "VHS")),
-           ("fliph", ("HS",)),
-           ("rot180", ("HTS", "QTS")),
-           ("transpose", ("DS", "DAS", "TS")),
-           ("antitranspose", ("AS",)))
-FIXED_POINT_ELEMENTS = tuple(g for g, _ in _CENSUS)
-_SQUARE_ELEMENTS = ("transpose", "antitranspose")
+# A matrix is fixed by a subgroup exactly when it is constant on each orbit
+# of the subgroup on the cells.  So the oracle's row search lists the fixed
+# points itself, with one rule per row: a cell whose orbit first meets the
+# board (row-major) in an earlier row is a fixed bit, copied from there; a
+# cell whose orbit first meets it earlier in the same row must equal that
+# cell.
 
 
-def _row_rule(g, m, n):
-    """rule(rows placed) -> (fixed bits, their values, a test the row must
-    pass or None) for the next row of a matrix fixed by g, or None when
-    that row is free; see `oracle._Search.complete`."""
-    full = (1 << n) - 1
+def _cell_images(g, m, n):
+    """image[c]: the cell (row-major index) that g moves cell c to, read
+    off `apply` on the matrix whose one one is at c."""
+    image = []
+    for i in range(m):
+        for j in range(n):
+            unit = [0] * m
+            unit[i] = 1 << (n - 1 - j)
+            M = apply(BinaryMatrix.from_masks(m, n, unit), g)
+            if (M.m, M.n) != (m, n):
+                raise ValueError("%s fixes only square matrices" % g)
+            (i2, j2), = M.one_cells()
+            image.append((i2 - 1) * n + j2 - 1)
+    return image
 
-    def palindrome(mask):
-        return _bitrev(mask, n) == mask
 
-    if g == "flipv":
-        return lambda rows: (0, 0, palindrome)
-    if g in ("fliph", "rot180"):
-        def rule(rows):
-            mirror = m - 1 - len(rows)
-            if mirror < len(rows):
-                r = rows[mirror]
-                return full, (r if g == "fliph" else _bitrev(r, n)), None
-            if mirror == len(rows) and g == "rot180":
-                return 0, 0, palindrome
+@functools.cache
+def _orbit_rule(elements, m, n):
+    """The row rule of `oracle._Search.complete` that keeps exactly the
+    m x n matrices fixed by every one of these group elements."""
+    first = list(range(m * n))  # union-find; each root is its orbit's least
+
+    def find(c):
+        while first[c] != c:
+            c = first[c]
+        return c
+
+    for g in elements:
+        for c, d in enumerate(_cell_images(g, m, n)):
+            a, b = sorted((find(c), find(d)))
+            first[b] = a
+    table = []
+    for i in range(m):
+        fixed, sources, pairs = 0, [], []
+        for j in range(n):
+            i0, j0 = divmod(find(i * n + j), n)
+            bit = 1 << (n - 1 - j)
+            if i0 < i:
+                fixed |= bit
+                sources.append((bit, i0, n - 1 - j0))
+            elif j0 < j:
+                pairs.append((n - 1 - j0, n - 1 - j))
+        keep = None
+        if pairs:
+            def keep(mask, pairs=tuple(pairs)):
+                return not any(((mask >> a) ^ (mask >> b)) & 1
+                               for a, b in pairs)
+        table.append((fixed, sources, keep))
+
+    def rule(rows):
+        fixed, sources, keep = table[len(rows)]
+        if not fixed and keep is None:
             return None
-        return rule
-    if g in _SQUARE_ELEMENTS and m != n:
-        raise ValueError("%s fixes only square matrices" % g)
-    if g == "transpose":
-        def rule(rows):
-            d = len(rows)
-            if not d:
-                return None
-            values = 0
-            for r in rows:  # column j comes from row j
-                values = (values << 1) | ((r >> (n - 1 - d)) & 1)
-            return ((1 << d) - 1) << (n - d), values << (n - d), None
-        return rule
-    if g == "antitranspose":
-        def rule(rows):
-            d = len(rows)
-            if not d:
-                return None
-            values = 0
-            for r in reversed(rows):  # column n-i comes from row i+1
-                values = (values << 1) | ((r >> d) & 1)
-            return (1 << d) - 1, values, None
-        return rule
-    raise ValueError("no fixed-point search for group element %r" % (g,))
+        values = 0
+        for bit, i0, shift in sources:
+            if (rows[i0] >> shift) & 1:
+                values |= bit
+        return fixed, values, keep
+    return rule
 
 
 def _listing_search(m, n, k, budget):
@@ -271,66 +268,61 @@ def _listing_search(m, n, k, budget):
     return oracle._Search(SkewShape((n,) * m), k), budget
 
 
-def _fixed_masks(search, g):
-    """Row-mask tuples of the maximal matrices fixed by g, in stream order."""
-    return search.start(_row_rule(g, search.m, search.n))
-
-
 def enumerate_fixed_points(m, n, k, g, budget=None):
     """All maximal I_k-avoiding m x n matrices fixed by the group element g,
     in the order of `oracle.enumerate_maximal_iams`.
 
-    g is one of FIXED_POINT_ELEMENTS; transpose and antitranspose need a
-    square board.  The budget applies as to the stream.
+    g is any of D8_ELEMENTS; transpose, antitranspose and the quarter
+    turns need a square board.  The budget applies as to the stream.
     """
     search, budget = _listing_search(m, n, k, budget)
-    found = _fixed_masks(search, g)  # rejects g before the first matrix
+    rule = _orbit_rule((g,), m, n)  # rejects g before the first matrix
     return (BinaryMatrix.from_masks(m, n, masks)
-            for masks in islice(found, budget.max_results))
+            for masks in islice(search.start(rule), budget.max_results))
 
 
-def _tag_counts(search, census):
-    """Counter of the tags each (element, tags) pair of the census counts,
-    over the fixed points of that element; square-only elements are
-    skipped on other boards."""
+def _class_count(search, tag):
+    """Number of maximal matrices carrying a tag other than U: the fixed
+    points of its elements, by one search (0 for a square-only tag on
+    another board)."""
     m, n = search.m, search.n
-    hist = Counter()
-    for g, tags in census:
-        if g in _SQUARE_ELEMENTS and m != n:
-            continue
-        for masks in _fixed_masks(search, g):
-            hist.update(_tags_of(masks, m, n, tags))
-    return hist
+    if m != n and tag in _SQUARE_TAGS:
+        return 0
+    return sum(1 for _ in search.start(_orbit_rule(_TAG_ELEMENTS[tag], m, n)))
 
 
 def brute_count_class(tag, m, n, k, budget=None):
     """Count maximal IAMs in a symmetry class by search: U by the oracle's
-    transfer-matrix count, any other tag by the one fixed-point search of
-    `class_histogram` that counts it (0 for a square-only tag on another
+    transfer-matrix count, any other tag by listing the fixed points of its
+    subgroup, as `class_histogram` does (0 for a square-only tag on another
     board)."""
     check_mnk(m, n, k)
     if tag == "U":
         return oracle.oracle_count(m, n, k, budget)
-    census = [(g, (tag,)) for g, tags in _CENSUS if tag in tags]
-    if not census:
+    if tag not in _TAG_ELEMENTS:
         raise ValueError("unknown symmetry tag %r" % (tag,))
     search, _ = _listing_search(m, n, k, budget)
-    return _tag_counts(search, census)[tag]
+    return _class_count(search, tag)
 
 
 def class_histogram(m, n, k, budget=None):
     """Counter mapping each tag to the number of maximal m x n matrices
     carrying it.
 
-    U is the oracle's transfer-matrix count.  Every other tag is counted by
-    tagging the fixed points of one group element (see _CENSUS), listed by
-    the oracle's row search; all searches share one engine.  The census
-    lists, so the default budget's cell cap applies when none is given;
-    `max_results` truncates streams, so it does not apply to counts.
+    U is the oracle's transfer-matrix count.  Every other tag is the number
+    of fixed points of its subgroup (see _TAG_ELEMENTS), listed by the
+    oracle's row search under one orbit rule; nothing is tagged, and all
+    searches share one engine.  The census lists, so the default budget's
+    cell cap applies when none is given; `max_results` truncates streams,
+    so it does not apply to counts.
     """
     search, _ = _listing_search(m, n, k, budget)
     hist = Counter(U=search.total())
-    hist.update(_tag_counts(search, _CENSUS))
+    for tag in _TAG_ELEMENTS:
+        if tag != "U":
+            count = _class_count(search, tag)
+            if count:
+                hist[tag] = count
     return hist
 
 

@@ -353,6 +353,73 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_argparse_errors_end_in_one_line(capsys):
+    # argparse's own refusals print no usage text, only the error
+    assert main(["count", "--m", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid input: argument --m: invalid int "
+                            "value: 'x'\n")
+    for argv in ([], ["no-such-command"], ["count", "--class", "XS"],
+                 ["biject"], ["count", "--m", "3", "--stray"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, argv
+        assert captured.err.startswith("invalid input: "), argv
+    # --help still prints its text and succeeds
+    assert main(["count", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: iamkit count")
+    assert captured.err == ""
+
+
+_COUNT_VALUES = (st.integers(-1, 6).map(str)
+                 | st.sampled_from(["", "x", "2.5", "3,2", "4,4,2", "3,3,3",
+                                    "2,1", "1", "U", "DS", "HTS", "TS", "XS",
+                                    "text", "json", "csv"]))
+# near misses: most options get a value of their own kind, and most lists
+# start from a valid board, so that they get past the parser and reach the
+# counts; about half end in a stray value
+_PARTS = st.sampled_from(["", "1", "2,1", "3,2", "3,3,2", "4,4,2", "3,3,3"])
+_COUNT_OPTIONS = {
+    "--m": st.integers(1, 6).map(str), "--n": st.integers(1, 6).map(str),
+    "--k": st.integers(2, 4).map(str), "--t": st.integers(0, 3).map(str),
+    "--lambda": _PARTS, "--mu": _PARTS,
+    "--class": st.sampled_from(iamkit.formulas.SYMMETRY_TAGS),
+    "--format": st.sampled_from(["text", "json", "csv"]),
+    "--budget": st.integers(0, 64).map(str),
+    "--seed": st.integers(0, 9).map(str),
+}
+_COUNT_OPTION = st.sampled_from(sorted(_COUNT_OPTIONS)).flatmap(
+    lambda opt: (_COUNT_OPTIONS[opt] | _COUNT_VALUES).map(
+        lambda v: [opt, v]))
+_COUNT_ARGS = st.tuples(
+    st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
+        lambda mn: st.integers(2, min(mn)).map(
+            lambda k: ["--m", str(mn[0]), "--n", str(mn[1]), "--k", str(k)]))
+    | st.just([]),
+    st.lists(_COUNT_OPTION | st.just(["--with-oracle"]), max_size=3),
+    st.just(()) | _COUNT_VALUES.map(lambda v: (v,)),
+).map(lambda p: p[0] + [t for part in p[1] for t in part] + list(p[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=_COUNT_ARGS)
+def test_count_never_raises_on_any_arguments(args):
+    # whatever the argument list, count ends in a documented exit code with
+    # at most one line on stderr and no traceback.  Sides and parts are kept
+    # small, so that --with-oracle stays quick.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["count"] + args)
+    assert rc in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert out.getvalue() and not err.getvalue()
+
+
 def test_budget_exit_3(capsys):
     assert main(["enumerate", "--m", "9", "--n", "9", "--k", "3"]) == 3
     capsys.readouterr()

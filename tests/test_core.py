@@ -235,6 +235,24 @@ def test_filling_construction_and_json():
         F.value(1, 1)
 
 
+def test_partitions_and_fillings_take_only_ints():
+    # JSON true and 2.7 are not parts, nor true and 1.0 entries; none is
+    # truncated or cast
+    with pytest.raises(ValueError, match="parts must be integers"):
+        Partition((2.7, 1))
+    with pytest.raises(ValueError, match="parts must be integers"):
+        SkewShape.from_json_dict({"lambda": [3.9, 2], "mu": [True]})
+    with pytest.raises(ValueError, match="parts must be integers"):
+        SkewShape((3, 2), (True,))
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        Filling.from_json_dict({"lambda": [2, 2], "mu": [],
+                                "rows": [[True, 1.0], [0, 0]]})
+    for x in (True, False, 1.0, 0.0):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            Filling(SkewShape((2,)), {(1, 1): 0, (1, 2): x})
+    assert Partition((3, 0)).parts == (3, 0)
+
+
 def all_fillings(sh):
     cells = sh.cells()
     for bits in itertools.product((0, 1), repeat=len(cells)):

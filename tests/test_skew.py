@@ -22,7 +22,6 @@ from iamkit.skew import (
     kratt_rhs,
     kreweras_f,
     lgv_count,
-    reflection_count,
     reflection_det,
     truncated_region,
     validate_skew,
@@ -225,12 +224,10 @@ def test_truncated_three_routes_and_oracle():
 
 
 def test_reflection_variant_is_pinned_by_the_oracle():
-    # (2, 3, 2, 0) separates the two delta placements; only one matches
-    assert reflection_det(2, 3, 2, 0, variant="m") == 3
-    assert reflection_det(2, 3, 2, 0, variant="n") == 2
+    # (2, 3, 2, 0) separates delta = [t = m-k] from [t = n-k]; the oracle
+    # matches the first, which reflection_count uses
+    assert reflection_det(2, 3, 2, 0) == 3
     assert oracle_count_shape(TruncatedRect(2, 3, 2, 0).shape(), 2) == 3
-    with pytest.raises(ValueError):
-        reflection_count(2, 3, 2, 0, 1, 1, variant="x")
 
 
 def test_truncated_region_and_count_paths():

@@ -1,6 +1,8 @@
 """Dihedral action, class membership, and plane-partition symmetries."""
 
+import functools
 import hashlib
+import operator
 from collections import Counter
 
 import pytest
@@ -17,8 +19,7 @@ from iamkit.oracle import (
 )
 from iamkit.symmetry import (
     D8_ELEMENTS,
-    FIXED_POINT_ELEMENTS,
-    _tags_of,
+    _orbit_rule,
     apply,
     brute_count_class,
     class_histogram,
@@ -115,32 +116,89 @@ def test_classes_of_wide_fixture():
     assert "DS" not in tags and "QTS" not in tags  # not square
 
 
+# Each tag and the group elements that fix a matrix carrying it, written
+# out apart from the census's own table: TS lists the whole group.
+SUBGROUPS = {"VS": ("flipv",), "HS": ("fliph",), "VHS": ("flipv", "fliph"),
+             "HTS": ("rot180",)}
+SQUARE_SUBGROUPS = {"DS": ("transpose",), "AS": ("antitranspose",),
+                    "DAS": ("transpose", "antitranspose"), "QTS": ("rot90",),
+                    "TS": D8_ELEMENTS}
+
+
+def subgroups(m, n):
+    """The subgroups of the tags an m x n matrix can carry besides U."""
+    return {**SUBGROUPS, **(SQUARE_SUBGROUPS if m == n else {})}
+
+
 def _tags_by_apply(M):
     """The tags of M from their definition, through `apply` alone."""
     fixed = {g: apply(M, g) == M for g in D8_ELEMENTS}
     tags = {"U"}
-    pairs = [("VS", ("flipv",)), ("HS", ("fliph",)),
-             ("VHS", ("flipv", "fliph")), ("HTS", ("rot180",))]
-    if M.m == M.n:
-        pairs += [("DS", ("transpose",)), ("AS", ("antitranspose",)),
-                  ("DAS", ("transpose", "antitranspose")),
-                  ("QTS", ("rot90",)), ("TS", D8_ELEMENTS)]
-    tags.update(tag for tag, gs in pairs if all(fixed[g] for g in gs))
+    tags.update(tag for tag, gs in subgroups(M.m, M.n).items()
+                if all(fixed[g] for g in gs))
     return frozenset(tags)
 
 
 def test_tags_equal_their_apply_definition():
-    # every maximal matrix on every board up to 5x5; each tag also alone,
-    # as a census entry asks for it
+    # every maximal matrix on every board up to 5x5
     for m in range(2, 6):
         for n in range(2, 6):
             for k in range(2, min(m, n) + 1):
                 for M in enumerate_maximal_iams(m, n, k):
-                    want = _tags_by_apply(M)
-                    assert classes_of(M, k) == want
-                    for tag in SYMMETRY_TAGS:
-                        assert _tags_of(M.masks, m, n, (tag,)) == \
-                            want & {tag}
+                    assert classes_of(M, k) == _tags_by_apply(M)
+
+
+def _generated(elements):
+    """Every element of the subgroup these elements generate."""
+    group, todo = {"id"}, ["id"]
+    while todo:
+        g = todo.pop()
+        for e in elements:
+            h = compose(e, g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
+def _rule_keeps(rule, masks):
+    """Does every row obey the row rule, read row by row as
+    `oracle._Search.complete` reads it?"""
+    for d, mask in enumerate(masks):
+        forced = rule(masks[:d])
+        if forced is not None:
+            fixed, values, keep = forced
+            if mask & fixed != values or (keep is not None and not keep(mask)):
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda mn: st.tuples(
+        st.just(mn),
+        st.lists(st.integers(0, (1 << mn[1]) - 1),
+                 min_size=mn[0], max_size=mn[0]),
+        st.none() | st.sampled_from(sorted(subgroups(*mn))))))
+def test_orbit_rule_keeps_exactly_the_fixed_matrices(case):
+    # random matrices, half of them made symmetric under one tag's
+    # subgroup (each cell the OR over its orbit), so that fixed ones occur
+    (m, n), masks, sym = case
+    M = BinaryMatrix.from_masks(m, n, masks)
+    if sym is not None:
+        images = [apply(M, g).masks for g in _generated(subgroups(m, n)[sym])]
+        M = BinaryMatrix.from_masks(m, n, [functools.reduce(
+            operator.or_, rows) for rows in zip(*images)])
+        assert all(apply(M, g) == M for g in subgroups(m, n)[sym])
+    for tag, elements in subgroups(m, n).items():
+        want = all(apply(M, g) == M for g in elements)
+        assert _rule_keeps(_orbit_rule(elements, m, n), M.masks) == want, \
+            (M, tag)
+    # on a square board the odd elements alone as well
+    if m == n:
+        for g in D8_ELEMENTS:
+            assert _rule_keeps(_orbit_rule((g,), m, n), M.masks) == \
+                (apply(M, g) == M), (M, g)
 
 
 def test_classes_of_rejects_non_maximal():
@@ -172,10 +230,11 @@ def test_class_histogram_equals_tagging_the_stream():
 
 
 def test_fixed_points_equal_the_filtered_stream():
+    # every element, the odd ones on square boards only
     for m, n, k in boards(5):
         stream = list(enumerate_maximal_iams(m, n, k))
-        for g in FIXED_POINT_ELEMENTS:
-            if m != n and g in ("transpose", "antitranspose"):
+        for g in D8_ELEMENTS:
+            if m != n and apply(stream[0], g).m != m:
                 continue
             want = [M for M in stream if apply(M, g) == M]
             assert list(enumerate_fixed_points(m, n, k, g)) == want, \
@@ -208,12 +267,18 @@ def test_fixed_points_are_pinned(g, size, digest):
 
 
 def test_fixed_points_reject_other_elements():
-    for g in ("id", "rot90", "rot270", "spin"):
-        with pytest.raises(ValueError):
-            enumerate_fixed_points(3, 3, 2, g)
-    for g in ("transpose", "antitranspose"):
+    with pytest.raises(ValueError):
+        enumerate_fixed_points(3, 3, 2, "spin")
+    for g in ("transpose", "antitranspose", "rot90", "rot270"):
         with pytest.raises(ValueError):
             enumerate_fixed_points(3, 4, 2, g)
+    # the identity fixes the whole stream; a quarter turn either way fixes
+    # the same matrices
+    assert list(enumerate_fixed_points(3, 3, 2, "id")) == \
+        list(enumerate_maximal_iams(3, 3, 2))
+    quarter = list(enumerate_fixed_points(5, 5, 3, "rot90"))
+    assert quarter == list(enumerate_fixed_points(5, 5, 3, "rot270"))
+    assert len(quarter) == count_symmetry("QTS", 5, 5, 3) == 1
 
 
 def test_census_keeps_the_listing_budget():
