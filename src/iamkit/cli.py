@@ -362,21 +362,19 @@ def _build_parser():
                     "I_k-avoiding matrices and skew-shape fillings.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_dims=True):
-        if with_dims:
-            sp.add_argument("--m", type=int)
-            sp.add_argument("--n", type=int)
-            sp.add_argument("--k", type=int)
-        sp.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
-        sp.add_argument("--seed", type=int, default=genfunc.DEFAULT_SEED)
-        sp.add_argument("--budget", type=int, default=64,
-                        help="largest board (cells) a search may touch")
+    def add_common(sp, dims=("--m", "--n", "--k"), budget=True):
+        for opt in dims:
+            sp.add_argument(opt, type=int)
+        if budget:
+            sp.add_argument("--budget", type=int, default=64,
+                            help="largest board (cells) a search may touch")
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("count", help="closed-form counts, optionally "
                                       "checked against the search oracle")
     add_common(sp)
+    sp.add_argument("--format", choices=("text", "json", "csv"),
+                    default="text")
     sp.add_argument("--t", type=int, default=None)
     sp.add_argument("--lambda", dest="lam", type=str, default=None)
     sp.add_argument("--mu", type=str, default=None)
@@ -393,31 +391,22 @@ def _build_parser():
 
     sp = sub.add_parser("biject", help="convert matrix/pp/paths, verifying "
                                        "the round trip")
-    add_common(sp)
+    add_common(sp, dims=("--k",))
     sp.add_argument("--to", choices=("pp", "paths", "matrix"), required=True)
 
     sp = sub.add_parser("genfunc", help="volume polynomial or the (q,t) "
                                         "identity at sampled points")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=genfunc.DEFAULT_SEED)
     sp.add_argument("--t1", action="store_true",
                     help="print the t=1 volume polynomial coefficients")
     sp.add_argument("--points", type=int, default=20)
 
     sp = sub.add_parser("selftest", help="run the built-in checks")
-    add_common(sp, with_dims=False)
+    add_common(sp, dims=(), budget=False)
     sp.add_argument("--quick", action="store_true")
 
     return p
-
-
-# the --format values each subcommand writes; the others are refused
-_FORMATS = {
-    "count": ("text", "json", "csv"),
-    "enumerate": ("text", "json"),
-    "biject": ("text", "json"),
-    "genfunc": ("text",),
-    "selftest": ("text",),
-}
 
 
 def _quiet_stdout():
@@ -442,10 +431,6 @@ def main(argv=None):
         return EXIT_USAGE
     except SystemExit:
         return EXIT_OK  # --help, the only exit left to argparse
-    if args.format not in _FORMATS[args.command]:
-        print("invalid input: --format %s is not supported by %s"
-              % (args.format, args.command), file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         sink = open(args.out, "w") if args.out else sys.stdout

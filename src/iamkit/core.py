@@ -9,6 +9,8 @@ a matrix "contains I_k" when such a chain exists.
 
 from __future__ import annotations
 
+import functools
+
 
 # ---------------------------------------------------------------------------
 # binary matrices
@@ -95,9 +97,6 @@ class BinaryMatrix(_PackedGrid):
             raise IndexError((i, j))
         return (self._rows[i - 1] >> (self.n - j)) & 1
 
-    def row_mask(self, i):
-        return self._rows[i - 1]
-
     def _width(self):
         return self.n
 
@@ -160,8 +159,10 @@ def _sweep(tails, masks, limit=None):
     that column are the bits below it, and the first of them is the
     highest.  Each row moves every threshold from the one before it, read
     before the row: O(len(tails)) per row.  Cells outside a skew shape
-    never hold ones, so one routine serves matrices, fillings and the row
-    search of `oracle`, which carries the thresholds as its state.
+    never hold ones, so one routine serves matrices, fillings, the row
+    search of `oracle`, which carries the thresholds as its state, and the
+    per-cell chain bounds of the maximality tests (`_zero_bounds`), which
+    sweep the rows below a cell turned a half turn.
     """
     for mk in masks:
         right = mk  # the ones right of column 0
@@ -184,6 +185,74 @@ def _longest_chain(masks, limit=None):
     """Longest increasing chain among the ones of packed rows, or `limit`
     as soon as a chain that long is found."""
     return _sweep([], masks, limit)
+
+
+def _at_or_left(tails, n, c):
+    """The longest chain ending at or left of column c, for thresholds
+    `tails` over n columns: the number of them at or left of c."""
+    return sum(t >= n - c for t in tails)
+
+
+# Row masks are reversed through lookup tables indexed by up to _CHUNK bits
+# at a time; wider masks go through chunk by chunk.  The tables are built on
+# first use, one per width.
+_CHUNK = 8
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+@functools.cache
+def _rev_table(w):
+    """rev[x] = the w low bits of x in reverse order."""
+    rev = [0] * (1 << w)
+    for x in range(1, 1 << w):
+        rev[x] = (rev[x >> 1] >> 1) | ((x & 1) << (w - 1))
+    return tuple(rev)
+
+
+def _bitrev(mask, n):
+    out = 0
+    while n > _CHUNK:
+        out = (out << _CHUNK) | _rev_table(_CHUNK)[mask & _CHUNK_MASK]
+        mask >>= _CHUNK
+        n -= _CHUNK
+    return (out << n) | _rev_table(n)[mask]
+
+
+def _tails_below(masks, n):
+    """For each of the packed rows, the thresholds of the rows after it
+    turned a half turn: their order reversed, each mask bit-reversed.  The
+    turn keeps chains increasing and takes column j to n+1-j, so the
+    longest chain strictly below and right of a cell in column j is the
+    number of these thresholds at or left of column n-j."""
+    out = []
+    tails = []
+    for mk in reversed(masks):
+        out.append(tuple(tails))
+        _sweep(tails, (_bitrev(mk, n),))
+    out.reverse()
+    return out
+
+
+def _zero_bounds(masks, n, spans):
+    """(i, j, up, down) for each 0 of the packed rows inside their spans
+    (column pairs (lo, hi], one per row), row-major.  up is the longest
+    chain strictly above and left of (i, j), read off the thresholds of the
+    rows above it; down is the longest strictly below and right of it, read
+    off those of the rows below it turned a half turn."""
+    above = []
+    for i, (mk, (lo, hi), below) in enumerate(
+            zip(masks, spans, _tails_below(masks, n)), start=1):
+        for j in range(lo + 1, hi + 1):
+            if not (mk >> (n - j)) & 1:
+                yield (i, j, _at_or_left(above, n, j - 1),
+                       _at_or_left(below, n, n - j))
+        _sweep(above, (mk,))
+
+
+def _zeros_justified(masks, n, spans, k):
+    """Does every 0 inside the spans complete a k-chain when flipped?"""
+    return all(up + 1 + down >= k
+               for _, _, up, down in _zero_bounds(masks, n, spans))
 
 
 def longest_increasing_chain(M):
@@ -231,55 +300,12 @@ def check_mnk(m, n, k):
         raise ValueError("need 2 <= k <= min(m, n), got m=%d n=%d k=%d" % (m, n, k))
 
 
-def _chain_tables(masks, n):
-    """Per-cell chain bounds used by maximality tests.
-
-    `masks` are packed rows over columns 1..n (bit n-j = column j), as held
-    by both BinaryMatrix and Filling; cells outside a skew shape simply never
-    hold ones, so one routine serves both.  Returns (U, D) where U[i][j] is
-    the longest chain of ones lying strictly above and to the left of
-    (i, j), and D[i][j] the analogue strictly below and to the right.
-    Tables are (m+2) x (n+2), 1-indexed with a zero rim.
-    """
-    m = len(masks)
-    U = [[0] * (n + 2) for _ in range(m + 2)]
-    E = [[0] * (n + 2) for _ in range(m + 2)]  # chain ending exactly at a one
-    for i in range(1, m + 1):
-        mk = masks[i - 1]
-        for j in range(1, n + 1):
-            u = U[i - 1][j]
-            if U[i][j - 1] > u:
-                u = U[i][j - 1]
-            if E[i - 1][j - 1] > u:
-                u = E[i - 1][j - 1]
-            U[i][j] = u
-            if (mk >> (n - j)) & 1:
-                E[i][j] = u + 1
-    # E propagates to U one step late, so fold ends into the running max:
-    # U[i][j] must dominate every E[a][b] with a<i, b<j.  The recurrence above
-    # does that because E[a][b] <= U[a+1][b+1] by construction.
-    D = [[0] * (n + 2) for _ in range(m + 2)]
-    F = [[0] * (n + 2) for _ in range(m + 2)]
-    for i in range(m, 0, -1):
-        mk = masks[i - 1]
-        for j in range(n, 0, -1):
-            d = D[i + 1][j]
-            if D[i][j + 1] > d:
-                d = D[i][j + 1]
-            if F[i + 1][j + 1] > d:
-                d = F[i + 1][j + 1]
-            D[i][j] = d
-            if (mk >> (n - j)) & 1:
-                F[i][j] = d + 1
-    return U, D
-
-
 def is_maximal_iam(M, k):
     """Is M an I_k-avoiding matrix to which no further 1 can be added?
 
     Fast path: an avoiding matrix holding the extremal number of ones is
-    always maximal.  Otherwise every 0 is flipped (via chain tables) and must
-    complete a chain of length k.
+    always maximal.  Otherwise every 0 must complete a chain of length k
+    when flipped, by the chain bounds of `_zero_bounds`.
     """
     m, n, masks = M.m, M.n, M.masks
     check_mnk(m, n, k)
@@ -287,14 +313,7 @@ def is_maximal_iam(M, k):
         return False
     if sum(map(int.bit_count, masks)) == max_ones(m, n, k):
         return True
-    U, D = _chain_tables(masks, n)
-    for i in range(1, m + 1):
-        mk = masks[i - 1]
-        for j in range(1, n + 1):
-            if not (mk >> (n - j)) & 1:
-                if U[i][j] + 1 + D[i][j] < k:
-                    return False
-    return True
+    return _zeros_justified(masks, n, [(0, n)] * m, k)
 
 
 def is_maximal_iam_by_flips(M, k):
@@ -612,22 +631,13 @@ def contains_ik_in_shape(F, k):
     return False
 
 
-def longest_chain_in_filling(F):
-    """Longest increasing chain among the ones of a filling (chain semantics)."""
-    return _longest_chain(F.masks)
-
-
 def is_maximal_filling(F, k):
     """Avoids I_k inside the shape, and no in-shape 0 can be flipped to 1."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if _longest_chain(F.masks, k) >= k:
         return False
-    n = F.shape.n_cols
-    U, D = _chain_tables(F.masks, n)
-    for i, mk in enumerate(F.masks, start=1):
-        lo, hi = F.shape.row_span(i)
-        for j in range(lo + 1, hi + 1):
-            if not (mk >> (n - j)) & 1 and U[i][j] + 1 + D[i][j] < k:
-                return False
-    return True
+    sh = F.shape
+    return _zeros_justified(
+        F.masks, sh.n_cols,
+        [sh.row_span(i) for i in range(1, sh.n_rows + 1)], k)

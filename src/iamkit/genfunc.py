@@ -88,7 +88,7 @@ def stat_d(M, k):
     main-diagonal points of the paths, bottom path first.  Matrices with
     m > n are transposed first so the diagonal crosses every path."""
     if M.m > M.n:
-        M = symmetry._transpose(M)
+        M = symmetry.apply(M, "transpose")
     m, n, masks = M.m, M.n, M.masks
     fam = matrix_to_paths(M, k)
     zeros_above = [0]  # zeros_above[i-1]: zeros at (1, 1) .. (i-1, i-1)

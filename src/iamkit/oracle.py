@@ -30,8 +30,9 @@ from .core import (
     Filling,
     SkewShape,
     VerificationError,
-    _chain_tables,
+    _at_or_left,
     _sweep,
+    _tails_below,
     check_mnk,
     is_maximal_filling,
     is_maximal_iam_by_flips,
@@ -73,11 +74,11 @@ def _check_budget(cells, budget):
 # future is its tuple of chain thresholds, those of `core._sweep`: entry p
 # is the bit of the least column at which a chain of length p+1 ends among
 # the placed rows.  So the longest chain ending at or left of column c is
-# the number of thresholds at or left of c.  A new one in column j would
-# end a chain one longer than that for c = j-1, which must stay below k:
-# there are at most k-1 thresholds, and once there are k-1, ones go only at
-# or left of the column of the last.  A new row moves the thresholds by one
-# step of the sweep.
+# the number of thresholds at or left of c (`core._at_or_left`).  A new one
+# in column j would end a chain one longer than that for c = j-1, which
+# must stay below k: there are at most k-1 thresholds, and once there are
+# k-1, ones go only at or left of the column of the last.  A new row moves
+# the thresholds by one step of the sweep.
 #
 # Maximality is local (no extremal ones count is assumed): the ones must stay
 # chain-free, and every zero must be *justified* -- flipping it completes a
@@ -92,10 +93,11 @@ def _check_budget(cells, budget):
 #   j', adding the pair (j', r-1); a pair reaching 0 meets its demand, which
 #   is then dropped.
 # * A pair needs room below the row: r must not exceed the longest run of
-#   in-shape cells strictly below-right of (i, c) (the geometric zero test),
-#   nor k-1 minus the thresholds at or left of column c, since those r ones
-#   would extend the longest chain the placed rows end there.  Other pairs
-#   are dropped; a demand with no pair left kills the branch.
+#   in-shape cells strictly below-right of (i, c) (the geometric zero test,
+#   read off the thresholds of the shape's full rows below row i turned a
+#   half turn), nor k-1 minus the thresholds at or left of column c, since
+#   those r ones would extend the longest chain the placed rows end there.
+#   Other pairs are dropped; a demand with no pair left kills the branch.
 # * Within a demand only undominated pairs stay (none other has column <=
 #   and need <=); within the state only demands that no other one implies.
 #
@@ -105,12 +107,6 @@ def _check_budget(cells, budget):
 # nonzero count, so it reaches no dead leaf.  Every listed filling is still
 # put through the literal maximality test, as an invariant that raises if
 # it ever fails.
-
-
-def _at_or_left(tails, n, c):
-    """The longest chain ending at or left of column c, for thresholds
-    `tails` over n columns: the number of them at or left of c."""
-    return sum(t >= n - c for t in tails)
 
 
 def _implies(b, a):
@@ -150,11 +146,15 @@ class _Search:
         self.k = k
         self.m, self.n = shape.n_rows, shape.n_cols
         self.spans = [shape.row_span(i) for i in range(1, self.m + 1)]
-        # geo[i][j]: the longest run of in-shape cells strictly below-right
-        # of (i, j), the chain bound D with every in-shape cell a one
-        _, self.geo = _chain_tables(
-            [((1 << (hi - lo)) - 1) << (self.n - hi) for lo, hi in self.spans],
-            self.n)
+        # geo[depth][c]: the longest run of in-shape cells strictly
+        # below-right of (depth+1, c), read as `core._zero_bounds` reads a
+        # zero's below-right chain: off the thresholds of the rows below,
+        # here the shape's full rows, turned a half turn
+        n = self.n
+        self.geo = [[_at_or_left(below, n, n - c) for c in range(n + 1)]
+                    for below in _tails_below(
+                        [((1 << (hi - lo)) - 1) << (n - hi)
+                         for lo, hi in self.spans], n)]
         self._rows = {}    # (row span, tails) -> [(mask, next tails)]
         self._room = {}    # (depth, next tails) -> room below the row
         self._succ = {}    # (depth, tails) -> [(mask, next tails,
@@ -169,13 +169,15 @@ class _Search:
         got = self._rows.get(key)
         if got is None:
             n, k, states = self.n, self.k, self._states
-            # with k-1 thresholds a one right of the last would end a
-            # k-chain, so only masks inside both the span and the columns
-            # up to that one are tried
+            # a one in column j would end a k-chain once k-1 thresholds
+            # lie at or left of j-1, so only masks inside both the span and
+            # the columns before that are tried
             lo, hi = span
-            top = hi if len(tails) < k - 1 else min(hi, n - tails[k - 2])
+            top = hi
+            while top > lo and _at_or_left(tails, n, top - 1) >= k - 1:
+                top -= 1
             got = []
-            for x in range(1 << max(top - lo, 0)):
+            for x in range(1 << (top - lo)):
                 mask = x << (n - top)
                 nxt = list(tails)
                 _sweep(nxt, (mask,))
@@ -191,7 +193,7 @@ class _Search:
         key = (depth, nxt)
         got = self._room.get(key)
         if got is None:
-            geo, k, n = self.geo[depth + 1], self.k, self.n
+            geo, k, n = self.geo[depth], self.k, self.n
             got = [0] + [min(geo[c], k - 1 - _at_or_left(nxt, n, c))
                          for c in range(1, n + 1)]
             self._room[key] = got

@@ -14,28 +14,23 @@ from collections import Counter
 from itertools import islice
 
 from . import oracle
-from .core import BinaryMatrix, SkewShape, check_mnk, is_maximal_iam
+from .core import (
+    _CHUNK,
+    _CHUNK_MASK,
+    BinaryMatrix,
+    SkewShape,
+    _bitrev,
+    check_mnk,
+    is_maximal_iam,
+)
 
 D8_ELEMENTS = ("id", "rot90", "rot180", "rot270",
                "transpose", "antitranspose", "fliph", "flipv")
 
 
-# Row masks are reversed and transposed through lookup tables indexed by
-# up to _CHUNK bits at a time; wider masks go through chunk by chunk.  The
-# tables are built on first use, one per width or row count.
-_CHUNK = 8
-_CHUNK_MASK = (1 << _CHUNK) - 1
-
-
-@functools.cache
-def _rev_table(w):
-    """rev[x] = the w low bits of x in reverse order."""
-    rev = [0] * (1 << w)
-    for x in range(1, 1 << w):
-        rev[x] = (rev[x >> 1] >> 1) | ((x & 1) << (w - 1))
-    return tuple(rev)
-
-
+# Row masks are transposed through lookup tables indexed by up to _CHUNK
+# bits at a time, as `core._bitrev` reverses them; the tables are built on
+# first use, one per row count.
 @functools.cache
 def _spread_table(stride):
     """spread[x] = x with bit t moved to bit t * stride."""
@@ -66,15 +61,6 @@ def _transpose_masks(masks, m, n):
 def _transpose(M):
     return BinaryMatrix.from_masks(M.n, M.m,
                                    _transpose_masks(M.masks, M.m, M.n))
-
-
-def _bitrev(mask, n):
-    out = 0
-    while n > _CHUNK:
-        out = (out << _CHUNK) | _rev_table(_CHUNK)[mask & _CHUNK_MASK]
-        mask >>= _CHUNK
-        n -= _CHUNK
-    return (out << n) | _rev_table(n)[mask]
 
 
 def _fliph(M):

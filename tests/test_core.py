@@ -1,5 +1,6 @@
 """Chain detectors, maximality tests, and the basic shape types."""
 
+import functools
 import itertools
 
 import pytest
@@ -12,16 +13,17 @@ from iamkit.core import (
     Partition,
     SkewShape,
     _sweep,
+    _zero_bounds,
     contains_ik,
     contains_ik_in_shape,
     is_maximal_filling,
     is_maximal_iam,
     is_maximal_iam_by_flips,
-    longest_chain_in_filling,
     longest_increasing_chain,
     longest_increasing_chain_quadratic,
     max_ones,
 )
+from iamkit.oracle import enumerate_maximal_fillings, enumerate_maximal_iams
 
 
 def all_matrices(m, n):
@@ -112,7 +114,7 @@ def _fillings(draw):
 def test_mask_chain_routine_matches_the_quadratic_twin_on_fillings(F):
     sh = F.shape
     M = BinaryMatrix.from_masks(sh.n_rows, sh.n_cols, F.masks)
-    assert longest_chain_in_filling(F) == longest_increasing_chain_quadratic(M)
+    assert longest_increasing_chain(F) == longest_increasing_chain_quadratic(M)
 
 
 def test_chain_known_values():
@@ -149,12 +151,52 @@ def test_maximality_tests_agree_exhaustively():
                 assert is_maximal_iam(M, k) == is_maximal_iam_by_flips(M, k)
 
 
+@functools.cache
+def _listed_maximal(m, n, k):
+    return [M.masks for M in enumerate_maximal_iams(m, n, k)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 1), min_size=5, max_size=5),
-                min_size=4, max_size=4), st.integers(2, 4))
-def test_maximality_tests_agree_random(rows, k):
-    M = BinaryMatrix(rows)
+@given(st.data())
+def test_maximality_tests_agree_random(data):
+    # boards from 2x2 to 6x6, with every k they admit; half the matrices
+    # are random, half listed maximal ones with at most one bit flipped,
+    # so that the zero loop also meets nearly maximal ones
+    m, n = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(2, min(m, n)))
+    if data.draw(st.booleans()):
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                   min_size=m, max_size=m))
+    else:
+        masks = list(data.draw(st.sampled_from(_listed_maximal(m, n, k))))
+        cell = data.draw(st.integers(-1, m * n - 1))
+        if cell >= 0:
+            masks[cell // n] ^= 1 << (cell % n)
+    M = BinaryMatrix.from_masks(m, n, masks)
     assert is_maximal_iam(M, k) == is_maximal_iam_by_flips(M, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n),
+                                                      _masks_of(n, 8))))
+def test_zero_bounds_match_the_quadratic_twin(board):
+    # each zero's bounds, read off the thresholds of the rows above and of
+    # the rows below turned a half turn, are the longest chains of the
+    # sub-boards strictly above-left and strictly below-right of it
+    n, masks = board
+    m = len(masks)
+    got = list(_zero_bounds(masks, n, [(0, n)] * m))
+    M = BinaryMatrix.from_masks(m, n, masks)
+    assert [(i, j) for i, j, _, _ in got] == M.zero_cells()
+    for i, j, up, down in got:
+        above_left = [mk >> (n - j + 1) for mk in masks[:i - 1]]
+        below_right = [mk & ((1 << (n - j)) - 1) for mk in masks[i:]]
+        for rows, width, bound in ((above_left, j - 1, up),
+                                   (below_right, n - j, down)):
+            want = (longest_increasing_chain_quadratic(
+                BinaryMatrix.from_masks(len(rows), width, rows))
+                if rows and width else 0)
+            assert bound == want, (i, j)
 
 
 def test_matrix_json_roundtrip():
@@ -272,21 +314,53 @@ def test_in_shape_box_containment_matches_chains(lam, mu):
     for F in all_fillings(sh):
         for k in (2, 3):
             assert contains_ik_in_shape(F, k) == \
-                (longest_chain_in_filling(F) >= k)
+                (longest_increasing_chain(F) >= k)
 
 
-def test_filling_maximality_against_literal_flips():
+def _maximal_by_literal_flips(F, k):
+    """Maximality of a filling by the box definition of containment: flip
+    each in-shape zero and re-test."""
+    if contains_ik_in_shape(F, k):
+        return False
+    for (i, j) in F.zero_cells():
+        vals = dict(F.items())
+        vals[(i, j)] = 1
+        if not contains_ik_in_shape(Filling(F.shape, vals), k):
+            return False
+    return True
+
+
+@st.composite
+def _near_maximal_fillings(draw):
+    """A listed maximal filling of a skew shape in a 5x5 box, k = 2 or 3,
+    with one in-shape bit flipped or none."""
+    lam = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)),
+                 reverse=True)
+    mu = [draw(st.integers(0, part - 1)) for part in lam]
+    sh = SkewShape(lam, [min(mu[:i + 1]) for i in range(len(mu))])
+    k = draw(st.integers(2, 3))
+    listed = list(enumerate_maximal_fillings(sh, k))  # never empty
+    masks = list(draw(st.sampled_from(listed)).masks)
+    cell = draw(st.sampled_from([None] + sh.cells()))
+    if cell is not None:
+        masks[cell[0] - 1] ^= 1 << (sh.n_cols - cell[1])
+    return Filling.from_masks(sh, masks), k
+
+
+def test_filling_maximality_against_literal_flips_exhaustively():
     sh = SkewShape((3, 3, 2), (1, 0, 0))
     for F in all_fillings(sh):
-        expected = not contains_ik_in_shape(F, 2)
-        if expected:
-            for (i, j) in F.zero_cells():
-                vals = dict(F.items())
-                vals[(i, j)] = 1
-                if not contains_ik_in_shape(Filling(sh, vals), 2):
-                    expected = False
-                    break
-        assert is_maximal_filling(F, 2) == expected
+        assert is_maximal_filling(F, 2) == _maximal_by_literal_flips(F, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fillings(), st.integers(2, 3), _near_maximal_fillings())
+def test_filling_maximality_against_literal_flips(F, k, near):
+    # random fillings, and maximal ones with at most one bit flipped, so
+    # that both answers occur
+    assert is_maximal_filling(F, k) == _maximal_by_literal_flips(F, k)
+    G, k = near
+    assert is_maximal_filling(G, k) == _maximal_by_literal_flips(G, k)
 
 
 def test_rectangular_filling_embeds():
