@@ -14,11 +14,19 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import bijection, formulas, genfunc, oracle, skew, symmetry
-from .core import BinaryMatrix, SkewShape, VerificationError
-from .oracle import BudgetExceeded, EnumerationBudget
+# Only what every command needs is imported here; each command imports the
+# modules it runs, so `count` by formula never loads the searches.
+from . import formulas
+from .core import (
+    DEFAULT_SEED,
+    BinaryMatrix,
+    BudgetExceeded,
+    EnumerationBudget,
+    SkewShape,
+    VerificationError,
+    check_budget,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,12 +49,31 @@ def _json_compact(obj):
     return json.dumps(obj, separators=(",", ":"))
 
 
+# str(), "%d" and json refuse an int longer than the interpreter's limit
+# (sys.get_int_max_str_digits(): 4300 digits by default, 640 at the
+# least), and a count can be longer; ints under _SHORT are printed whole
+_SHORT = 10 ** 600
+
+
+def _digits(n):
+    """The decimal digits of the count n >= 0, however many, without
+    touching the interpreter-wide limit: a long n is cut at a power of ten
+    near half its length, and each half printed the same way."""
+    if n < _SHORT:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits, never more
+    hi, lo = divmod(n, 10 ** half)
+    return _digits(hi) + _digits(lo).zfill(half)
+
+
 # ---------------------------------------------------------------------------
 # count
 
 
 def _cmd_count(args, out):
     fmt = args.format
+    budget = EnumerationBudget(max_cells=args.budget)
+    oracle_val = None
     if args.cls is not None:
         m = args.m if args.m is not None else args.n
         n = args.n if args.n is not None else args.m
@@ -54,62 +81,67 @@ def _cmd_count(args, out):
             raise ValueError("--class needs --m/--n and --k")
         ident = "class=%s,m=%d,n=%d,k=%d" % (args.cls, m, n, k := args.k)
         formula = formulas.count_symmetry(args.cls, m, n, k)
-        oracle_val = (symmetry.brute_count_class(
-            args.cls, m, n, k, EnumerationBudget(max_cells=args.budget))
-            if args.with_oracle else None)
+        if args.with_oracle:
+            from . import symmetry
+            oracle_val = symmetry.brute_count_class(args.cls, m, n, k, budget)
     elif args.lam is not None:
         if args.k is None:
             raise ValueError("--lambda needs --k")
+        from . import skew
         shape = SkewShape(_parse_parts(args.lam),
                           _parse_parts(args.mu) if args.mu else ())
         ident = "lambda=%s,mu=%s,k=%d" % (
             ",".join(map(str, shape.lam.parts)),
             ",".join(map(str, shape.mu.parts)), args.k)
         formula = skew.count_skew_fillings(shape, args.k)
-        oracle_val = (oracle.oracle_count_shape(
-            shape, args.k, EnumerationBudget(max_cells=args.budget))
-            if args.with_oracle else None)
+        if args.with_oracle:
+            from . import oracle
+            oracle_val = oracle.oracle_count_shape(shape, args.k, budget)
     elif args.t is not None:
         if None in (args.m, args.n, args.k):
             raise ValueError("--t needs --m --n --k")
+        from . import skew
         m, n, k, t = args.m, args.n, args.k, args.t
         ident = "m=%d,n=%d,k=%d,t=%d" % (m, n, k, t)
         formula = skew.count_truncated_rect(m, n, k, t)
-        oracle_val = (oracle.oracle_count_shape(
-            skew.TruncatedRect(m, n, k, t).shape(), k,
-            EnumerationBudget(max_cells=args.budget))
-            if args.with_oracle else None)
+        if args.with_oracle:
+            from . import oracle
+            oracle_val = oracle.oracle_count_shape(
+                skew.TruncatedRect(m, n, k, t).shape(), k, budget)
     else:
         if None in (args.m, args.n, args.k):
             raise ValueError("count needs --m --n --k")
         m, n, k = args.m, args.n, args.k
         ident = "m=%d,n=%d,k=%d" % (m, n, k)
         formula = formulas.count_iams(m, n, k)
-        oracle_val = (oracle.oracle_count(
-            m, n, k, EnumerationBudget(max_cells=args.budget))
-            if args.with_oracle else None)
+        if args.with_oracle:
+            from . import oracle
+            oracle_val = oracle.oracle_count(m, n, k, budget)
 
     verdict = None
     if oracle_val is not None:
         verdict = "AGREE" if formula == oracle_val else "DISAGREE"
 
     if fmt == "json":
-        obj = {"id": ident, "formula": formula}
+        # built by hand: json.dumps would refuse a count past the digit limit
+        fields = ['"id":%s' % json.dumps(ident),
+                  '"formula":%s' % _digits(formula)]
         if oracle_val is not None:
-            obj["oracle"] = oracle_val
-            obj["verdict"] = verdict
-        _emit(out, _json_compact(obj))
+            fields.append('"oracle":%s' % _digits(oracle_val))
+            fields.append('"verdict":"%s"' % verdict)
+        _emit(out, "{%s}" % ",".join(fields))
     elif fmt == "csv":
         _emit(out, "id,formula,oracle,verdict")
-        _emit(out, "%s,%d,%s,%s" % (
-            ident.replace(",", ";"), formula,
-            "" if oracle_val is None else oracle_val,
+        _emit(out, "%s,%s,%s,%s" % (
+            ident.replace(",", ";"), _digits(formula),
+            "" if oracle_val is None else _digits(oracle_val),
             "" if verdict is None else verdict))
     else:
         if oracle_val is None:
-            _emit(out, str(formula))
+            _emit(out, _digits(formula))
         else:
-            _emit(out, "%d %d %s" % (formula, oracle_val, verdict))
+            _emit(out, "%s %s %s" % (_digits(formula), _digits(oracle_val),
+                                     verdict))
     return EXIT_VERIFY if verdict == "DISAGREE" else EXIT_OK
 
 
@@ -120,6 +152,7 @@ def _cmd_count(args, out):
 def _cmd_enumerate(args, out):
     if args.k is None:
         raise ValueError("enumerate needs --k")
+    from . import oracle
     budget = EnumerationBudget(max_cells=args.budget,
                                max_results=args.max_results)
     if args.lam is not None:
@@ -144,6 +177,7 @@ def _cmd_enumerate(args, out):
 def _cmd_biject(args, out, stdin):
     if args.k is None and args.to in ("pp", "paths"):
         raise ValueError("biject needs --k")
+    from . import bijection
     payload = json.load(stdin)
     if args.to == "pp":
         M = BinaryMatrix.from_json_dict(payload)
@@ -168,7 +202,7 @@ def _cmd_biject(args, out, stdin):
             raise ValueError("--k disagrees with the array box")
         m, n = pp.a + pp.c, pp.b + pp.c
         # a few bytes of box sides can ask for a huge matrix
-        oracle._check_budget(m * n, EnumerationBudget(max_cells=args.budget))
+        check_budget(m * n, EnumerationBudget(max_cells=args.budget))
         M = bijection.pp_to_matrix(pp, m, n, k)
         if bijection.matrix_to_pp(M, k) != pp:
             _emit(out, "round trip failed")
@@ -185,12 +219,15 @@ def _cmd_biject(args, out, stdin):
 def _cmd_genfunc(args, out):
     if None in (args.m, args.n, args.k):
         raise ValueError("genfunc needs --m --n --k")
+    from . import genfunc
     m, n, k = args.m, args.n, args.k
     budget = EnumerationBudget(max_cells=args.budget)
     if args.t1:
         poly = genfunc.volume_gf(m, n, k, budget)
         _emit(out, ",".join(str(c) for c in poly.to_list()))
         return EXIT_OK
+    if args.points < 1:
+        raise ValueError("--points must be at least 1, got %d" % args.points)
     pts = genfunc.seeded_points(args.points, seed=args.seed,
                                 span=m + n + k)
     bad = 0
@@ -212,7 +249,7 @@ def _cmd_genfunc(args, out):
 
 def _selftest_checks(quick):
     """(name, callable) pairs; each callable returns a bool."""
-    from .bijection import path_endpoints
+    from . import bijection, genfunc, oracle, skew
 
     def six_matrices():
         stream = list(oracle.enumerate_maximal_iams(3, 4, 3))
@@ -265,7 +302,7 @@ def _selftest_checks(quick):
                              (3, 4, 3, 1)]:
             f = skew.count_truncated_rect(m, n, k, t)
             r = skew.reflection_det(m, n, k, t)
-            starts, ends = path_endpoints(m, n, k)
+            starts, ends = bijection.path_endpoints(m, n, k)
             l = skew.lgv_count(starts, ends, skew.truncated_region(m, n, t))
             o = oracle.oracle_count_shape(skew.TruncatedRect(m, n, k, t).shape(), k)
             if not (f == r == l == o):
@@ -284,7 +321,7 @@ def _selftest_checks(quick):
 
     def kratt():
         import random
-        rng = random.Random(genfunc.DEFAULT_SEED)
+        rng = random.Random(DEFAULT_SEED)
         for _ in range(20):
             d = rng.randint(1, 4)
             A = rng.randint(0, 10)
@@ -397,7 +434,7 @@ def _build_parser():
     sp = sub.add_parser("genfunc", help="volume polynomial or the (q,t) "
                                         "identity at sampled points")
     add_common(sp)
-    sp.add_argument("--seed", type=int, default=genfunc.DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--t1", action="store_true",
                     help="print the t=1 volume polynomial coefficients")
     sp.add_argument("--points", type=int, default=20)

@@ -1,10 +1,11 @@
 """Matrices, partitions, skew shapes and the increasing-chain predicates.
 
 Everything downstream (oracles, bijections, counting formulas) is phrased in
-terms of the objects defined here.  Matrices are 1-indexed with row 1 at the
-top, like a printed array.  An *increasing chain* of length k is a sequence of
-k one-entries (i_1,j_1),...,(i_k,j_k) with i_1 < ... < i_k and j_1 < ... < j_k;
-a matrix "contains I_k" when such a chain exists.
+terms of the objects defined here, and every search takes its budget type
+from here.  Matrices are 1-indexed with row 1 at the top, like a printed
+array.  An *increasing chain* of length k is a sequence of k one-entries
+(i_1,j_1),...,(i_k,j_k) with i_1 < ... < i_k and j_1 < ... < j_k; a matrix
+"contains I_k" when such a chain exists.
 """
 
 from __future__ import annotations
@@ -298,6 +299,79 @@ class VerificationError(RuntimeError):
 def check_mnk(m, n, k):
     if not (2 <= k <= min(m, n)):
         raise ValueError("need 2 <= k <= min(m, n), got m=%d n=%d k=%d" % (m, n, k))
+
+
+# The seed of every sampled check: `genfunc.seeded_points` and the CLI's
+# `genfunc --seed` default.
+DEFAULT_SEED = 20260814
+
+
+# ---------------------------------------------------------------------------
+# small immutable records and search budgets
+
+
+class _Record:
+    """Base of the small immutable value types.  The fields are the
+    subclass's __slots__, each set once by `_set`.  Two instances of one
+    class with equal fields are equal and hash alike, and an instance
+    prints as Name(field=value, ...), as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __reduce__(self):
+        # rebuild through __init__: the default would assign the fields
+        return type(self), self._values()
+
+
+class BudgetExceeded(RuntimeError):
+    """A search was asked to touch a board larger than its budget allows."""
+
+
+class EnumerationBudget(_Record):
+    """Caps for a search: refuse big boards, optionally cut a stream after
+    its first `max_results` objects (0 lists nothing)."""
+
+    __slots__ = ("max_cells", "max_results")
+
+    def __init__(self, max_cells=64, max_results=None):
+        if max_results is not None and max_results < 0:
+            raise ValueError("max_results must not be negative, got %r"
+                             % (max_results,))
+        self._set(max_cells, max_results)
+
+
+DEFAULT_BUDGET = EnumerationBudget()
+
+
+def check_budget(cells, budget):
+    if cells > budget.max_cells:
+        raise BudgetExceeded(
+            "board has %d cells, budget allows %d" % (cells, budget.max_cells))
 
 
 def is_maximal_iam(M, k):

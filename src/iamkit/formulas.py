@@ -21,16 +21,18 @@ def hprod(a, b, c):
     """The box product prod_{i<=a} prod_{j<=b} prod_{l<=c} (i+j+l-1)/(i+j+l-2).
 
     Counts plane partitions in an a x b x c box.  Empty factors give 1.
+    The product over l telescopes to (s+c-1)/(s-1) with s = i+j, and
+    min(s-1, a, b, a+b+1-s) cells (i, j) of the a x b rectangle share each
+    s, so there is one power per s instead of a*b*c factors.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box sides must be nonnegative")
     num = 1
     den = 1
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for l in range(1, c + 1):
-                num *= i + j + l - 1
-                den *= i + j + l - 2
+    for s in range(2, a + b + 1):
+        mult = min(s - 1, a, b, a + b + 1 - s)
+        num *= (s + c - 1) ** mult
+        den *= (s - 1) ** mult
     q, r = divmod(num, den)
     if r:
         raise VerificationError("box product failed to be an integer")

@@ -18,20 +18,20 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import symmetry
 from .bijection import enumerate_pp, matrix_to_paths
 from .core import (
+    DEFAULT_SEED,
+    EnumerationBudget,
     VerificationError,
+    _Record,
     check_mnk,
     diag_ones_below,
     diag_zeros_above,
 )
 from .oracle import enumerate_maximal_iams
-
-DEFAULT_SEED = 20260814
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +108,13 @@ def stat_d(M, k):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(_Record):
     """All statistics of one matrix in a single bundle."""
 
-    v: int
-    v_d: int
-    d: tuple
+    __slots__ = ("v", "v_d", "d")
+
+    def __init__(self, v, v_d, d):
+        self._set(v, v_d, d)
 
 
 def stat_record(M, k):
@@ -161,7 +161,7 @@ def _every_maximal(m, n, k, budget):
     budget's cell cap applies (the default one when none is given) and its
     `max_results` does not."""
     if budget is not None:
-        budget = replace(budget, max_results=None)
+        budget = EnumerationBudget(budget.max_cells)
     return enumerate_maximal_iams(m, n, k, budget)
 
 

@@ -22,48 +22,25 @@ Every stream is in row-major lexicographic order on the entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
+# EnumerationBudget lives in core and is exported from here as well
 from .core import (
+    DEFAULT_BUDGET,
     BinaryMatrix,
+    BudgetExceeded,
+    EnumerationBudget,
     Filling,
     SkewShape,
     VerificationError,
     _at_or_left,
     _sweep,
     _tails_below,
+    check_budget,
     check_mnk,
     is_maximal_filling,
     is_maximal_iam_by_flips,
 )
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Caps for a search: refuse big boards, optionally cut a stream after
-    its first `max_results` objects (0 lists nothing)."""
-
-    max_cells: int = 64
-    max_results: int | None = None
-
-    def __post_init__(self):
-        if self.max_results is not None and self.max_results < 0:
-            raise ValueError("max_results must not be negative, got %r"
-                             % (self.max_results,))
-
-
-DEFAULT_BUDGET = EnumerationBudget()
-
-
-class BudgetExceeded(RuntimeError):
-    """A search was asked to touch a board larger than its budget allows."""
-
-
-def _check_budget(cells, budget):
-    if cells > budget.max_cells:
-        raise BudgetExceeded(
-            "board has %d cells, budget allows %d" % (cells, budget.max_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +296,7 @@ def enumerate_maximal_iams(m, n, k, budget=None):
     """All maximal I_k-avoiding m x n matrices, row-major lex order."""
     budget = budget or DEFAULT_BUDGET
     check_mnk(m, n, k)
-    _check_budget(m * n, budget)
+    check_budget(m * n, budget)
     search = _Search(SkewShape((n,) * m), k)
     for masks in islice(search.start(), budget.max_results):
         yield BinaryMatrix.from_masks(m, n, masks)
@@ -336,7 +313,7 @@ def oracle_count(m, n, k, budget=None):
     """
     check_mnk(m, n, k)
     if budget is not None:
-        _check_budget(m * n, budget)
+        check_budget(m * n, budget)
     return _Search(SkewShape((n,) * m), k).total()
 
 
@@ -357,7 +334,7 @@ def enumerate_maximal_fillings(shape, k, budget=None):
     """
     _check_shape_k(shape, k)
     budget = budget or DEFAULT_BUDGET
-    _check_budget(shape.cell_count(), budget)
+    check_budget(shape.cell_count(), budget)
     for masks in islice(_Search(shape, k).start(), budget.max_results):
         F = Filling.from_masks(shape, masks)
         if not is_maximal_filling(F, k):
@@ -376,7 +353,7 @@ def oracle_count_shape(shape, k, budget=None):
     """
     _check_shape_k(shape, k)
     if budget is not None:
-        _check_budget(shape.cell_count(), budget)
+        check_budget(shape.cell_count(), budget)
     return _Search(shape, k).total()
 
 

@@ -7,11 +7,10 @@ reflection and determinant identities come out as stated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import Partition, SkewShape, VerificationError
+from .core import Partition, SkewShape, VerificationError, _Record
 
 
 def binom(x, r):
@@ -182,21 +181,18 @@ def count_skew_fillings(shape, k):
 # truncated rectangles
 
 
-@dataclass(frozen=True)
-class TruncatedRect:
+class TruncatedRect(_Record):
     """An m x n rectangle with a staircase of t cells cut off the lower
     right corner, t in {m-k, m-k+1}."""
 
-    m: int
-    n: int
-    k: int
-    t: int
+    __slots__ = ("m", "n", "k", "t")
 
-    def __post_init__(self):
-        if not 2 <= self.k <= self.m <= self.n:
+    def __init__(self, m, n, k, t):
+        if not 2 <= k <= m <= n:
             raise ValueError("need 2 <= k <= m <= n")
-        if self.t not in (self.m - self.k, self.m - self.k + 1):
+        if t not in (m - k, m - k + 1):
             raise ValueError("t must be m-k or m-k+1")
+        self._set(m, n, k, t)
 
     def shape(self):
         m, n, t = self.m, self.n, self.t

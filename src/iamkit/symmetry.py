@@ -17,9 +17,11 @@ from . import oracle
 from .core import (
     _CHUNK,
     _CHUNK_MASK,
+    DEFAULT_BUDGET,
     BinaryMatrix,
     SkewShape,
     _bitrev,
+    check_budget,
     check_mnk,
     is_maximal_iam,
 )
@@ -249,8 +251,8 @@ def _orbit_rule(elements, m, n):
 def _listing_search(m, n, k, budget):
     # fixed points are listed, so the stream's budget rule applies
     check_mnk(m, n, k)
-    budget = budget or oracle.DEFAULT_BUDGET
-    oracle._check_budget(m * n, budget)
+    budget = budget or DEFAULT_BUDGET
+    check_budget(m * n, budget)
     return oracle._Search(SkewShape((n,) * m), k), budget
 
 

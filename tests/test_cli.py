@@ -36,6 +36,38 @@ def test_count_plain(capsys):
     assert out == "116424\n"
 
 
+@contextlib.contextmanager
+def no_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_prints_counts_past_the_int_digit_limit(capsys):
+    # 4,936 digits, past the 4,300 that str() takes by default
+    limit = sys.get_int_max_str_digits()
+    count = iamkit.formulas.count_iams(240, 240, 120)
+    with no_int_digit_limit():
+        digits = str(count)
+    assert len(digits) == 4936
+    board = ["count", "--m", "240", "--n", "240", "--k", "120"]
+    outs = {}
+    for fmt in ("text", "json", "csv"):
+        rc, outs[fmt] = run(capsys, board + ["--format", fmt])
+        assert rc == 0
+    # printed whole, and the caller's limit left as it was
+    assert sys.get_int_max_str_digits() == limit
+    assert outs["text"] == digits + "\n"
+    assert outs["csv"] == ("id,formula,oracle,verdict\n"
+                           "m=240;n=240;k=120,%s,,\n" % digits)
+    with no_int_digit_limit():
+        assert json.loads(outs["json"]) == {"id": "m=240,n=240,k=120",
+                                            "formula": count}
+
+
 def test_count_with_oracle_text(capsys):
     rc, out = run(capsys, ["count", "--m", "4", "--n", "4", "--k", "2",
                            "--with-oracle"])
@@ -294,6 +326,17 @@ def test_genfunc_points(capsys):
     assert len(lines) == 4
     assert all(line.endswith("OK") for line in lines[:3])
     assert lines[3] == "genfunc identity: 3/3 points agree"
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_genfunc_refuses_fewer_than_one_point(capsys, points):
+    rc = main(["genfunc", "--m", "3", "--n", "4", "--k", "3",
+               "--points", points])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("invalid input: --points must be at least 1, "
+                            "got %s\n" % points)
 
 
 def test_genfunc_honours_budget(capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from iamkit.core import (
     BinaryMatrix,
+    EnumerationBudget,
     Filling,
     Partition,
     SkewShape,
@@ -23,7 +25,9 @@ from iamkit.core import (
     longest_increasing_chain_quadratic,
     max_ones,
 )
+from iamkit.genfunc import StatRecord
 from iamkit.oracle import enumerate_maximal_fillings, enumerate_maximal_iams
+from iamkit.skew import TruncatedRect
 
 
 def all_matrices(m, n):
@@ -369,3 +373,42 @@ def test_rectangular_filling_embeds():
     assert F.as_matrix() == BinaryMatrix([[1, 0], [1, 1]])
     with pytest.raises(ValueError):
         Filling(SkewShape((2, 1)), {(1, 1): 1, (1, 2): 1, (2, 1): 1}).as_matrix()
+
+
+# ---------------------------------------------------------------------------
+# the small immutable records
+
+
+@pytest.mark.parametrize("make, other, text", [
+    (lambda: EnumerationBudget(max_cells=9), EnumerationBudget(),
+     "EnumerationBudget(max_cells=9, max_results=None)"),
+    (lambda: TruncatedRect(3, 4, 2, 1), TruncatedRect(3, 4, 2, 2),
+     "TruncatedRect(m=3, n=4, k=2, t=1)"),
+    (lambda: StatRecord(v=1, v_d=0, d=(1, 0)), StatRecord(1, 0, (0, 1)),
+     "StatRecord(v=1, v_d=0, d=(1, 0))"),
+])
+def test_records_are_immutable_values(make, other, text):
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != other
+    assert repr(a) == text
+    # equal only to the same type, never to a tuple of the same fields
+    assert a != tuple(getattr(a, f) for f in a.__slots__)
+    for field in a.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_records_validate_their_fields():
+    assert EnumerationBudget(max_results=0).max_results == 0
+    with pytest.raises(ValueError):
+        EnumerationBudget(max_results=-1)
+    with pytest.raises(ValueError):
+        TruncatedRect(3, 4, 2, 0)   # t must be m-k or m-k+1
+    with pytest.raises(ValueError):
+        TruncatedRect(4, 3, 2, 2)   # m <= n

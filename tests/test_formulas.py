@@ -40,6 +40,25 @@ def test_hprod_empty_box():
         hprod(-1, 2, 2)
 
 
+def _hprod_literal(a, b, c):
+    """The defining triple product, factor by factor: the twin of hprod's
+    one power per diagonal."""
+    num = den = 1
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for l in range(1, c + 1):
+                num *= i + j + l - 1
+                den *= i + j + l - 2
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
+
+
+def test_hprod_matches_the_literal_triple_product():
+    for a, b, c in itertools.product(range(7), repeat=3):
+        assert hprod(a, b, c) == _hprod_literal(a, b, c), (a, b, c)
+
+
 def test_hprod_symmetric():
     for a, b, c in itertools.product(range(4), repeat=3):
         vals = {hprod(*p) for p in itertools.permutations((a, b, c))}
