@@ -54,8 +54,7 @@ from .core import (
 # the number of thresholds at or left of c (`core._at_or_left`).  A new one
 # in column j would end a chain one longer than that for c = j-1, which
 # must stay below k: there are at most k-1 thresholds, and once there are
-# k-1, ones go only at or left of the column of the last.  A new row moves
-# the thresholds by one step of the sweep.
+# k-1, ones go only at or left of the column of the last.
 #
 # Maximality is local (no extremal ones count is assumed): the ones must stay
 # chain-free, and every zero must be *justified* -- flipping it completes a
@@ -77,6 +76,17 @@ from .core import (
 #   Other pairs are dropped; a demand with no pair left kills the branch.
 # * Within a demand only undominated pairs stay (none other has column <=
 #   and need <=); within the state only demands that no other one implies.
+#
+# A successor row is built column by column, depth first, 0 before 1, so
+# the masks come out ascending.  Write A(c) for the chain the rows above
+# end at or left of column c.  A one at column j is allowed only while
+# A(j-1) < k-1.  A zero at j with need = k-1-A(j-1) > 0 is kept only if
+# its pair (j, need) has room, which the prefix already decides: once the
+# row is placed, the rows end at or left of j a chain of max(A(j),
+# A(j'-1)+1), j' being the row's last one so far.  So a dead prefix ends
+# at its first cell that can take neither value, and the work follows the
+# rows kept, not the masks of the span.  One step of the sweep then moves
+# the thresholds past the finished row.
 #
 # So the state (depth, thresholds, demands) decides exactly which
 # completions are valid.  The count is a memoized sum over it (the
@@ -132,36 +142,10 @@ class _Search:
                     for below in _tails_below(
                         [((1 << (hi - lo)) - 1) << (n - hi)
                          for lo, hi in self.spans], n)]
-        self._rows = {}    # (row span, tails) -> [(mask, next tails)]
         self._room = {}    # (depth, next tails) -> room below the row
         self._succ = {}    # (depth, tails) -> [(mask, next tails,
                            #                    new demands, room)]
-        self._states = {}  # tails -> itself, so successor lists share tuples
         self._count = {}   # (depth, tails, demands) -> number of completions
-
-    def rows(self, span, tails):
-        """(mask, next thresholds) for every row inside the span that
-        completes no k-chain after these thresholds, masks ascending."""
-        key = (span, tails)
-        got = self._rows.get(key)
-        if got is None:
-            n, k, states = self.n, self.k, self._states
-            # a one in column j would end a k-chain once k-1 thresholds
-            # lie at or left of j-1, so only masks inside both the span and
-            # the columns before that are tried
-            lo, hi = span
-            top = hi
-            while top > lo and _at_or_left(tails, n, top - 1) >= k - 1:
-                top -= 1
-            got = []
-            for x in range(1 << (top - lo)):
-                mask = x << (n - top)
-                nxt = list(tails)
-                _sweep(nxt, (mask,))
-                nxt = tuple(nxt)
-                got.append((mask, states.setdefault(nxt, nxt)))
-            self._rows[key] = got
-        return got
 
     def room(self, depth, nxt):
         """room[c]: the longest chain the rows after row depth+1 can still
@@ -183,26 +167,31 @@ class _Search:
         key = (depth, tails)
         got = self._succ.get(key)
         if got is None:
-            n, k = self.n, self.k
-            span = self.spans[depth]
-            # the above-left chain of a zero in this row is frozen now, so
-            # its need is known before the row is chosen
-            needs = []
-            for j in range(span[0] + 1, span[1] + 1):
-                need = k - 1 - _at_or_left(tails, n, j - 1)
-                if need > 0:
-                    needs.append((1 << (n - j), j, need))
+            n, k, geo = self.n, self.k, self.geo[depth]
+            lo, hi = self.spans[depth]
+            at = [_at_or_left(tails, n, c) for c in range(n + 1)]
             got = []
-            for mask, nxt in self.rows(span, tails):
-                room = self.room(depth, nxt)
-                new = []
-                for bit, j, need in needs:
-                    if not mask & bit:
-                        if room[j] < need:
-                            break
-                        new.append(((j, need),))
-                else:
-                    got.append((mask, nxt, new, room))
+            # (next column, mask so far, the chain this row's last one so
+            # far ends or 0, demands of its zeros); a prefix's zero branch
+            # is pushed last, so it is tried first
+            stack = [(lo + 1, 0, 0, [])]
+            while stack:
+                j, mask, reach, new = stack.pop()
+                if j > hi:
+                    nxt = list(tails)
+                    _sweep(nxt, (mask,))
+                    nxt = tuple(nxt)
+                    got.append((mask, nxt, new, self.room(depth, nxt)))
+                    continue
+                need = k - 1 - at[j - 1]
+                if need <= 0:  # a one would end a k-chain
+                    stack.append((j + 1, mask, reach, new))
+                    continue
+                stack.append((j + 1, mask | 1 << (n - j), at[j - 1] + 1, new))
+                # a zero needs room below-right of it, capped by the chain
+                # the rows end at or left of j once this row is placed
+                if min(geo[j], k - 1 - max(at[j], reach)) >= need:
+                    stack.append((j + 1, mask, reach, new + [((j, need),)]))
             self._succ[key] = got
         return got
 

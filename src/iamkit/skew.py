@@ -113,15 +113,20 @@ def gamma(lam, a, b):
     return Partition(lam.parts[a:len(lam) - b])
 
 
+def _dual_rows(shape):
+    """The dual's parts (lambda_{i+1} - 1 over mu_i, i = 1..rows-1), as
+    two lists, before any check that its rows overlap."""
+    lam, mu = shape.lam, shape.mu
+    return ([lam.part(i + 1) - 1 for i in range(1, len(lam))],
+            [mu.part(i) for i in range(1, len(lam))])
+
+
 def dual_shape(shape):
     """The shape on the gaps between consecutive rows: row i of the dual
     spans (mu_i, lambda_{i+1} - 1]."""
-    lam, mu = shape.lam, shape.mu
-    if len(lam) < 2:
+    if len(shape.lam) < 2:
         raise ValueError("dual shape needs at least 2 rows")
-    lam_bar = [lam.part(i + 1) - 1 for i in range(1, len(lam))]
-    mu_bar = [mu.part(i) for i in range(1, len(lam))]
-    return SkewShape(lam_bar, mu_bar)  # raises if rows fail to overlap
+    return SkewShape(*_dual_rows(shape))  # raises if rows fail to overlap
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +159,14 @@ def count_skew_fillings(shape, k):
     shape with the first k-1-j and last i-1 rows removed; removals that
     consume the whole dual give an empty count of 1, removals that overrun
     it (or cut the dual apart) give 0.
+
+    Every shape has a maximal filling, since the all-zero filling avoids
+    I_k and so extends to one; a determinant <= 0 is therefore wrong, and
+    raises `VerificationError` instead of being returned.
     """
     if not validate_skew(shape, k):
         raise ValueError("shape fails the staircase admissibility conditions")
-    lam_bar = [shape.lam.part(i + 1) - 1 for i in range(1, shape.n_rows)]
-    mu_bar = [shape.mu.part(i) for i in range(1, shape.n_rows)]
+    lam_bar, mu_bar = _dual_rows(shape)
     rows_n = len(lam_bar)
     d = k - 1
 
@@ -174,7 +182,12 @@ def count_skew_fillings(shape, k):
         return kreweras_f(ls, ms)
 
     rows = [[entry(i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
-    return det_bareiss(rows)
+    det = det_bareiss(rows)
+    if det <= 0:
+        raise VerificationError(
+            "the determinant is %d, but every shape has a maximal filling"
+            % det)
+    return det
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .core import (
     check_mnk,
     is_maximal_iam,
 )
+from .formulas import _SQUARE_ONLY
 
 D8_ELEMENTS = ("id", "rot90", "rot180", "rot270",
                "transpose", "antitranspose", "fliph", "flipv")
@@ -132,7 +133,6 @@ _TAG_ELEMENTS = {
     "QTS": ("rot90",),
     "TS": ("flipv", "transpose"),  # they generate the whole group
 }
-_SQUARE_TAGS = ("DS", "AS", "DAS", "QTS", "TS")
 
 # Each element a tag lists is fliph (reversing the row order) after at
 # most one of three images: the rows bit-reversed (flipv), the transpose,
@@ -155,7 +155,7 @@ def _tags_of(masks, m, n):
     fixed = {}
     tags = []
     for tag in _TAG_ELEMENTS:
-        if m != n and tag in _SQUARE_TAGS:
+        if m != n and tag in _SQUARE_ONLY:
             continue
         for g in _TAG_ELEMENTS[tag]:
             if g not in fixed:
@@ -274,7 +274,7 @@ def _class_count(search, tag):
     points of its elements, by one search (0 for a square-only tag on
     another board)."""
     m, n = search.m, search.n
-    if m != n and tag in _SQUARE_TAGS:
+    if m != n and tag in _SQUARE_ONLY:
         return 0
     return sum(1 for _ in search.start(_orbit_rule(_TAG_ELEMENTS[tag], m, n)))
 

@@ -20,6 +20,7 @@ import iamkit.formulas
 import iamkit.genfunc
 import iamkit.oracle
 from iamkit.cli import main
+from test_skew import SINGULAR
 
 M5_JSON = '{"m":3,"n":4,"rows":[[0,1,1,1],[1,1,0,1],[1,1,1,1]]}'
 
@@ -109,6 +110,18 @@ def test_count_skew(capsys):
                            "--k", "2", "--with-oracle"])
     assert rc == 0
     assert out == "4 4 AGREE\n"
+
+
+@pytest.mark.parametrize("lam,mu,k", [case[:3] for case in SINGULAR])
+def test_count_skew_exits_2_on_a_determinant_below_one(capsys, lam, mu, k):
+    # each shape has maximal fillings, but its determinant is 0
+    rc = main(["count", "--lambda", ",".join(map(str, lam)),
+               "--mu", ",".join(map(str, mu)), "--k", str(k)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_enumerate_json_lines(capsys):

@@ -93,6 +93,8 @@ def test_count_equals_stream_length():
 def test_count_beyond_the_listing_frontier():
     assert oracle_count(8, 8, 4) == count_iams(8, 8, 4) == 731808
     assert oracle_count(9, 9, 5) == count_iams(9, 9, 5) == 16818516
+    assert oracle_count(10, 10, 5) == count_iams(10, 10, 5)
+    assert oracle_count(11, 11, 6) == count_iams(11, 11, 6)
 
 
 def test_count_budget_is_checked_only_when_given():
@@ -422,11 +424,11 @@ def _c_vector(tails, n):
 
 
 def test_successors_match_their_definition():
-    # succ tries only masks inside the row span and the unblocked prefix of
-    # columns, and shares its tables across rows; it must still list exactly
-    # the masks inside the row span that the C-vector update above accepts
-    # and whose zeros pass the room test, masks ascending.  The state holds
-    # chain thresholds, read here as their C-vector
+    # succ builds each row column by column and cuts a prefix at its first
+    # one that ends a k-chain or zero with no room; it must still list
+    # exactly the masks inside the row span that the C-vector update above
+    # accepts and whose zeros pass the room test, masks ascending.  The
+    # state holds chain thresholds, read here as their C-vector
     from test_skew import CATALOG
     boards = [(SkewShape((n,) * m), k)
               for m, n, k in [(4, 4, 2), (5, 5, 3), (4, 6, 4), (6, 4, 3)]]

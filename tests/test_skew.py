@@ -5,7 +5,7 @@ import random
 import pytest
 
 from iamkit.bijection import path_endpoints
-from iamkit.core import Partition, SkewShape
+from iamkit.core import Partition, SkewShape, VerificationError
 from iamkit.formulas import hprod
 from iamkit.oracle import oracle_count_shape
 from iamkit.skew import (
@@ -177,6 +177,26 @@ def test_count_skew_fillings_on_rectangles():
                 shape = SkewShape([n] * m)
                 assert count_skew_fillings(shape, k) == \
                     hprod(m - k + 1, n - k + 1, k - 1)
+
+
+# admissible shapes whose determinant is 0, with the oracle's count
+SINGULAR = [
+    ((6, 6, 6, 4, 4), (3, 3), 3, 18),
+    ((7, 7, 7, 5, 5), (4, 4), 3, 30),
+    ((7, 7, 7, 7, 5, 5), (3, 3), 4, 40),
+]
+
+
+@pytest.mark.parametrize("lam,mu,k,found", SINGULAR)
+def test_count_skew_fillings_refuses_a_determinant_below_one(lam, mu, k,
+                                                             found):
+    # the all-zero filling extends to a maximal one, so every shape has at
+    # least one, and a determinant <= 0 must raise, not be returned
+    shape = SkewShape(lam, mu)
+    assert validate_skew(shape, k)
+    assert oracle_count_shape(shape, k) == found
+    with pytest.raises(VerificationError):
+        count_skew_fillings(shape, k)
 
 
 def test_count_skew_fillings_gates_admissibility():
