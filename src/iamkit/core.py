@@ -194,9 +194,9 @@ def _at_or_left(tails, n, c):
     return sum(t >= n - c for t in tails)
 
 
-# Row masks are reversed through lookup tables indexed by up to _CHUNK bits
-# at a time; wider masks go through chunk by chunk.  The tables are built on
-# first use, one per width.
+# Row masks are reversed and transposed through lookup tables indexed by up
+# to _CHUNK bits at a time, wider masks chunk by chunk; the tables are built
+# on first use, one per width or row count.
 _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
 
@@ -217,6 +217,33 @@ def _bitrev(mask, n):
         mask >>= _CHUNK
         n -= _CHUNK
     return (out << n) | _rev_table(n)[mask]
+
+
+@functools.cache
+def _spread_table(stride):
+    """spread[x] = x with bit t moved to bit t * stride."""
+    spread = [0] * (1 << _CHUNK)
+    for x in range(1, 1 << _CHUNK):
+        low = x & -x
+        spread[x] = spread[x ^ low] | (1 << ((low.bit_length() - 1) * stride))
+    return tuple(spread)
+
+
+def _transpose_masks(masks, m, n):
+    """Row masks of the transpose of the m x n matrix with these rows."""
+    # lay the rows out interleaved: column j's bits end up in one m-bit field,
+    # row 1 in its high bit
+    spread = _spread_table(m)
+    acc = 0
+    for r in masks:
+        acc <<= 1
+        shift = 0
+        while r:
+            acc |= spread[r & _CHUNK_MASK] << shift
+            r >>= _CHUNK
+            shift += _CHUNK * m
+    full = (1 << m) - 1
+    return tuple((acc >> (t * m)) & full for t in range(n - 1, -1, -1))
 
 
 def _tails_below(masks, n):
@@ -409,7 +436,7 @@ def is_maximal_iam_by_flips(M, k):
 
 
 # ---------------------------------------------------------------------------
-# diagonal scans (shared by bijections and statistics)
+# diagonal scans (read by genfunc's per-cell statistics)
 
 
 def diag_ones_below(M, i, j):
@@ -468,9 +495,9 @@ class Partition:
     def __getitem__(self, i):
         return self.parts[i]
 
-    def part(self, i, default=0):
+    def part(self, i):
         """1-indexed part access; rows past the end are 0."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else default
+        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def size(self):
         return sum(self.parts)

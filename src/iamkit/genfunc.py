@@ -20,13 +20,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from . import symmetry
 from .bijection import enumerate_pp, matrix_to_paths
 from .core import (
     DEFAULT_SEED,
+    BinaryMatrix,
     EnumerationBudget,
     VerificationError,
     _Record,
+    _transpose_masks,
     check_mnk,
     diag_ones_below,
     diag_zeros_above,
@@ -88,7 +89,8 @@ def stat_d(M, k):
     main-diagonal points of the paths, bottom path first.  Matrices with
     m > n are transposed first so the diagonal crosses every path."""
     if M.m > M.n:
-        M = symmetry.apply(M, "transpose")
+        M = BinaryMatrix.from_masks(M.n, M.m,
+                                    _transpose_masks(M.masks, M.m, M.n))
     m, n, masks = M.m, M.n, M.masks
     fam = matrix_to_paths(M, k)
     zeros_above = [0]  # zeros_above[i-1]: zeros at (1, 1) .. (i-1, i-1)

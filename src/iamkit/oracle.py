@@ -234,47 +234,82 @@ class _Search:
         return out
 
     def count(self, depth, tails, demands):
-        """Number of full fillings extending any prefix with this state."""
+        """Number of full fillings extending any prefix with this state.
+
+        A depth-first sum on an explicit stack, one frame per unfinished
+        state, so a board of any height stays clear of Python's recursion
+        limit."""
         if depth == self.m:
             return 0 if demands else 1
         key = (depth, tails, demands)
         got = self._count.get(key)
-        if got is None:
-            got = 0
-            for _, nxt, dem in self._children(demands,
-                                              self.succ(depth, tails)):
-                got += self.count(depth + 1, nxt, dem)
-            self._count[key] = got
-        return got
+        if got is not None:
+            return got
+        m, memo = self.m, self._count
+        # frames: [state, its children not yet summed, their sum so far]
+        stack = [[key, iter(self._children(demands, self.succ(depth, tails))),
+                  0]]
+        while stack:
+            frame = stack[-1]
+            d = frame[0][0] + 1
+            for _, nxt, dem in frame[1]:
+                if d == m:
+                    frame[2] += 0 if dem else 1
+                    continue
+                child = (d, nxt, dem)
+                got = memo.get(child)
+                if got is None:
+                    stack.append([child, iter(self._children(
+                        dem, self.succ(d, nxt))), 0])
+                    break
+                frame[2] += got
+            else:
+                stack.pop()
+                memo[frame[0]] = frame[2]
+                if stack:
+                    stack[-1][2] += frame[2]
+        return memo[key]
 
-    def complete(self, prefix_masks, tails, demands, rule=None):
-        """Yield full row-mask tuples extending the given prefix; enters a
-        state only when some completion of it is valid.
+    def _live(self, rows, tails, demands, rule):
+        """The children (mask, next thresholds, next demands) of the state
+        after the placed rows that obey the rule and have a valid
+        completion, lazily, in stream order."""
+        depth = len(rows)
+        succ = self.succ(depth, tails)
+        forced = rule(rows) if rule is not None else None
+        if forced is not None:
+            fixed, values, keep = forced
+            succ = [row for row in succ if row[0] & fixed == values
+                    and (keep is None or keep(row[0]))]
+        return (child for child in self._children(demands, succ)
+                if self.count(depth + 1, child[1], child[2]))
+
+    def start(self, rule=None):
+        """Every full row-mask tuple, in stream order; enters a state only
+        when some completion of it is valid.
 
         With a rule, yield only those whose every row obeys it, in the same
         order: `rule(rows placed so far)` gives (fixed bits, their values, a
         test the mask must pass or None) for the next row, or None when the
-        row is free.
+        row is free.  One lazy frame per placed row on an explicit stack,
+        so a board of any height stays clear of Python's recursion limit.
         """
-        depth = len(prefix_masks)
-        if depth == self.m:
-            yield prefix_masks
-            return
-        rows = self.succ(depth, tails)
-        forced = rule(prefix_masks) if rule is not None else None
-        if forced is not None:
-            fixed, values, keep = forced
-            rows = [row for row in rows if row[0] & fixed == values
-                    and (keep is None or keep(row[0]))]
-        for mask, nxt, dem in self._children(demands, rows):
-            if self.count(depth + 1, nxt, dem):
-                yield from self.complete(prefix_masks + (mask,), nxt, dem,
-                                         rule)
-
-    def start(self, rule=None):
-        """Every full row-mask tuple (obeying the rule, if given), in
-        stream order."""
-        return self.complete((), (), (), rule)
+        m = self.m
+        rows = []
+        stack = [self._live(rows, (), (), rule)]
+        while stack:
+            for mask, nxt, dem in stack[-1]:
+                rows.append(mask)
+                if len(rows) == m:
+                    yield tuple(rows)
+                    rows.pop()
+                else:
+                    stack.append(self._live(rows, nxt, dem, rule))
+                    break
+            else:
+                stack.pop()
+                if rows:
+                    rows.pop()
 
     def total(self):
         """Number of full fillings."""

@@ -2,9 +2,9 @@
 partitions.
 
 Group elements are named strings; `apply(M, g)` returns the transformed
-matrix.  Quarter turns are defined by composition of transpose and a
-reflection rather than by separate index algebra, so the composition law is
-structural rather than re-derived.
+matrix.  One table defines all eight, each as a base image of the row masks
+with the row order reversed or not; `apply` and the class tagging both read
+it, and the composition law is read back off `apply`, not re-derived.
 """
 
 from __future__ import annotations
@@ -15,88 +15,55 @@ from itertools import islice
 
 from . import oracle
 from .core import (
-    _CHUNK,
-    _CHUNK_MASK,
     DEFAULT_BUDGET,
     BinaryMatrix,
     SkewShape,
+    VerificationError,
     _bitrev,
+    _transpose_masks,
     check_budget,
     check_mnk,
     is_maximal_iam,
 )
 from .formulas import _SQUARE_ONLY
 
-D8_ELEMENTS = ("id", "rot90", "rot180", "rot270",
-               "transpose", "antitranspose", "fliph", "flipv")
+# The group's only definition, element -> (base, reverse?): each element is
+# fliph (the row order reversed), applied or not, after one of four base
+# images of the row masks: the matrix itself, its rows bit-reversed (flipv),
+# its transpose, or the transpose of its rows reversed (rot90).
+_ELEMENTS = {
+    "id": ("id", False),
+    "rot90": ("rot90", False),
+    "rot180": ("flipv", True),
+    "rot270": ("transpose", True),
+    "transpose": ("transpose", False),
+    "antitranspose": ("rot90", True),
+    "fliph": ("id", True),
+    "flipv": ("flipv", False),
+}
+D8_ELEMENTS = tuple(_ELEMENTS)
 
 
-# Row masks are transposed through lookup tables indexed by up to _CHUNK
-# bits at a time, as `core._bitrev` reverses them; the tables are built on
-# first use, one per row count.
-@functools.cache
-def _spread_table(stride):
-    """spread[x] = x with bit t moved to bit t * stride."""
-    spread = [0] * (1 << _CHUNK)
-    for x in range(1, 1 << _CHUNK):
-        low = x & -x
-        spread[x] = spread[x ^ low] | (1 << ((low.bit_length() - 1) * stride))
-    return tuple(spread)
-
-
-def _transpose_masks(masks, m, n):
-    """Row masks of the transpose of the m x n matrix with these rows."""
-    # lay the rows out interleaved: column j's bits end up in one m-bit field,
-    # row 1 in its high bit
-    spread = _spread_table(m)
-    acc = 0
-    for r in masks:
-        acc <<= 1
-        shift = 0
-        while r:
-            acc |= spread[r & _CHUNK_MASK] << shift
-            r >>= _CHUNK
-            shift += _CHUNK * m
-    full = (1 << m) - 1
-    return tuple((acc >> (t * m)) & full for t in range(n - 1, -1, -1))
-
-
-def _transpose(M):
-    return BinaryMatrix.from_masks(M.n, M.m,
-                                   _transpose_masks(M.masks, M.m, M.n))
-
-
-def _fliph(M):
-    # reverse the row order (reflection across the horizontal axis)
-    return BinaryMatrix.from_masks(M.m, M.n, tuple(reversed(M.masks)))
-
-
-def _flipv(M):
-    # reverse each row (reflection across the vertical axis)
-    n = M.n
-    return BinaryMatrix.from_masks(M.m, n, tuple(_bitrev(r, n) for r in M.masks))
+def _base_image(masks, m, n, base):
+    """The row masks of one base image of the m x n matrix with these rows
+    (a tuple); the transposing bases give n rows of m bits."""
+    if base == "id":
+        return masks
+    if base == "flipv":
+        return tuple(_bitrev(r, n) for r in masks)
+    return _transpose_masks(masks if base == "transpose" else masks[::-1],
+                            m, n)
 
 
 def apply(M, g):
     """Apply a dihedral element to a matrix.  Non-square matrices change
     shape under the odd elements (transpose, antitranspose, quarter turns)."""
-    if g == "id":
-        return M
-    if g == "transpose":
-        return _transpose(M)
-    if g == "fliph":
-        return _fliph(M)
-    if g == "flipv":
-        return _flipv(M)
-    if g == "rot180":
-        return _fliph(_flipv(M))
-    if g == "rot90":
-        return _transpose(_fliph(M))
-    if g == "rot270":
-        return _transpose(_flipv(M))
-    if g == "antitranspose":
-        return _fliph(_transpose(_fliph(M)))
-    raise ValueError("unknown group element %r" % (g,))
+    if g not in _ELEMENTS:
+        raise ValueError("unknown group element %r" % (g,))
+    base, reverse = _ELEMENTS[g]
+    image = _base_image(M.masks, M.m, M.n, base)
+    m, n = (M.n, M.m) if base in ("transpose", "rot90") else (M.m, M.n)
+    return BinaryMatrix.from_masks(m, n, image[::-1] if reverse else image)
 
 
 def compose(g, h):
@@ -106,7 +73,7 @@ def compose(g, h):
     for e in D8_ELEMENTS:
         if apply(probe, e) == target:
             return e
-    raise AssertionError("composition fell outside the group")
+    raise VerificationError("composition fell outside the group")
 
 
 def classes_of(M, k):
@@ -134,39 +101,22 @@ _TAG_ELEMENTS = {
     "TS": ("flipv", "transpose"),  # they generate the whole group
 }
 
-# Each element a tag lists is fliph (reversing the row order) after at
-# most one of three images: the rows bit-reversed (flipv), the transpose,
-# and the transpose of the rows reversed (rot90).
-_ELEMENT_IMAGES = {
-    "fliph": (None, True),
-    "flipv": ("flipv", False),
-    "rot180": ("flipv", True),
-    "transpose": ("transpose", False),
-    "rot90": ("rot90", False),
-    "antitranspose": ("rot90", True),
-}
-
 
 def _tags_of(masks, m, n):
     """The tags carried by the m x n matrix with these row masks (a tuple).
-    Each image is built at most once, and only when a tag needs it; the
-    odd elements are compared only when m == n."""
-    images = {None: masks}
+    Each base image is built at most once, and only when a tag needs it;
+    the odd elements are compared only when m == n."""
+    images = {}
     fixed = {}
     tags = []
-    for tag in _TAG_ELEMENTS:
+    for tag, elements in _TAG_ELEMENTS.items():
         if m != n and tag in _SQUARE_ONLY:
             continue
-        for g in _TAG_ELEMENTS[tag]:
+        for g in elements:
             if g not in fixed:
-                base, reverse = _ELEMENT_IMAGES[g]
+                base, reverse = _ELEMENTS[g]
                 if base not in images:
-                    if base == "flipv":
-                        images[base] = tuple(_bitrev(r, n) for r in masks)
-                    else:
-                        images[base] = _transpose_masks(
-                            masks if base == "transpose" else masks[::-1],
-                            m, n)
+                    images[base] = _base_image(masks, m, n, base)
                 image = images[base]
                 fixed[g] = (image[::-1] if reverse else image) == masks
             if not fixed[g]:
@@ -205,7 +155,7 @@ def _cell_images(g, m, n):
 
 @functools.cache
 def _orbit_rule(elements, m, n):
-    """The row rule of `oracle._Search.complete` that keeps exactly the
+    """The row rule of `oracle._Search.start` that keeps exactly the
     m x n matrices fixed by every one of these group elements."""
     first = list(range(m * n))  # union-find; each root is its orbit's least
 

@@ -595,6 +595,23 @@ def iamkit_process(args, optimize=False, **kwargs):
                             + args, env=env, **kwargs)
 
 
+@pytest.mark.parametrize("command", [
+    "count --m 1200 --n 2 --k 2 --with-oracle --budget 2400",
+    "enumerate --m 1200 --n 2 --k 2 --budget 2400 --max-results 1",
+])
+def test_boards_taller_than_the_recursion_limit(command):
+    # a board of 1,200 rows used to end in a RecursionError traceback
+    proc = iamkit_process(command.split(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    if command.startswith("count"):
+        assert out == b"1200 1200 AGREE\n"
+    else:
+        line, = out.decode().splitlines()
+        assert json.loads(line)["rows"] == [[0, 1]] * 1199 + [[1, 1]]
+
+
 def test_enumerate_into_a_closed_pipe_ends_quietly():
     # 1,764 lines, far more than a pipe buffer holds, so the writer is
     # still writing when the reader goes away

@@ -37,7 +37,7 @@ PP = '{"a":1,"b":2,"c":2,"pi":[[2,1]]}'
 
 # what `from iamkit.cli import main` loads by itself
 BASE = {"cli", "core", "formulas"}
-GENFUNC = {"genfunc", "bijection", "oracle", "symmetry"}
+GENFUNC = {"genfunc", "bijection", "oracle"}
 
 # (command line, stdin, modules loaded beyond BASE)
 FOOTPRINTS = [

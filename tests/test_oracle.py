@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from iamkit.core import (
     SkewShape,
     VerificationError,
     contains_ik_in_shape,
+    is_maximal_iam,
     max_ones,
 )
 from iamkit.formulas import count_iams
@@ -95,6 +97,19 @@ def test_count_beyond_the_listing_frontier():
     assert oracle_count(9, 9, 5) == count_iams(9, 9, 5) == 16818516
     assert oracle_count(10, 10, 5) == count_iams(10, 10, 5)
     assert oracle_count(11, 11, 6) == count_iams(11, 11, 6)
+
+
+def test_boards_taller_than_the_recursion_limit():
+    # the count and the listing keep one frame per row on explicit stacks,
+    # not on Python's call stack
+    m = 1200
+    assert m > sys.getrecursionlimit()
+    assert oracle_count(m, 2, 2) == count_iams(m, 2, 2) == m
+    assert oracle_count_shape(SkewShape((2,) * m), 2) == m
+    first = next(enumerate_maximal_iams(m, 2, 2,
+                                        EnumerationBudget(max_cells=2 * m)))
+    assert first.to_lists() == [[0, 1]] * (m - 1) + [[1, 1]]
+    assert is_maximal_iam(first, 2)
 
 
 def test_count_budget_is_checked_only_when_given():

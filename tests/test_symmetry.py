@@ -20,6 +20,7 @@ from iamkit.oracle import (
 from iamkit.symmetry import (
     D8_ELEMENTS,
     _orbit_rule,
+    _tags_of,
     apply,
     brute_count_class,
     class_histogram,
@@ -161,9 +162,16 @@ def _generated(elements):
     return group
 
 
+def _symmetrized(M, elements):
+    """M made fixed by these elements: each cell the OR over its orbit."""
+    images = [apply(M, g).masks for g in _generated(elements)]
+    return BinaryMatrix.from_masks(M.m, M.n, [functools.reduce(
+        operator.or_, rows) for rows in zip(*images)])
+
+
 def _rule_keeps(rule, masks):
     """Does every row obey the row rule, read row by row as
-    `oracle._Search.complete` reads it?"""
+    `oracle._Search.start` reads it?"""
     for d, mask in enumerate(masks):
         forced = rule(masks[:d])
         if forced is not None:
@@ -186,9 +194,7 @@ def test_orbit_rule_keeps_exactly_the_fixed_matrices(case):
     (m, n), masks, sym = case
     M = BinaryMatrix.from_masks(m, n, masks)
     if sym is not None:
-        images = [apply(M, g).masks for g in _generated(subgroups(m, n)[sym])]
-        M = BinaryMatrix.from_masks(m, n, [functools.reduce(
-            operator.or_, rows) for rows in zip(*images)])
+        M = _symmetrized(M, subgroups(m, n)[sym])
         assert all(apply(M, g) == M for g in subgroups(m, n)[sym])
     for tag, elements in subgroups(m, n).items():
         want = all(apply(M, g) == M for g in elements)
@@ -199,6 +205,25 @@ def test_orbit_rule_keeps_exactly_the_fixed_matrices(case):
         for g in D8_ELEMENTS:
             assert _rule_keeps(_orbit_rule((g,), m, n), M.masks) == \
                 (apply(M, g) == M), (M, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda m: st.tuples(st.just(m), st.just(m) | st.integers(1, 12))).flatmap(
+    lambda mn: st.tuples(
+        st.just(mn),
+        st.lists(st.integers(0, (1 << mn[1]) - 1),
+                 min_size=mn[0], max_size=mn[0]),
+        st.none() | st.sampled_from(sorted(subgroups(*mn))))))
+def test_tags_past_the_lookup_tables_equal_their_apply_definition(case):
+    # random matrices, not only maximal ones, with sides up to 12, so the
+    # transposing images go through more than one 8-bit table chunk; half
+    # are made symmetric under one tag's subgroup, so that tags occur
+    (m, n), masks, sym = case
+    M = BinaryMatrix.from_masks(m, n, masks)
+    if sym is not None:
+        M = _symmetrized(M, subgroups(m, n)[sym])
+    assert _tags_of(M.masks, m, n) == _tags_by_apply(M)
 
 
 def test_classes_of_rejects_non_maximal():
