@@ -14,8 +14,10 @@ Three routes, kept deliberately separate:
   transfer-matrix method: a memoized sum over its row state (row, chain
   thresholds, demands), with the same transitions and prunes, so they list
   nothing;
-* `naive_enumerate` scans every (0,1)-matrix and applies the literal
-  flip-based maximality test, with no pruning at all.
+* `naive_enumerate` scans every (0,1)-matrix, with no pruning at all: one
+  table gives each code's longest chain by a subset recurrence of its own,
+  and a code is kept when it avoids I_k and every flip of one of its zeros
+  does not -- the literal flip definition, each re-test a lookup.
 
 Every stream is in row-major lexicographic order on the entries.
 """
@@ -39,7 +41,6 @@ from .core import (
     check_budget,
     check_mnk,
     is_maximal_filling,
-    is_maximal_iam_by_flips,
 )
 
 
@@ -385,24 +386,63 @@ def oracle_count_shape(shape, k, budget=None):
 # the prune-free certifier
 
 
+def _chain_table(m, n):
+    """longest[code]: the longest increasing chain of ones in the m x n
+    matrix with this code, for every code below 2^(mn) (row-major bits, the
+    most significant one entry (1,1)).
+
+    Filled by a subset recurrence that shares nothing with `core._sweep` or
+    with the row search.  The lowest set bit c of a code S is its last one
+    in row-major order, so a chain through c ends there:
+    longest[S] = max(longest[S ^ c], 1 + longest[S & up_left[c]]), where
+    up_left[c] holds the cells strictly above and left of c.  Both codes on
+    the right are below S, so one ascending pass fills the table.
+    """
+    cells = m * n
+    up_left = {}
+    for c in range(cells):
+        i, j = divmod(c, n)
+        left = ((1 << j) - 1) << (n - j)  # columns 1..j of one row
+        up_left[1 << (cells - 1 - c)] = sum(
+            left << (cells - n * (r + 1)) for r in range(i))
+    longest = bytearray(1 << cells)
+    for S in range(1, 1 << cells):
+        c = S & -S
+        a = longest[S ^ c]
+        b = longest[S & up_left[c]] + 1
+        longest[S] = a if a > b else b
+    return longest
+
+
 def naive_enumerate(m, n, k):
     """Scan all 2^(mn) matrices; keep those passing the literal flip test.
 
-    Restricted to m*n <= 16 cells.  Completely independent of the pruned
-    search: different traversal, different maximality test.
+    Restricted to m*n <= 16 cells.  Each code's longest chain is read off
+    `_chain_table`; a code is kept when it avoids I_k and flipping any one
+    of its zeros gives a code that does not, so every zero of every
+    avoiding matrix is still flipped and re-tested, by lookup.  Completely
+    independent of the pruned search: different traversal, different chain
+    routine, different maximality test.  A matrix is built only for the
+    codes kept, in code order, which is row-major lexicographic.
     """
     check_mnk(m, n, k)
-    if m * n > 16:
+    cells = m * n
+    if cells > 16:
         raise BudgetExceeded("naive scan is capped at 16 cells")
+    longest = _chain_table(m, n)
+    full = (1 << cells) - 1
+    row = (1 << n) - 1
     out = []
-    for code in range(1 << (m * n)):
-        # code's bits, row-major, most significant bit = entry (1,1)
-        masks = []
-        shift = m * n
-        for _ in range(m):
-            shift -= n
-            masks.append((code >> shift) & ((1 << n) - 1))
-        M = BinaryMatrix.from_masks(m, n, masks)
-        if is_maximal_iam_by_flips(M, k):
-            out.append(M)
+    for code in range(1 << cells):
+        if longest[code] >= k:
+            continue
+        zeros = full ^ code
+        while zeros:
+            b = zeros & -zeros
+            if longest[code | b] < k:  # this flip leaves the code avoiding
+                break
+            zeros ^= b
+        else:
+            out.append(BinaryMatrix.from_masks(m, n, [
+                (code >> (cells - n * (i + 1))) & row for i in range(m)]))
     return out

@@ -139,17 +139,26 @@ def _tags_of(masks, m, n):
 
 def _cell_images(g, m, n):
     """image[c]: the cell (row-major index) that g moves cell c to, read
-    off `apply` on the matrix whose one one is at c."""
+    off g's base image and row reversal in `_ELEMENTS`."""
+    if g not in _ELEMENTS:
+        raise ValueError("unknown group element %r" % (g,))
+    base, reverse = _ELEMENTS[g]
+    if base in ("transpose", "rot90") and m != n:
+        raise ValueError("%s fixes only square matrices" % g)
     image = []
     for i in range(m):
         for j in range(n):
-            unit = [0] * m
-            unit[i] = 1 << (n - 1 - j)
-            M = apply(BinaryMatrix.from_masks(m, n, unit), g)
-            if (M.m, M.n) != (m, n):
-                raise ValueError("%s fixes only square matrices" % g)
-            (i2, j2), = M.one_cells()
-            image.append((i2 - 1) * n + j2 - 1)
+            if base == "flipv":
+                i2, j2 = i, n - 1 - j
+            elif base == "transpose":
+                i2, j2 = j, i
+            elif base == "rot90":  # the transpose of the rows reversed
+                i2, j2 = j, m - 1 - i
+            else:
+                i2, j2 = i, j
+            if reverse:
+                i2 = m - 1 - i2
+            image.append(i2 * n + j2)
     return image
 
 

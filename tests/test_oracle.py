@@ -16,6 +16,8 @@ from iamkit.core import (
     VerificationError,
     contains_ik_in_shape,
     is_maximal_iam,
+    is_maximal_iam_by_flips,
+    longest_increasing_chain_quadratic,
     max_ones,
 )
 from iamkit.formulas import count_iams
@@ -32,13 +34,43 @@ from iamkit.oracle import (
 
 
 def test_naive_agrees_with_pruned_search():
-    # every board with at most 16 cells, every valid k; the naive scan uses
-    # the literal flip test and no pruning, so agreement here certifies the
-    # pruned search end to end (content and order both)
+    # every board with at most 16 cells, every valid k; the naive scan
+    # visits every matrix with no pruning, reads each chain off its own
+    # subset-recurrence table and flips every zero of every avoiding matrix
+    # (the literal flip test, each re-test a lookup), so agreement here
+    # certifies the pruned search end to end (content and order both)
     sizes = [(m, n) for m in range(2, 5) for n in range(m, 9) if m * n <= 16]
     for (m, n) in sizes:
         for k in range(2, min(m, n) + 1):
             assert naive_enumerate(m, n, k) == list(enumerate_maximal_iams(m, n, k))
+
+
+def _all_matrices(m, n):
+    """Every m x n matrix, in row-major lexicographic order."""
+    for masks in itertools.product(range(1 << n), repeat=m):
+        yield BinaryMatrix.from_masks(m, n, masks)
+
+
+def test_chain_table_matches_the_quadratic_twin():
+    # every code of every board with at most 12 cells; codes run in the
+    # order of `_all_matrices`
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            longest = oracle._chain_table(m, n)
+            assert len(longest) == 1 << (m * n)
+            for code, M in enumerate(_all_matrices(m, n)):
+                assert longest[code] == \
+                    longest_increasing_chain_quadratic(M), (m, n, M)
+
+
+def test_naive_is_the_flip_test_over_every_matrix():
+    # the certifier's old definition, on every board with at most 9 cells
+    sizes = [(m, n) for m in range(2, 5) for n in range(2, 5) if m * n <= 9]
+    for (m, n) in sizes:
+        for k in range(2, min(m, n) + 1):
+            assert naive_enumerate(m, n, k) == [
+                M for M in _all_matrices(m, n)
+                if is_maximal_iam_by_flips(M, k)], (m, n, k)
 
 
 def test_naive_rejects_large_boards():

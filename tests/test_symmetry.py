@@ -19,6 +19,7 @@ from iamkit.oracle import (
 )
 from iamkit.symmetry import (
     D8_ELEMENTS,
+    _cell_images,
     _orbit_rule,
     _tags_of,
     apply,
@@ -224,6 +225,34 @@ def test_tags_past_the_lookup_tables_equal_their_apply_definition(case):
     if sym is not None:
         M = _symmetrized(M, subgroups(m, n)[sym])
     assert _tags_of(M.masks, m, n) == _tags_by_apply(M)
+
+
+def _cell_images_by_apply(g, m, n):
+    """Where g moves each cell, read off `apply` on each unit matrix."""
+    image = []
+    for i in range(m):
+        for j in range(n):
+            unit = [0] * m
+            unit[i] = 1 << (n - 1 - j)
+            (i2, j2), = apply(BinaryMatrix.from_masks(m, n, unit),
+                              g).one_cells()
+            image.append((i2 - 1) * n + j2 - 1)
+    return image
+
+
+def test_cell_images_equal_their_apply_definition():
+    # every board up to 6x6; the odd elements only on square boards, where
+    # they keep the shape
+    odd = {"rot90", "rot270", "transpose", "antitranspose"}
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for g in D8_ELEMENTS:
+                if m != n and g in odd:
+                    with pytest.raises(ValueError):
+                        _cell_images(g, m, n)
+                else:
+                    assert _cell_images(g, m, n) == \
+                        _cell_images_by_apply(g, m, n), (g, m, n)
 
 
 def test_classes_of_rejects_non_maximal():
