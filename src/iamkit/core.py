@@ -194,6 +194,18 @@ def _at_or_left(tails, n, c):
     return sum(t >= n - c for t in tails)
 
 
+def _chain_across(above, below, n):
+    """The longest chain over two blocks of rows, one above the other, for
+    the thresholds `above` of the upper block and `below` of the lower one
+    turned a half turn.  A chain ending at or left of column c above goes
+    on strictly right of c below, which the turn takes to at or left of
+    column n-c.  The first term grows only at the columns of the upper
+    thresholds and the second never grows with c, so c = 0 and those
+    columns suffice."""
+    return max(_at_or_left(above, n, c) + _at_or_left(below, n, n - c)
+               for c in [0] + [n - t for t in above])
+
+
 # Row masks are reversed and transposed through lookup tables indexed by up
 # to _CHUNK bits at a time, wider masks chunk by chunk; the tables are built
 # on first use, one per width or row count.

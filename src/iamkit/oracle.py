@@ -10,10 +10,13 @@ Three routes, kept deliberately separate:
   also takes one extra rule per row, with which `symmetry` lists only the
   matrices fixed by a subgroup (the rule copies each cell from the first
   cell of its orbit), so a symmetry census never filters the full stream;
+  when the rule mirrors the top rows below (fliph), the listing also drops
+  a top-half prefix once a chain across the fold reaches k;
 * `oracle_count` and `oracle_count_shape` count the same search by the
   transfer-matrix method: a memoized sum over its row state (row, chain
   thresholds, demands), with the same transitions and prunes, so they list
-  nothing;
+  nothing; `symmetry` counts the half-turn classes (HTS, VHS) by a forward
+  sum of the same transitions over the top half, folded at the middle;
 * `naive_enumerate` scans every (0,1)-matrix, with no pruning at all: one
   table gives each code's longest chain by a subset recurrence of its own,
   and a code is kept when it avoids I_k and every flip of one of its zeros
@@ -36,6 +39,8 @@ from .core import (
     SkewShape,
     VerificationError,
     _at_or_left,
+    _bitrev,
+    _chain_across,
     _sweep,
     _tails_below,
     check_budget,
@@ -271,10 +276,9 @@ class _Search:
                     stack[-1][2] += frame[2]
         return memo[key]
 
-    def _live(self, rows, tails, demands, rule):
+    def _allowed(self, rows, tails, demands, rule):
         """The children (mask, next thresholds, next demands) of the state
-        after the placed rows that obey the rule and have a valid
-        completion, lazily, in stream order."""
+        after the placed rows that obey the rule, in stream order."""
         depth = len(rows)
         succ = self.succ(depth, tails)
         forced = rule(rows) if rule is not None else None
@@ -282,10 +286,9 @@ class _Search:
             fixed, values, keep = forced
             succ = [row for row in succ if row[0] & fixed == values
                     and (keep is None or keep(row[0]))]
-        return (child for child in self._children(demands, succ)
-                if self.count(depth + 1, child[1], child[2]))
+        return self._children(demands, succ)
 
-    def start(self, rule=None):
+    def start(self, rule=None, mirror=0):
         """Every full row-mask tuple, in stream order; enters a state only
         when some completion of it is valid.
 
@@ -294,18 +297,38 @@ class _Search:
         test the mask must pass or None) for the next row, or None when the
         row is free.  One lazy frame per placed row on an explicit stack,
         so a board of any height stays clear of Python's recursion limit.
+
+        When the rule makes the last `mirror` rows repeat the first ones in
+        reverse order (a matrix fixed by fliph), a prefix of at most
+        `mirror` rows is cut at the fold.  The repeated rows' chains
+        strictly right of column c are the prefix's down-left chains there,
+        which are the increasing chains of its rows bit-reversed ending at
+        or left of column n-c.  The prefix is dropped as soon as one of
+        them plus a chain it ends at or left of c reaches k, a sum that
+        only grows as rows are added.  The thresholds of the reversed rows
+        are swept one row at a time, on a stack beside the prefix.
         """
-        m = self.m
+        m, n, k = self.m, self.n, self.k
         rows = []
-        stack = [self._live(rows, (), (), rule)]
+        backs = [()]  # backs[d]: thresholds of the first d rows bit-reversed
+        stack = [iter(self._allowed(rows, (), (), rule))]
         while stack:
+            depth = len(rows)
             for mask, nxt, dem in stack[-1]:
+                if depth < mirror:
+                    back = list(backs[depth])
+                    _sweep(back, (_bitrev(mask, n),))
+                    if _chain_across(nxt, back, n) >= k:
+                        continue
+                    backs[depth + 1:] = [back]
+                if not self.count(depth + 1, nxt, dem):
+                    continue
                 rows.append(mask)
-                if len(rows) == m:
+                if depth + 1 == m:
                     yield tuple(rows)
                     rows.pop()
                 else:
-                    stack.append(self._live(rows, nxt, dem, rule))
+                    stack.append(iter(self._allowed(rows, nxt, dem, rule)))
                     break
             else:
                 stack.pop()

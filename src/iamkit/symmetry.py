@@ -19,7 +19,9 @@ from .core import (
     BinaryMatrix,
     SkewShape,
     VerificationError,
+    _at_or_left,
     _bitrev,
+    _chain_across,
     _transpose_masks,
     check_budget,
     check_mnk,
@@ -134,7 +136,13 @@ def _tags_of(masks, m, n):
 # points itself, with one rule per row: a cell whose orbit first meets the
 # board (row-major) in an earlier row is a fixed bit, copied from there; a
 # cell whose orbit first meets it earlier in the same row must equal that
-# cell.
+# cell.  Two shortcuts rest on the fold between the top and bottom halves.
+# A subgroup whose fixed matrices are all fixed by rot180, and whose rule
+# takes no bit of the top half from an earlier row (HTS, VHS), is counted
+# by folding the board: a sum over the search's states for the top half,
+# with no listing (`_fold_count`).  A listing whose matrices are all fixed
+# by fliph (HS, TS, and `enumerate_fixed_points` of fliph) drops a top-half
+# prefix once a chain across the fold reaches k (`oracle._Search.start`).
 
 
 def _cell_images(g, m, n):
@@ -163,9 +171,12 @@ def _cell_images(g, m, n):
 
 
 @functools.cache
-def _orbit_rule(elements, m, n):
-    """The row rule of `oracle._Search.start` that keeps exactly the
-    m x n matrices fixed by every one of these group elements."""
+def _orbits(elements, m, n):
+    """(first, rows) for the subgroup these elements generate on the m x n
+    board: first[c] is the first cell (row-major) of the orbit of cell c,
+    and rows[i] is what being fixed asks of row i: (fixed bits, the source
+    of each as (bit, earlier row, shift), a test of the row's own cells
+    that must be equal, or None)."""
     first = list(range(m * n))  # union-find; each root is its orbit's least
 
     def find(c):
@@ -177,11 +188,12 @@ def _orbit_rule(elements, m, n):
         for c, d in enumerate(_cell_images(g, m, n)):
             a, b = sorted((find(c), find(d)))
             first[b] = a
-    table = []
+    first = tuple(find(c) for c in range(m * n))
+    rows = []
     for i in range(m):
         fixed, sources, pairs = 0, [], []
         for j in range(n):
-            i0, j0 = divmod(find(i * n + j), n)
+            i0, j0 = divmod(first[i * n + j], n)
             bit = 1 << (n - 1 - j)
             if i0 < i:
                 fixed |= bit
@@ -193,7 +205,22 @@ def _orbit_rule(elements, m, n):
             def keep(mask, pairs=tuple(pairs)):
                 return not any(((mask >> a) ^ (mask >> b)) & 1
                                for a, b in pairs)
-        table.append((fixed, sources, keep))
+        rows.append((fixed, tuple(sources), keep))
+    return first, tuple(rows)
+
+
+def _fixes_too(elements, g, m, n):
+    """Is every m x n matrix fixed by these elements fixed by g as well?
+    Exactly when g moves each cell within its orbit."""
+    first = _orbits(elements, m, n)[0]
+    return all(first[c] == first[d]
+               for c, d in enumerate(_cell_images(g, m, n)))
+
+
+def _orbit_rule(elements, m, n):
+    """The row rule of `oracle._Search.start` that keeps exactly the
+    m x n matrices fixed by every one of these group elements."""
+    table = _orbits(elements, m, n)[1]
 
     def rule(rows):
         fixed, sources, keep = table[len(rows)]
@@ -205,6 +232,66 @@ def _orbit_rule(elements, m, n):
                 values |= bit
         return fixed, values, keep
     return rule
+
+
+def _fixed_masks(search, elements):
+    """The row masks of the maximal matrices fixed by these elements, in
+    stream order.  When each of them is fixed by fliph, its top ⌊m/2⌋
+    rows are mirrored below, so the listing cuts them at the fold."""
+    m, n = search.m, search.n
+    rule = _orbit_rule(elements, m, n)  # rejects a bad element first
+    mirror = m // 2 if _fixes_too(elements, "fliph", m, n) else 0
+    return search.start(rule, mirror)
+
+
+# A matrix fixed by rot180 is its top ⌈m/2⌉ rows and their half turn.  When
+# the orbit rule takes no bit of those rows from an earlier row, it asks
+# each of them only to obey a test of its own (the middle row of an odd
+# board, which the turn maps to itself, to be a palindrome), so the class is
+# counted as a sum over the search's states for those rows, with no
+# listing.  The half turn keeps chains increasing, so the bottom half's
+# longest chain strictly right of column c is A(n-c), A(c) being the top
+# half's at or left of c.  A state is kept when no chain across the fold
+# reaches k and A meets every demand left.  A zero of the bottom half needs
+# no check: it is justified exactly when its image in the top half is.  The
+# middle row's palindrome test only prunes: a one at column j with a zero
+# at n+1-j would need A(j-1) + A(n-j) <= k-2 for the one and >= k-1 for
+# the zero's demand, so the fold's checks reject such a row anyway.
+
+
+def _folds(elements, m, n):
+    """Is every matrix fixed by these elements fixed by rot180, with the
+    orbit rule taking no bit of the top ⌈m/2⌉ rows from an earlier row?"""
+    top = _orbits(elements, m, n)[1][:(m + 1) // 2]
+    return not any(fixed for fixed, _, _ in top) and \
+        _fixes_too(elements, "rot180", m, n)
+
+
+def _fold_count(search, elements):
+    """Number of maximal matrices fixed by these elements, for a subgroup
+    that `_folds`: a forward sum over the top half, then the fold."""
+    m, n, k = search.m, search.n, search.k
+    rule = _orbit_rule(elements, m, n)
+    half = m // 2
+    # the rule reads no earlier row here, so zeros stand in for the rows
+    layer = {((), ()): 1}  # (thresholds, demands) -> number of prefixes
+    for depth in range(half):
+        after = {}
+        for (tails, demands), ways in layer.items():
+            for _, nxt, dem in search._allowed((0,) * depth, tails, demands,
+                                               rule):
+                after[nxt, dem] = after.get((nxt, dem), 0) + ways
+        layer = after
+    total = 0
+    for (top, demands), ways in layer.items():
+        below = [_at_or_left(top, n, n - c) for c in range(n + 1)]
+        ends = (search._allowed((0,) * half, top, demands, rule) if m % 2
+                else [(None, top, demands)])
+        for _, tails, dem in ends:
+            if _chain_across(tails, top, n) < k and all(
+                    any(r <= below[c] for c, r in pairs) for pairs in dem):
+                total += ways
+    return total
 
 
 def _listing_search(m, n, k, budget):
@@ -220,12 +307,14 @@ def enumerate_fixed_points(m, n, k, g, budget=None):
     in the order of `oracle.enumerate_maximal_iams`.
 
     g is any of D8_ELEMENTS; transpose, antitranspose and the quarter
-    turns need a square board.  The budget applies as to the stream.
+    turns need a square board.  The budget applies as to the stream.  A
+    listing of the fixed points of fliph is cut at the fold (see
+    `oracle._Search.start`); the matrices and their order are the same.
     """
     search, budget = _listing_search(m, n, k, budget)
-    rule = _orbit_rule((g,), m, n)  # rejects g before the first matrix
-    return (BinaryMatrix.from_masks(m, n, masks)
-            for masks in islice(search.start(rule), budget.max_results))
+    masks = _fixed_masks(search, (g,))  # rejects g before the first matrix
+    return (BinaryMatrix.from_masks(m, n, rows)
+            for rows in islice(masks, budget.max_results))
 
 
 def _class_count(search, tag):
@@ -235,14 +324,17 @@ def _class_count(search, tag):
     m, n = search.m, search.n
     if m != n and tag in _SQUARE_ONLY:
         return 0
-    return sum(1 for _ in search.start(_orbit_rule(_TAG_ELEMENTS[tag], m, n)))
+    elements = _TAG_ELEMENTS[tag]
+    if _folds(elements, m, n):
+        return _fold_count(search, elements)
+    return sum(1 for _ in _fixed_masks(search, elements))
 
 
 def brute_count_class(tag, m, n, k, budget=None):
     """Count maximal IAMs in a symmetry class by search: U by the oracle's
-    transfer-matrix count, any other tag by listing the fixed points of its
-    subgroup, as `class_histogram` does (0 for a square-only tag on another
-    board)."""
+    transfer-matrix count, HTS and VHS by folding the board, any other tag
+    by listing the fixed points of its subgroup, as `class_histogram` does
+    (0 for a square-only tag on another board)."""
     check_mnk(m, n, k)
     if tag == "U":
         return oracle.oracle_count(m, n, k, budget)
@@ -257,11 +349,16 @@ def class_histogram(m, n, k, budget=None):
     carrying it.
 
     U is the oracle's transfer-matrix count.  Every other tag is the number
-    of fixed points of its subgroup (see _TAG_ELEMENTS), listed by the
-    oracle's row search under one orbit rule; nothing is tagged, and all
-    searches share one engine.  The census lists, so the default budget's
-    cell cap applies when none is given; `max_results` truncates streams,
-    so it does not apply to counts.
+    of fixed points of its subgroup (see _TAG_ELEMENTS).  HTS and VHS, whose
+    subgroups contain rot180 and leave the top half's rows to tests of
+    their own, are counted by folding the board: a sum over the row
+    search's states for the top half, kept when the half turn completes
+    them (see `_fold_count`).  The others are listed by the row search
+    under one orbit rule, a listing whose matrices are all fliph-fixed (HS,
+    TS) cut at the fold.  Nothing is tagged, and all searches share one
+    engine.  The census still lists, so the default budget's cell cap
+    applies when none is given; `max_results` truncates streams, so it does
+    not apply to counts.
     """
     search, _ = _listing_search(m, n, k, budget)
     hist = Counter(U=search.total())

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import operator
+import sys
 from collections import Counter
 
 import pytest
@@ -10,16 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iamkit.bijection import enumerate_pp, matrix_to_pp
-from iamkit.core import BinaryMatrix
+from iamkit.core import BinaryMatrix, SkewShape
 from iamkit.formulas import SYMMETRY_TAGS, count_symmetry
 from iamkit.oracle import (
     BudgetExceeded,
     EnumerationBudget,
+    _Search,
     enumerate_maximal_iams,
 )
 from iamkit.symmetry import (
     D8_ELEMENTS,
+    _TAG_ELEMENTS,
     _cell_images,
+    _fixes_too,
+    _fold_count,
+    _folds,
     _orbit_rule,
     _tags_of,
     apply,
@@ -305,6 +311,49 @@ def test_brute_count_class_equals_the_census():
         brute_count_class("XS", 3, 3, 2)
 
 
+def test_fold_count_equals_the_orbit_rule_listing():
+    # every board up to 7x7, so odd heights (a middle row) and m > n too;
+    # the census and brute_count_class both count a tag that folds by
+    # folding, so the listing under the orbit rule is its twin here (on the
+    # smallest boards the orbits are coarse enough for more tags to fold)
+    for m, n, k in boards(7):
+        search = _Search(SkewShape((n,) * m), k)
+        folded = {tag for tag in subgroups(m, n)
+                  if _folds(_TAG_ELEMENTS[tag], m, n)}
+        assert {"HTS", "VHS"} <= folded, (m, n)
+        for tag in sorted(folded):
+            elements = _TAG_ELEMENTS[tag]
+            listed = sum(1 for _ in search.start(_orbit_rule(elements, m, n)))
+            assert _fold_count(search, elements) == listed, (m, n, k, tag)
+
+
+def test_fliph_listing_cut_at_the_fold_equals_the_uncut_one():
+    # every subgroup whose fixed matrices are all fliph-fixed, on every
+    # board up to 7x7: the cut drops only dead prefixes, so the same masks
+    # come out in the same order
+    for m, n, k in boards(7):
+        search = _Search(SkewShape((n,) * m), k)
+        mirrored = {tag for tag in subgroups(m, n)
+                    if _fixes_too(_TAG_ELEMENTS[tag], "fliph", m, n)}
+        assert {"HS", "VHS"} | ({"TS"} if m == n else set()) <= mirrored, \
+            (m, n)
+        for tag in sorted(mirrored):
+            rule = _orbit_rule(_TAG_ELEMENTS[tag], m, n)
+            assert list(search.start(rule, m // 2)) == \
+                list(search.start(rule)), (m, n, k, tag)
+
+
+def test_fold_and_cut_on_boards_taller_than_the_recursion_limit():
+    # the fold sums the top half row by row, and the cut listing keeps its
+    # mirror thresholds on a stack, so neither uses Python's call stack
+    for m in (1200, 1201):
+        assert m > sys.getrecursionlimit()
+        budget = EnumerationBudget(max_cells=2 * m)
+        for tag in ("HTS", "HS"):
+            assert brute_count_class(tag, m, 2, 2, budget) == \
+                count_symmetry(tag, m, 2, 2), (m, tag)
+
+
 @pytest.mark.parametrize("g,size,digest", [
     ("rot180", 120,
      "090069368bf50e99d85d2bcd8647f054f7d6a9b173f61d9a90c31e9fed168a39"),
@@ -336,7 +385,8 @@ def test_fixed_points_reject_other_elements():
 
 
 def test_census_keeps_the_listing_budget():
-    # the census lists fixed points, so the default 64-cell cap applies
+    # the census still lists the fixed points of every tag but HTS and VHS,
+    # which it counts by the fold, so the default 64-cell cap applies
     with pytest.raises(BudgetExceeded):
         class_histogram(9, 9, 5)
     with pytest.raises(BudgetExceeded):
