@@ -66,6 +66,19 @@ def _digits(n):
     return _digits(hi) + _digits(lo).zfill(half)
 
 
+# the options that some branch of count or enumerate does not read
+_DESTS = {"--m": "m", "--n": "n", "--t": "t", "--lambda": "lam", "--mu": "mu"}
+
+
+def _refuse(args, why, *options):
+    """Refuse the first of these options that was given: the branch that
+    runs (`why`) does not read it, so its answer would not be the one
+    asked for."""
+    for opt in options:
+        if getattr(args, _DESTS[opt]) is not None:
+            raise ValueError("%s is not read %s" % (opt, why))
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -74,7 +87,10 @@ def _cmd_count(args, out):
     fmt = args.format
     budget = EnumerationBudget(max_cells=args.budget)
     oracle_val = None
+    if args.lam is None:
+        _refuse(args, "without --lambda", "--mu")
     if args.cls is not None:
+        _refuse(args, "with --class", "--t", "--lambda")
         m = args.m if args.m is not None else args.n
         n = args.n if args.n is not None else args.m
         if m is None or n is None or args.k is None:
@@ -85,6 +101,7 @@ def _cmd_count(args, out):
             from . import symmetry
             oracle_val = symmetry.brute_count_class(args.cls, m, n, k, budget)
     elif args.lam is not None:
+        _refuse(args, "with --lambda", "--m", "--n", "--t")
         if args.k is None:
             raise ValueError("--lambda needs --k")
         from . import skew
@@ -156,12 +173,14 @@ def _cmd_enumerate(args, out):
     budget = EnumerationBudget(max_cells=args.budget,
                                max_results=args.max_results)
     if args.lam is not None:
+        _refuse(args, "with --lambda", "--m", "--n")
         shape = SkewShape(_parse_parts(args.lam),
                           _parse_parts(args.mu) if args.mu else ())
         stream = oracle.enumerate_maximal_fillings(shape, args.k, budget)
         for F in stream:
             _emit(out, _json_compact(F.to_json_dict()))
     else:
+        _refuse(args, "without --lambda", "--mu")
         if args.m is None or args.n is None:
             raise ValueError("enumerate needs --m --n or --lambda")
         stream = oracle.enumerate_maximal_iams(args.m, args.n, args.k, budget)

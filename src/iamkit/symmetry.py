@@ -139,10 +139,11 @@ def _tags_of(masks, m, n):
 # cell.  Two shortcuts rest on the fold between the top and bottom halves.
 # A subgroup whose fixed matrices are all fixed by rot180, and whose rule
 # takes no bit of the top half from an earlier row (HTS, VHS), is counted
-# by folding the board: a sum over the search's states for the top half,
-# with no listing (`_fold_count`).  A listing whose matrices are all fixed
-# by fliph (HS, TS, and `enumerate_fixed_points` of fliph) drops a top-half
-# prefix once a chain across the fold reaches k (`oracle._Search.start`).
+# by folding the board: the search's forward sum over its states for the
+# top half, with no listing (`_fold_count`).  A listing whose matrices are
+# all fixed by fliph (HS, TS, and `enumerate_fixed_points` of fliph) drops
+# a top-half prefix once a chain across the fold reaches k
+# (`oracle._Search.start`).
 
 
 def _cell_images(g, m, n):
@@ -172,11 +173,14 @@ def _cell_images(g, m, n):
 
 @functools.cache
 def _orbits(elements, m, n):
-    """(first, rows) for the subgroup these elements generate on the m x n
-    board: first[c] is the first cell (row-major) of the orbit of cell c,
-    and rows[i] is what being fixed asks of row i: (fixed bits, the source
-    of each as (bit, earlier row, shift), a test of the row's own cells
-    that must be equal, or None)."""
+    """(rows, mirrors, folds) for the subgroup these elements generate on
+    the m x n board.  rows[i] is what being fixed asks of row i: (fixed
+    bits, the source of each as (bit, earlier row, shift), a test of the
+    row's own cells that must be equal, or None).  mirrors: is every fixed
+    matrix fixed by fliph as well?  folds: is every fixed matrix fixed by
+    rot180, with no bit of the top ⌈m/2⌉ rows taken from an earlier row?
+    An element fixes every fixed matrix exactly when it moves each cell
+    within its orbit."""
     first = list(range(m * n))  # union-find; each root is its orbit's least
 
     def find(c):
@@ -206,21 +210,20 @@ def _orbits(elements, m, n):
                 return not any(((mask >> a) ^ (mask >> b)) & 1
                                for a, b in pairs)
         rows.append((fixed, tuple(sources), keep))
-    return first, tuple(rows)
 
+    def fixes_too(g):
+        return all(first[c] == first[d]
+                   for c, d in enumerate(_cell_images(g, m, n)))
 
-def _fixes_too(elements, g, m, n):
-    """Is every m x n matrix fixed by these elements fixed by g as well?
-    Exactly when g moves each cell within its orbit."""
-    first = _orbits(elements, m, n)[0]
-    return all(first[c] == first[d]
-               for c, d in enumerate(_cell_images(g, m, n)))
+    folds = not any(fixed for fixed, _, _ in rows[:(m + 1) // 2]) and \
+        fixes_too("rot180")
+    return tuple(rows), fixes_too("fliph"), folds
 
 
 def _orbit_rule(elements, m, n):
     """The row rule of `oracle._Search.start` that keeps exactly the
     m x n matrices fixed by every one of these group elements."""
-    table = _orbits(elements, m, n)[1]
+    table = _orbits(elements, m, n)[0]
 
     def rule(rows):
         fixed, sources, keep = table[len(rows)]
@@ -239,9 +242,8 @@ def _fixed_masks(search, elements):
     stream order.  When each of them is fixed by fliph, its top ⌊m/2⌋
     rows are mirrored below, so the listing cuts them at the fold."""
     m, n = search.m, search.n
-    rule = _orbit_rule(elements, m, n)  # rejects a bad element first
-    mirror = m // 2 if _fixes_too(elements, "fliph", m, n) else 0
-    return search.start(rule, mirror)
+    mirrors = _orbits(elements, m, n)[1]  # rejects a bad element first
+    return search.start(_orbit_rule(elements, m, n), m // 2 if mirrors else 0)
 
 
 # A matrix fixed by rot180 is its top ⌈m/2⌉ rows and their half turn.  When
@@ -259,31 +261,15 @@ def _fixed_masks(search, elements):
 # the zero's demand, so the fold's checks reject such a row anyway.
 
 
-def _folds(elements, m, n):
-    """Is every matrix fixed by these elements fixed by rot180, with the
-    orbit rule taking no bit of the top ⌈m/2⌉ rows from an earlier row?"""
-    top = _orbits(elements, m, n)[1][:(m + 1) // 2]
-    return not any(fixed for fixed, _, _ in top) and \
-        _fixes_too(elements, "rot180", m, n)
-
-
 def _fold_count(search, elements):
     """Number of maximal matrices fixed by these elements, for a subgroup
-    that `_folds`: a forward sum over the top half, then the fold."""
+    that folds (see `_orbits`): the row search's forward sum over the top
+    half (`oracle._Search.layer`), then the fold."""
     m, n, k = search.m, search.n, search.k
     rule = _orbit_rule(elements, m, n)
     half = m // 2
-    # the rule reads no earlier row here, so zeros stand in for the rows
-    layer = {((), ()): 1}  # (thresholds, demands) -> number of prefixes
-    for depth in range(half):
-        after = {}
-        for (tails, demands), ways in layer.items():
-            for _, nxt, dem in search._allowed((0,) * depth, tails, demands,
-                                               rule):
-                after[nxt, dem] = after.get((nxt, dem), 0) + ways
-        layer = after
     total = 0
-    for (top, demands), ways in layer.items():
+    for (top, demands), ways in search.layer(half, rule).items():
         below = [_at_or_left(top, n, n - c) for c in range(n + 1)]
         ends = (search._allowed((0,) * half, top, demands, rule) if m % 2
                 else [(None, top, demands)])
@@ -325,7 +311,7 @@ def _class_count(search, tag):
     if m != n and tag in _SQUARE_ONLY:
         return 0
     elements = _TAG_ELEMENTS[tag]
-    if _folds(elements, m, n):
+    if _orbits(elements, m, n)[2]:
         return _fold_count(search, elements)
     return sum(1 for _ in _fixed_masks(search, elements))
 
@@ -348,14 +334,15 @@ def class_histogram(m, n, k, budget=None):
     """Counter mapping each tag to the number of maximal m x n matrices
     carrying it.
 
-    U is the oracle's transfer-matrix count.  Every other tag is the number
-    of fixed points of its subgroup (see _TAG_ELEMENTS).  HTS and VHS, whose
+    U is the oracle's transfer-matrix count: the row search's forward sum
+    over its states, row by row.  Every other tag is the number of fixed
+    points of its subgroup (see _TAG_ELEMENTS).  HTS and VHS, whose
     subgroups contain rot180 and leave the top half's rows to tests of
-    their own, are counted by folding the board: a sum over the row
-    search's states for the top half, kept when the half turn completes
-    them (see `_fold_count`).  The others are listed by the row search
-    under one orbit rule, a listing whose matrices are all fliph-fixed (HS,
-    TS) cut at the fold.  Nothing is tagged, and all searches share one
+    their own, are counted by folding the board: the same forward sum over
+    the top half, each state kept when the half turn completes it (see
+    `_fold_count`).  The others are listed by the row search under one
+    orbit rule, a listing whose matrices are all fliph-fixed (HS, TS) cut
+    at the fold.  Nothing is tagged, and all searches share one
     engine.  The census still lists, so the default budget's cell cap
     applies when none is given; `max_results` truncates streams, so it does
     not apply to counts.

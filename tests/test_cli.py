@@ -410,6 +410,34 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,refused", [
+    (["count", "--m", "4", "--n", "4", "--k", "3", "--mu", "1"],
+     "--mu is not read without --lambda"),
+    (["count", "--m", "3", "--n", "3", "--k", "2", "--t", "1", "--mu", "1"],
+     "--mu is not read without --lambda"),
+    (["count", "--class", "HS", "--n", "5", "--k", "3", "--t", "1"],
+     "--t is not read with --class"),
+    (["count", "--class", "DS", "--n", "4", "--k", "2", "--lambda", "4,4"],
+     "--lambda is not read with --class"),
+    (["count", "--m", "3", "--n", "3", "--k", "3", "--lambda", "3,3"],
+     "--m is not read with --lambda"),
+    (["count", "--n", "3", "--k", "2", "--lambda", "3,3", "--with-oracle"],
+     "--n is not read with --lambda"),
+    (["count", "--k", "2", "--t", "1", "--lambda", "3,3"],
+     "--t is not read with --lambda"),
+    (["enumerate", "--m", "9", "--n", "9", "--k", "2", "--lambda", "2,2"],
+     "--m is not read with --lambda"),
+    (["enumerate", "--m", "2", "--n", "2", "--k", "2", "--mu", "1"],
+     "--mu is not read without --lambda"),
+])
+def test_options_the_command_would_not_read_are_refused(capsys, argv,
+                                                        refused):
+    # each of these once printed the answer to another question, the
+    # option dropped without a word
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "invalid input: %s\n" % refused)
+
+
 def test_argparse_errors_end_in_one_line(capsys):
     # argparse's own refusals print no usage text, only the error
     assert main(["count", "--m", "x"]) == 1

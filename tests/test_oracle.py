@@ -340,6 +340,28 @@ def test_shape_count_agrees_with_naive_scan_random(sh, k):
         naive, key=lambda F: F.masks)
 
 
+def test_every_state_has_a_child_and_no_leaf_carries_a_demand():
+    # the listing enters every child and yields every full prefix, and the
+    # count sums the states after the last row as one filling each: so no
+    # reachable state may be dead, and none after the last row may still
+    # carry a demand (nothing lies below that row, so its room is 0).  The
+    # first is measured here, on every rectangle up to 7 x 7, the catalog
+    # and every shape in a 4 x 4 box; the second follows from the room
+    from test_skew import CATALOG
+    boards = [(SkewShape((n,) * m), k) for m in range(1, 8)
+              for n in range(1, 8) for k in range(2, min(m, n) + 1)]
+    boards += [(SkewShape(lam, mu), k) for lam, mu, k, _ in CATALOG]
+    boards += [(sh, k) for sh in _skew_shapes_in_box(4, 4)
+               for k in range(2, 5)]
+    for shape, k in boards:
+        search = oracle._Search(shape, k)
+        for depth in range(search.m):
+            for tails, dem in search.layer(depth):
+                assert search._children(dem, search.succ(depth, tails)), \
+                    (shape, k, depth, tails, dem)
+        assert all(not dem for _, dem in search.layer(search.m)), (shape, k)
+
+
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         list(enumerate_maximal_iams(3, 3, 1))

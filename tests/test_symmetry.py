@@ -23,10 +23,9 @@ from iamkit.symmetry import (
     D8_ELEMENTS,
     _TAG_ELEMENTS,
     _cell_images,
-    _fixes_too,
     _fold_count,
-    _folds,
     _orbit_rule,
+    _orbits,
     _tags_of,
     apply,
     brute_count_class,
@@ -319,7 +318,7 @@ def test_fold_count_equals_the_orbit_rule_listing():
     for m, n, k in boards(7):
         search = _Search(SkewShape((n,) * m), k)
         folded = {tag for tag in subgroups(m, n)
-                  if _folds(_TAG_ELEMENTS[tag], m, n)}
+                  if _orbits(_TAG_ELEMENTS[tag], m, n)[2]}
         assert {"HTS", "VHS"} <= folded, (m, n)
         for tag in sorted(folded):
             elements = _TAG_ELEMENTS[tag]
@@ -334,7 +333,7 @@ def test_fliph_listing_cut_at_the_fold_equals_the_uncut_one():
     for m, n, k in boards(7):
         search = _Search(SkewShape((n,) * m), k)
         mirrored = {tag for tag in subgroups(m, n)
-                    if _fixes_too(_TAG_ELEMENTS[tag], "fliph", m, n)}
+                    if _orbits(_TAG_ELEMENTS[tag], m, n)[1]}
         assert {"HS", "VHS"} | ({"TS"} if m == n else set()) <= mirrored, \
             (m, n)
         for tag in sorted(mirrored):
