@@ -19,6 +19,7 @@ import sys
 # modules it runs, so `count` by formula never loads the searches.
 from . import formulas
 from .core import (
+    DEFAULT_BUDGET,
     DEFAULT_SEED,
     BinaryMatrix,
     BudgetExceeded,
@@ -67,7 +68,8 @@ def _digits(n):
 
 
 # the options that some branch of count or enumerate does not read
-_DESTS = {"--m": "m", "--n": "n", "--t": "t", "--lambda": "lam", "--mu": "mu"}
+_DESTS = {"--m": "m", "--n": "n", "--t": "t", "--lambda": "lam", "--mu": "mu",
+          "--budget": "budget"}
 
 
 def _refuse(args, why, *options):
@@ -85,7 +87,10 @@ def _refuse(args, why, *options):
 
 def _cmd_count(args, out):
     fmt = args.format
-    budget = EnumerationBudget(max_cells=args.budget)
+    if not args.with_oracle:
+        _refuse(args, "without --with-oracle", "--budget")
+    budget = (DEFAULT_BUDGET if args.budget is None
+              else EnumerationBudget(max_cells=args.budget))
     oracle_val = None
     if args.lam is None:
         _refuse(args, "without --lambda", "--mu")
@@ -429,6 +434,9 @@ def _build_parser():
     sp = sub.add_parser("count", help="closed-form counts, optionally "
                                       "checked against the search oracle")
     add_common(sp)
+    # only --with-oracle runs a search, so a budget given without it is
+    # refused, and one not given is told apart from the default
+    sp.set_defaults(budget=None)
     sp.add_argument("--format", choices=("text", "json", "csv"),
                     default="text")
     sp.add_argument("--t", type=int, default=None)

@@ -11,6 +11,8 @@ array.  An *increasing chain* of length k is a sequence of k one-entries
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
+from operator import add
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +196,23 @@ def _at_or_left(tails, n, c):
     return sum(t >= n - c for t in tails)
 
 
+def _profile(tails, n):
+    """[_at_or_left(tails, n, c) for c = 0..n], in one pass: a threshold at
+    bit t is counted from column n-t on."""
+    steps = [0] * (n + 1)
+    for t in tails:
+        steps[n - t] += 1
+    return list(accumulate(steps))
+
+
 def _chain_across(above, below, n):
     """The longest chain over two blocks of rows, one above the other, for
     the thresholds `above` of the upper block and `below` of the lower one
     turned a half turn.  A chain ending at or left of column c above goes
     on strictly right of c below, which the turn takes to at or left of
-    column n-c.  The first term grows only at the columns of the upper
-    thresholds and the second never grows with c, so c = 0 and those
-    columns suffice."""
-    return max(_at_or_left(above, n, c) + _at_or_left(below, n, n - c)
-               for c in [0] + [n - t for t in above])
+    column n-c: the best sum of the two profiles read in opposite
+    directions."""
+    return max(map(add, _profile(above, n), reversed(_profile(below, n))))
 
 
 # Row masks are reversed and transposed through lookup tables indexed by up

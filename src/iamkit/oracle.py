@@ -11,13 +11,16 @@ Three routes, kept deliberately separate:
   matrices fixed by a subgroup (the rule copies each cell from the first
   cell of its orbit), so a symmetry census never filters the full stream;
   when the rule mirrors the top rows below (fliph), the listing also drops
-  a top-half prefix once a chain across the fold reaches k;
+  a top-half prefix once a chain across the fold reaches k; a state's
+  children are found once per search and read by every listing on it,
+  whatever its rule;
 * `oracle_count` and `oracle_count_shape` count the same search by the
   transfer-matrix method: one forward sum, row by row, of the number of
   prefixes reaching each row state (chain thresholds, demands), with the
   same transitions and prunes, so they list nothing; `symmetry` counts the
   half-turn classes (HTS, VHS) by the same sum over the top half, folded
-  at the middle;
+  at the middle, HTS off the top-half layers the search kept from its
+  count;
 * `naive_enumerate` scans every (0,1)-matrix, with no pruning at all: one
   table gives each code's longest chain by a subset recurrence of its own,
   and a code is kept when it avoids I_k and every flip of one of its zeros
@@ -39,9 +42,9 @@ from .core import (
     Filling,
     SkewShape,
     VerificationError,
-    _at_or_left,
     _bitrev,
     _chain_across,
+    _profile,
     _sweep,
     _tails_below,
     check_budget,
@@ -108,6 +111,17 @@ from .core import (
 # listing's output does not rest on it, only its work.  Every listed
 # filling is still put through the literal maximality test, as an
 # invariant that raises if it ever fails.
+#
+# Each state's work is done once per search.  The successor rows are kept
+# per (depth, thresholds) and the room per (depth, next thresholds).  The
+# listing keeps each state's children, before any row rule, per (depth,
+# thresholds, demands), so the many prefixes that reach one state, and
+# every listing on the search (the class listings of a census, under their
+# own rules), advance its demands once; the rule filters the children it
+# reads.  The forward sum keeps no children, only each rule-free layer's
+# counts per state, which the half-turn fold reads again.  Every per-column
+# chain profile of a thresholds tuple is built in one pass
+# (`core._profile`).
 
 
 def _implies(b, a):
@@ -152,13 +166,14 @@ class _Search:
         # zero's below-right chain: off the thresholds of the rows below,
         # here the shape's full rows, turned a half turn
         n = self.n
-        self.geo = [[_at_or_left(below, n, n - c) for c in range(n + 1)]
-                    for below in _tails_below(
-                        [((1 << (hi - lo)) - 1) << (n - hi)
-                         for lo, hi in self.spans], n)]
+        self.geo = [_profile(below, n)[::-1] for below in _tails_below(
+            [((1 << (hi - lo)) - 1) << (n - hi) for lo, hi in self.spans], n)]
         self._room = {}    # (depth, next tails) -> room below the row
         self._succ = {}    # (depth, tails) -> [(mask, next tails,
                            #                    new demands, room)]
+        self._kids = {}    # (depth, tails, demands) -> the listing's
+                           # children, before any rule
+        self._layers = [{((), ()): 1}]  # the rule-free layers summed so far
 
     def room(self, depth, nxt):
         """room[c]: the longest chain the rows after row depth+1 can still
@@ -167,9 +182,10 @@ class _Search:
         key = (depth, nxt)
         got = self._room.get(key)
         if got is None:
-            geo, k, n = self.geo[depth], self.k, self.n
-            got = [0] + [min(geo[c], k - 1 - _at_or_left(nxt, n, c))
-                         for c in range(1, n + 1)]
+            geo, k = self.geo[depth], self.k
+            at = _profile(nxt, self.n)
+            got = [0] + [min(geo[c], k - 1 - at[c])
+                         for c in range(1, self.n + 1)]
             self._room[key] = got
         return got
 
@@ -182,7 +198,7 @@ class _Search:
         if got is None:
             n, k, geo = self.n, self.k, self.geo[depth]
             lo, hi = self.spans[depth]
-            at = [_at_or_left(tails, n, c) for c in range(n + 1)]
+            at = _profile(tails, n)
             got = []
             # (next column, mask so far, the chain this row's last one so
             # far ends or 0, demands of its zeros); a prefix's zero branch
@@ -246,17 +262,36 @@ class _Search:
                 out.append((mask, nxt, dem))
         return out
 
+    @staticmethod
+    def _obeying(rows, items, rule):
+        """The items (each led by a row mask) whose row the rule allows
+        after the placed rows, in their order."""
+        forced = rule(rows) if rule is not None else None
+        if forced is None:
+            return items
+        fixed, values, keep = forced
+        return [x for x in items if x[0] & fixed == values
+                and (keep is None or keep(x[0]))]
+
     def _allowed(self, rows, tails, demands, rule):
         """The children (mask, next thresholds, next demands) of the state
-        after the placed rows that obey the rule, in stream order."""
-        depth = len(rows)
-        succ = self.succ(depth, tails)
-        forced = rule(rows) if rule is not None else None
-        if forced is not None:
-            fixed, values, keep = forced
-            succ = [row for row in succ if row[0] & fixed == values
-                    and (keep is None or keep(row[0]))]
+        after the placed rows that obey the rule, in stream order; the rule
+        filters the successor rows before any demand is advanced, and
+        nothing is kept."""
+        succ = self._obeying(rows, self.succ(len(rows), tails), rule)
         return self._children(demands, succ)
+
+    def _listed(self, rows, tails, demands, rule):
+        """What `_allowed` returns, for the listing: the state's children
+        before any rule are computed once per search and kept, so every
+        prefix and every listing on this search that reaches the state
+        shares them, and the rule filters them after."""
+        key = (len(rows), tails, demands)
+        kids = self._kids.get(key)
+        if kids is None:
+            kids = self._kids[key] = self._children(
+                demands, self.succ(len(rows), tails))
+        return self._obeying(rows, kids, rule)
 
     def start(self, rule=None, mirror=0):
         """Every full row-mask tuple, in stream order.
@@ -266,6 +301,9 @@ class _Search:
         test the mask must pass or None) for the next row, or None when the
         row is free.  One lazy frame per placed row on an explicit stack,
         so a board of any height stays clear of Python's recursion limit.
+        Each frame reads its state's children off the search's memo
+        (`_listed`), shared by every listing on the search, and filters
+        them by the rule.
 
         When the rule makes the last `mirror` rows repeat the first ones in
         reverse order (a matrix fixed by fliph), a prefix of at most
@@ -280,7 +318,7 @@ class _Search:
         m, n, k = self.m, self.n, self.k
         rows = []
         backs = [()]  # backs[d]: thresholds of the first d rows bit-reversed
-        stack = [iter(self._allowed(rows, (), (), rule))]
+        stack = [iter(self._listed(rows, (), (), rule))]
         while stack:
             depth = len(rows)
             for mask, nxt, dem in stack[-1]:
@@ -295,27 +333,42 @@ class _Search:
                     yield tuple(rows)
                     rows.pop()
                 else:
-                    stack.append(iter(self._allowed(rows, nxt, dem, rule)))
+                    stack.append(iter(self._listed(rows, nxt, dem, rule)))
                     break
             else:
                 stack.pop()
                 if rows:
                     rows.pop()
 
+    def _step(self, depth, layer, rule):
+        """The layer after row depth+1, summed from the one before it."""
+        rows, after = (0,) * depth, {}
+        for (tails, demands), ways in layer.items():
+            for _, nxt, dem in self._allowed(rows, tails, demands, rule):
+                after[nxt, dem] = after.get((nxt, dem), 0) + ways
+        return after
+
     def layer(self, depth, rule=None):
         """{(thresholds, demands): number of prefixes} over the states
-        after the first `depth` rows, summed forward one row at a time.
+        after the first `depth` rows, summed forward one row at a time; the
+        caller must not change it.
 
-        With a rule, only prefixes whose every row obeys it are counted;
-        the rule must read no earlier row, since zeros stand in for them."""
-        layer = {((), ()): 1}
-        for d in range(depth):
-            rows, after = (0,) * d, {}
-            for (tails, demands), ways in layer.items():
-                for _, nxt, dem in self._allowed(rows, tails, demands, rule):
-                    after[nxt, dem] = after.get((nxt, dem), 0) + ways
-            layer = after
-        return layer
+        Without a rule, the layers are kept on the search, so each is
+        summed once however often it is asked for: `total()` sums every
+        one, and a fold whose rule leaves the top half's rows free reads
+        its half off them.  No children are kept, only the counts per
+        state.  With a rule, only prefixes whose every row obeys it are
+        counted, and nothing is kept; the rule must read no earlier row,
+        since zeros stand in for them."""
+        if rule is not None:
+            layer = self._layers[0]
+            for d in range(depth):
+                layer = self._step(d, layer, rule)
+            return layer
+        layers = self._layers
+        while len(layers) <= depth:
+            layers.append(self._step(len(layers) - 1, layers[-1], None))
+        return layers[depth]
 
     def total(self):
         """Number of full fillings: every state after the last row carries

@@ -19,9 +19,9 @@ from .core import (
     BinaryMatrix,
     SkewShape,
     VerificationError,
-    _at_or_left,
     _bitrev,
     _chain_across,
+    _profile,
     _transpose_masks,
     check_budget,
     check_mnk,
@@ -140,10 +140,11 @@ def _tags_of(masks, m, n):
 # A subgroup whose fixed matrices are all fixed by rot180, and whose rule
 # takes no bit of the top half from an earlier row (HTS, VHS), is counted
 # by folding the board: the search's forward sum over its states for the
-# top half, with no listing (`_fold_count`).  A listing whose matrices are
-# all fixed by fliph (HS, TS, and `enumerate_fixed_points` of fliph) drops
-# a top-half prefix once a chain across the fold reaches k
-# (`oracle._Search.start`).
+# top half, with no listing (`_fold_count`); HTS, whose rule leaves those
+# rows free, reads the rule-free sum that the search keeps.  A listing
+# whose matrices are all fixed by fliph (HS, TS, and
+# `enumerate_fixed_points` of fliph) drops a top-half prefix once a chain
+# across the fold reaches k (`oracle._Search.start`).
 
 
 def _cell_images(g, m, n):
@@ -264,13 +265,18 @@ def _fixed_masks(search, elements):
 def _fold_count(search, elements):
     """Number of maximal matrices fixed by these elements, for a subgroup
     that folds (see `_orbits`): the row search's forward sum over the top
-    half (`oracle._Search.layer`), then the fold."""
+    half (`oracle._Search.layer`), then the fold.  When the rule leaves
+    every top-half row free (HTS), the sum is the rule-free one that the
+    search keeps, so after the census's U count it is not summed again;
+    otherwise (VHS's palindromic rows) it is summed under the rule."""
     m, n, k = search.m, search.n, search.k
-    rule = _orbit_rule(elements, m, n)
+    rows, rule = _orbits(elements, m, n)[0], _orbit_rule(elements, m, n)
     half = m // 2
+    free = all(not fixed and keep is None for fixed, _, keep in rows[:half])
     total = 0
-    for (top, demands), ways in search.layer(half, rule).items():
-        below = [_at_or_left(top, n, n - c) for c in range(n + 1)]
+    for (top, demands), ways in search.layer(
+            half, None if free else rule).items():
+        below = _profile(top, n)[::-1]
         ends = (search._allowed((0,) * half, top, demands, rule) if m % 2
                 else [(None, top, demands)])
         for _, tails, dem in ends:
@@ -340,12 +346,15 @@ def class_histogram(m, n, k, budget=None):
     subgroups contain rot180 and leave the top half's rows to tests of
     their own, are counted by folding the board: the same forward sum over
     the top half, each state kept when the half turn completes it (see
-    `_fold_count`).  The others are listed by the row search under one
-    orbit rule, a listing whose matrices are all fliph-fixed (HS, TS) cut
-    at the fold.  Nothing is tagged, and all searches share one
-    engine.  The census still lists, so the default budget's cell cap
-    applies when none is given; `max_results` truncates streams, so it does
-    not apply to counts.
+    `_fold_count`); HTS reads the top half's layers that the U count
+    kept.  The others are listed by the row search under one orbit rule,
+    a listing whose matrices are all fliph-fixed (HS, TS) cut at the fold.
+    Nothing is tagged, and all run on one search, so each row state's
+    successors, room and children are found once for the whole census:
+    the first listing to reach a state keeps its children before any
+    rule, and every later one filters them by its own.  The census still
+    lists, so the default budget's cell cap applies when none is given;
+    `max_results` truncates streams, so it does not apply to counts.
     """
     search, _ = _listing_search(m, n, k, budget)
     hist = Counter(U=search.total())

@@ -14,7 +14,11 @@ from iamkit.core import (
     Filling,
     Partition,
     SkewShape,
+    _at_or_left,
+    _chain_across,
+    _profile,
     _sweep,
+    _tails_below,
     _zero_bounds,
     contains_ik,
     contains_ik_in_shape,
@@ -94,6 +98,55 @@ def test_thresholds_match_their_definition(board):
         _sweep(nxt, (mk,))
         state = tuple(nxt)
     assert state == tuple(want)
+
+
+def _swept(m, n):
+    """Every thresholds tuple that some list of at most m rows of n bits
+    sweeps to, reached row by row."""
+    seen, layer = {()}, {()}
+    for _ in range(m):
+        after = set()
+        for tails in layer:
+            for mk in range(1 << n):
+                nxt = list(tails)
+                _sweep(nxt, (mk,))
+                after.add(tuple(nxt))
+        layer = after
+        seen |= after
+    return sorted(seen)
+
+
+def test_profile_and_chain_across_match_their_definitions():
+    # thresholds swept from every list of rows on boards up to 5x5: the
+    # profile is the chain at or left of each column, and the chain across
+    # two blocks the best, over columns c, of the upper block's chain at or
+    # left of c and the turned lower block's at or left of n-c
+    for n in range(1, 6):
+        swept = _swept(5, n)
+        for tails in swept:
+            assert _profile(tails, n) == \
+                [_at_or_left(tails, n, c) for c in range(n + 1)], (n, tails)
+        for above in swept:
+            for below in swept:
+                assert _chain_across(above, below, n) == max(
+                    _at_or_left(above, n, c) + _at_or_left(below, n, n - c)
+                    for c in range(n + 1)), (n, above, below)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n),
+                                                      _masks_of(n, 10))))
+def test_chain_across_a_cut_is_the_longest_chain(board):
+    # the rows cut after any row: the chain across the cut, read off the
+    # upper rows' thresholds and the lower rows' turned a half turn, is
+    # the longest chain of the whole board
+    n, masks = board
+    M = BinaryMatrix.from_masks(len(masks), n, masks)
+    longest = longest_increasing_chain_quadratic(M)
+    above = []
+    for mk, below in zip(masks, _tails_below(masks, n)):
+        _sweep(above, (mk,))
+        assert _chain_across(tuple(above), below, n) == longest
 
 
 @st.composite

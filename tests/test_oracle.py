@@ -132,8 +132,9 @@ def test_count_beyond_the_listing_frontier():
 
 
 def test_boards_taller_than_the_recursion_limit():
-    # the count and the listing keep one frame per row on explicit stacks,
-    # not on Python's call stack
+    # the count is a forward sum, one row at a time, with no stack; the
+    # listing keeps one lazy frame per row on an explicit stack, not on
+    # Python's call stack
     m = 1200
     assert m > sys.getrecursionlimit()
     assert oracle_count(m, 2, 2) == count_iams(m, 2, 2) == m
@@ -360,6 +361,26 @@ def test_every_state_has_a_child_and_no_leaf_carries_a_demand():
                 assert search._children(dem, search.succ(depth, tails)), \
                     (shape, k, depth, tails, dem)
         assert all(not dem for _, dem in search.layer(search.m)), (shape, k)
+
+
+def test_kept_layers_equal_fresh_ones():
+    # total() keeps every rule-free layer it sums on the search, and a
+    # later layer(d) reads it back; each must equal layer(d) summed on a
+    # fresh search, also under a rule that allows every row (which keeps
+    # nothing), and a layer asked for again is not summed again
+    from test_skew import CATALOG
+    boards = [(SkewShape((n,) * m), k) for m in range(1, 7)
+              for n in range(1, 7) for k in range(2, min(m, n) + 1)]
+    boards += [(SkewShape(lam, mu), k) for lam, mu, k, _ in CATALOG]
+    for shape, k in boards:
+        search = oracle._Search(shape, k)
+        search.total()
+        for depth in range(search.m + 1):
+            kept = search.layer(depth)
+            assert kept == oracle._Search(shape, k).layer(depth) == \
+                oracle._Search(shape, k).layer(depth, lambda rows: None), \
+                (shape, k, depth)
+            assert search.layer(depth) is kept
 
 
 def test_invalid_parameters():

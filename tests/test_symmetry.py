@@ -342,6 +342,34 @@ def test_fliph_listing_cut_at_the_fold_equals_the_uncut_one():
                 list(search.start(rule)), (m, n, k, tag)
 
 
+def test_listings_on_a_shared_search_equal_fresh_ones():
+    # the listing keeps each state's children, before any rule, on the
+    # search, and every listing on it reads them: the DS, AS, HS, ...
+    # listings of a census after its U count, the certifier's stream.  On
+    # every board up to 6x6, each subgroup's listing, cut at the fold or
+    # not, and the unrestricted one, run twice in turn on one search after
+    # its U count, must each equal that listing on a fresh search.  A copy
+    # that keeps the children the rule left instead fails here: the rule
+    # listings run first, and the unrestricted one then misses matrices
+    for m, n, k in boards(6):
+        shape = SkewShape((n,) * m)
+        listings = []
+        for tag, elements in sorted(subgroups(m, n).items()):
+            rule = _orbit_rule(elements, m, n)
+            listings.append((tag, rule, 0))
+            if _orbits(elements, m, n)[1]:
+                listings.append((tag + " cut", rule, m // 2))
+        listings.append(("U", None, 0))
+        fresh = {name: list(_Search(shape, k).start(rule, mirror))
+                 for name, rule, mirror in listings}
+        shared = _Search(shape, k)
+        shared.total()
+        for _ in range(2):
+            for name, rule, mirror in listings:
+                assert list(shared.start(rule, mirror)) == fresh[name], \
+                    (m, n, k, name)
+
+
 def test_fold_and_cut_on_boards_taller_than_the_recursion_limit():
     # the fold sums the top half row by row, and the cut listing keeps its
     # mirror thresholds on a stack, so neither uses Python's call stack
