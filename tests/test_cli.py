@@ -425,14 +425,14 @@ def test_usage_errors_exit_1(capsys):
      "--n is not read with --lambda"),
     (["count", "--k", "2", "--t", "1", "--lambda", "3,3"],
      "--t is not read with --lambda"),
-    (["count", "--m", "4", "--n", "4", "--k", "3", "--budget", "1"],
-     "--budget is not read without --with-oracle"),
-    (["count", "--k", "3", "--lambda", "4,4,4", "--budget", "1"],
-     "--budget is not read without --with-oracle"),
     (["enumerate", "--m", "9", "--n", "9", "--k", "2", "--lambda", "2,2"],
      "--m is not read with --lambda"),
     (["enumerate", "--m", "2", "--n", "2", "--k", "2", "--mu", "1"],
      "--mu is not read without --lambda"),
+    (["count", "--m", "4", "--n", "4", "--k", "3", "--budget", "1"],
+     "--budget is not read without --with-oracle"),
+    (["count", "--k", "3", "--lambda", "4,4,4", "--budget", "1"],
+     "--budget is not read without --with-oracle"),
 ])
 def test_options_the_command_would_not_read_are_refused(capsys, argv,
                                                         refused):
