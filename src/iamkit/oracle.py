@@ -5,8 +5,10 @@ Three routes, kept deliberately separate:
 * `enumerate_maximal_iams` / `enumerate_maximal_fillings` list by one
   pruned row-by-row search over a skew shape, a rectangle being the shape
   (n^m)/(); its prunes are safe: chain length, and every zero not yet
-  justified carried in the row state as a demand on later rows, so it is
-  exact, assumes nothing about the ones count and lists no dead leaf; it
+  justified carried in the row state as a demand on later rows, one
+  (column, need) pair each, so it is exact, assumes nothing about the ones
+  count and lists no dead leaf (that one pair suffices is proven in the
+  row-search notes, but for one case, which raises VerificationError); it
   also takes one extra rule per row, with which `symmetry` lists only the
   matrices fixed by a subgroup (the rule copies each cell from the first
   cell of its orbit), so a symmetry census never filters the full stream;
@@ -17,10 +19,9 @@ Three routes, kept deliberately separate:
 * `oracle_count` and `oracle_count_shape` count the same search by the
   transfer-matrix method: one forward sum, row by row, of the number of
   prefixes reaching each row state (chain thresholds, demands), with the
-  same transitions and prunes, so they list nothing; `symmetry` counts the
-  half-turn classes (HTS, VHS) by the same sum over the top half, folded
-  at the middle, HTS off the top-half layers the search kept from its
-  count;
+  same transitions and prunes and no row rule, so they list nothing;
+  `symmetry` counts the half-turn class HTS by folding at the middle the
+  top-half layers the search kept from its count;
 * `naive_enumerate` scans every (0,1)-matrix, with no pruning at all: one
   table gives each code's longest chain by a subset recurrence of its own,
   and a code is kept when it avoids I_k and every flip of one of its zeros
@@ -71,21 +72,47 @@ from .core import (
 # k-chain.  A zero at (i, j) has its above-left chain U frozen once row i is
 # placed; if need = k-1-U > 0 it needs a chain of `need` ones strictly below
 # and to the right of it, which only later rows can supply.  That
-# requirement joins the row state as a *demand*: a staircase of (column c,
-# still-needed r) pairs, each an alternative "r more ones in later rows,
-# strictly right of c".
+# requirement joins the row state as a *demand*: one pair (column c,
+# still-needed r), "r more ones in later rows, strictly right of c".
 #
-# * A new row advances a pair (c, r) by its first one right of c, at column
-#   j', adding the pair (j', r-1); a pair reaching 0 meets its demand, which
-#   is then dropped.
+# * A new row with no one right of c leaves the pair as it is.  One with a
+#   one right of c, the first at column j, meets the demand if r = 1, and
+#   otherwise leaves it two alternatives: (c, r) still, or (j, r-1)
+#   through that one.
 # * A pair needs room below the row: r must not exceed the longest run of
 #   in-shape cells strictly below-right of (i, c) (the geometric zero test,
 #   read off the thresholds of the shape's full rows below row i turned a
 #   half turn), nor k-1 minus the thresholds at or left of column c, since
 #   those r ones would extend the longest chain the placed rows end there.
-#   Other pairs are dropped; a demand with no pair left kills the branch.
-# * Within a demand only undominated pairs stay (none other has column <=
-#   and need <=); within the state only demands that no other one implies.
+#   An alternative without room is dropped; a demand with none left kills
+#   the branch.
+# * The state keeps only the pairs that no other one implies: (b, s)
+#   implies (c, r) when b >= c and s >= r.
+#
+# A demand whose two alternatives both have room would be two pairs, an
+# "or".  Two facts show that it need not be kept.  Write A_i(c) for the
+# chain that rows 1..i end at or left of column c (`core._profile`).
+#
+# * Fact A: every pair (c, r) of a state after row i has r = k-1-A_i(c).
+#   A zero at (i, j) gets need k-1-A_{i-1}(j-1), and `succ` keeps it only
+#   if need <= k-1-A_i(j); as A_i(j) >= A_{i-1}(j-1), equality holds.
+#   `advance` keeps (c, r) only if r <= room[c] <= k-1-A_{i+1}(c) <=
+#   k-1-A_i(c) = r.  It keeps (j, r-1) only if r-1 <= k-1-A_{i+1}(j), and
+#   the one at column j gives A_{i+1}(j) >= A_i(c)+1: equality again.
+# * Fact B: both alternatives of (c, r) have room only when row i+1's zero
+#   just right of the pair's column, or at it, has a pair (b, s) with b >=
+#   c and s >= r.  That pair implies both alternatives, so the demand is
+#   dropped.  If j > c+1, the zero (i+1, c+1) needs k-1-A_i(c) = r.  If j =
+#   c+1 and (i+1, c) is 0, it needs k-1-A_i(c-1) >= r.  Both cells lie in
+#   the row's span, since left ends move left going down.
+# * The open case is j = c+1 with a one at (i+1, c).  That one gives
+#   A_{i+1}(c) >= A_i(c-1)+1, so (c, r) keeps room only if A_i(c-1) <
+#   A_i(c): a threshold at column c.  No live pair was seen at a threshold:
+#   none of the 6,105 pairs on every rectangle up to 8 x 8 with every k
+#   (the tests check every board up to 7 x 7).  All 11,206 two-alternative
+#   events there and on every shape in a 5 x 6 box were the "(i+1, c) is
+#   0" case.  Should the open case ever arise, `advance` raises
+#   VerificationError, so no count rests on the unproven step.
 #
 # A successor row is built column by column, depth first, 0 before 1, so
 # the masks come out ascending.  Write A(c) for the chain the rows above
@@ -118,38 +145,23 @@ from .core import (
 # thresholds, demands), so the many prefixes that reach one state, and
 # every listing on the search (the class listings of a census, under their
 # own rules), advance its demands once; the rule filters the children it
-# reads.  The forward sum keeps no children, only each rule-free layer's
-# counts per state, which the half-turn fold reads again.  Every per-column
-# chain profile of a thresholds tuple is built in one pass
+# reads.  The forward sum takes no rule and keeps no children, only each
+# layer's counts per state, which the half-turn fold reads again.  Every
+# per-column chain profile of a thresholds tuple is built in one pass
 # (`core._profile`).
 
 
-def _implies(b, a):
-    """Does meeting demand b always meet demand a?
-
-    True when every pair of b has a pair of a with column <= and need <=.
-    Both are staircases (columns ascending, needs descending), so the a-pair
-    with the least need among those with column <= c is the last of them,
-    and one merge over the two suffices.
-    """
-    t, last = -1, len(a) - 1
-    for c, r in b:
-        while t < last and a[t + 1][0] <= c:
-            t += 1
-        if t < 0 or a[t][1] > r:
-            return False
-    return True
-
-
-def _strongest(demands):
-    """The demands that no other one implies, sorted: the same conditions
-    as all of them together, and one form for one set."""
-    out = []
-    for a in demands:
-        if not any(_implies(b, a) for b in out):
-            out = [b for b in out if not _implies(a, b)]
-            out.append(a)
-    out.sort()
+def _strongest(pairs):
+    """The pairs that no other one implies, columns ascending: (b, s)
+    implies (c, r) when b >= c and s >= r, since s ones strictly right of b
+    hold r strictly right of c.  One scan from the right keeps a pair when
+    its need exceeds every need at or right of its column."""
+    out, best = [], 0
+    for c, r in sorted(pairs, reverse=True):
+        if r > best:
+            out.append((c, r))
+            best = r
+    out.reverse()
     return tuple(out)
 
 
@@ -173,7 +185,7 @@ class _Search:
                            #                    new demands, room)]
         self._kids = {}    # (depth, tails, demands) -> the listing's
                            # children, before any rule
-        self._layers = [{((), ()): 1}]  # the rule-free layers summed so far
+        self._layers = [{((), ()): 1}]  # the layers summed so far
 
     def room(self, depth, nxt):
         """room[c]: the longest chain the rows after row depth+1 can still
@@ -192,7 +204,7 @@ class _Search:
     def succ(self, depth, tails):
         """Every row after this state that completes no k-chain and leaves
         no zero unjustifiable, masks ascending, as (mask, next thresholds,
-        the demands of the row's zeros, room)."""
+        the (column, need) pairs of the row's zeros, room)."""
         key = (depth, tails)
         got = self._succ.get(key)
         if got is None:
@@ -220,36 +232,40 @@ class _Search:
                 # a zero needs room below-right of it, capped by the chain
                 # the rows end at or left of j once this row is placed
                 if min(geo[j], k - 1 - max(at[j], reach)) >= need:
-                    stack.append((j + 1, mask, reach, new + [((j, need),)]))
+                    stack.append((j + 1, mask, reach, new + [(j, need)]))
             self._succ[key] = got
         return got
 
     def advance(self, demands, mask, new, room):
-        """The demands once a row (mask `mask`, demands of its zeros `new`,
+        """The demands once a row (mask `mask`, pairs of its zeros `new`,
         room below it `room`) is placed, or None if one can no longer be
         met."""
         n = self.n
         out = list(new)
-        for dem in demands:
-            pairs = list(dem)
-            for c, r in dem:
-                right = mask & ((1 << (n - c)) - 1)  # the ones right of c
-                if right:
-                    if r == 1:
-                        break  # this row completes the chain: demand met
-                    # the first of them is the highest bit
-                    pairs.append((n + 1 - right.bit_length(), r - 1))
-            else:
-                pairs.sort()
-                kept = []
-                least = self.k
-                for c, r in pairs:
-                    if r < least and r <= room[c]:
-                        kept.append((c, r))
-                        least = r
-                if not kept:
+        for c, r in demands:
+            right = mask & ((1 << (n - c)) - 1)  # the ones right of c
+            if not right:
+                if r > room[c]:
                     return None
-                out.append(tuple(kept))
+                out.append((c, r))
+                continue
+            if r == 1:
+                continue  # this row completes the chain: demand met
+            j = n + 1 - right.bit_length()  # the first one, the highest bit
+            stays, moves = r <= room[c], r - 1 <= room[j]
+            if stays and moves:
+                # both alternatives live: a zero of this row implies the
+                # pair (Fact B), else the demand would be two pairs
+                if not any(b >= c and s >= r for b, s in new):
+                    raise VerificationError(
+                        "the demand (%d, %d) keeps two alternatives, no "
+                        "zero of its row implies it" % (c, r))
+            elif stays:
+                out.append((c, r))
+            elif moves:
+                out.append((j, r - 1))
+            else:
+                return None
         return _strongest(out)
 
     def _children(self, demands, rows):
@@ -262,36 +278,23 @@ class _Search:
                 out.append((mask, nxt, dem))
         return out
 
-    @staticmethod
-    def _obeying(rows, items, rule):
-        """The items (each led by a row mask) whose row the rule allows
-        after the placed rows, in their order."""
-        forced = rule(rows) if rule is not None else None
-        if forced is None:
-            return items
-        fixed, values, keep = forced
-        return [x for x in items if x[0] & fixed == values
-                and (keep is None or keep(x[0]))]
-
-    def _allowed(self, rows, tails, demands, rule):
-        """The children (mask, next thresholds, next demands) of the state
-        after the placed rows that obey the rule, in stream order; the rule
-        filters the successor rows before any demand is advanced, and
-        nothing is kept."""
-        succ = self._obeying(rows, self.succ(len(rows), tails), rule)
-        return self._children(demands, succ)
-
     def _listed(self, rows, tails, demands, rule):
-        """What `_allowed` returns, for the listing: the state's children
-        before any rule are computed once per search and kept, so every
-        prefix and every listing on this search that reaches the state
-        shares them, and the rule filters them after."""
+        """The children (mask, next thresholds, next demands) of the state
+        after the placed rows that obey the rule, in stream order.  The
+        state's children before any rule are computed once per search and
+        kept, so every prefix and every listing on this search that reaches
+        the state shares them, and the rule filters them after."""
         key = (len(rows), tails, demands)
         kids = self._kids.get(key)
         if kids is None:
             kids = self._kids[key] = self._children(
                 demands, self.succ(len(rows), tails))
-        return self._obeying(rows, kids, rule)
+        forced = rule(rows) if rule is not None else None
+        if forced is None:
+            return kids
+        fixed, values, keep = forced
+        return [x for x in kids if x[0] & fixed == values
+                and (keep is None or keep(x[0]))]
 
     def start(self, rule=None, mirror=0):
         """Every full row-mask tuple, in stream order.
@@ -340,34 +343,27 @@ class _Search:
                 if rows:
                     rows.pop()
 
-    def _step(self, depth, layer, rule):
+    def _step(self, depth, layer):
         """The layer after row depth+1, summed from the one before it."""
-        rows, after = (0,) * depth, {}
+        after = {}
         for (tails, demands), ways in layer.items():
-            for _, nxt, dem in self._allowed(rows, tails, demands, rule):
+            for _, nxt, dem in self._children(demands,
+                                              self.succ(depth, tails)):
                 after[nxt, dem] = after.get((nxt, dem), 0) + ways
         return after
 
-    def layer(self, depth, rule=None):
+    def layer(self, depth):
         """{(thresholds, demands): number of prefixes} over the states
         after the first `depth` rows, summed forward one row at a time; the
         caller must not change it.
 
-        Without a rule, the layers are kept on the search, so each is
-        summed once however often it is asked for: `total()` sums every
-        one, and a fold whose rule leaves the top half's rows free reads
-        its half off them.  No children are kept, only the counts per
-        state.  With a rule, only prefixes whose every row obeys it are
-        counted, and nothing is kept; the rule must read no earlier row,
-        since zeros stand in for them."""
-        if rule is not None:
-            layer = self._layers[0]
-            for d in range(depth):
-                layer = self._step(d, layer, rule)
-            return layer
+        The layers are kept on the search, so each is summed once however
+        often it is asked for: `total()` sums every one, and the half-turn
+        fold (`symmetry._fold_count`) reads the top half's off them.  No
+        children are kept, only the counts per state."""
         layers = self._layers
         while len(layers) <= depth:
-            layers.append(self._step(len(layers) - 1, layers[-1], None))
+            layers.append(self._step(len(layers) - 1, layers[-1]))
         return layers[depth]
 
     def total(self):
@@ -405,6 +401,8 @@ def oracle_count(m, n, k, budget=None):
 def _check_shape_k(shape, k):
     if not isinstance(shape, SkewShape):
         raise TypeError("shape must be a SkewShape")
+    if not shape.n_rows:
+        raise ValueError("the shape has no rows")
     if k < 2:
         raise ValueError("k must be at least 2")
 

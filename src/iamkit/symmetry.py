@@ -137,14 +137,13 @@ def _tags_of(masks, m, n):
 # board (row-major) in an earlier row is a fixed bit, copied from there; a
 # cell whose orbit first meets it earlier in the same row must equal that
 # cell.  Two shortcuts rest on the fold between the top and bottom halves.
-# A subgroup whose fixed matrices are all fixed by rot180, and whose rule
-# takes no bit of the top half from an earlier row (HTS, VHS), is counted
-# by folding the board: the search's forward sum over its states for the
-# top half, with no listing (`_fold_count`); HTS, whose rule leaves those
-# rows free, reads the rule-free sum that the search keeps.  A listing
-# whose matrices are all fixed by fliph (HS, TS, and
-# `enumerate_fixed_points` of fliph) drops a top-half prefix once a chain
-# across the fold reaches k (`oracle._Search.start`).
+# HTS, the fixed points of rot180, is counted by folding the board: the
+# search's forward sum over its states for the top half, which the search
+# keeps from its U count, with no listing (`_fold_count`).  A listing whose
+# matrices are all fixed by fliph (HS, VHS, TS, and `enumerate_fixed_points`
+# of fliph) drops a top-half prefix once a chain across the fold reaches k
+# (`oracle._Search.start`).  VHS is listed so as well, which keeps the
+# forward sum free of row rules.
 
 
 def _cell_images(g, m, n):
@@ -174,13 +173,11 @@ def _cell_images(g, m, n):
 
 @functools.cache
 def _orbits(elements, m, n):
-    """(rows, mirrors, folds) for the subgroup these elements generate on
-    the m x n board.  rows[i] is what being fixed asks of row i: (fixed
-    bits, the source of each as (bit, earlier row, shift), a test of the
-    row's own cells that must be equal, or None).  mirrors: is every fixed
-    matrix fixed by fliph as well?  folds: is every fixed matrix fixed by
-    rot180, with no bit of the top ⌈m/2⌉ rows taken from an earlier row?
-    An element fixes every fixed matrix exactly when it moves each cell
+    """(rows, mirrors) for the subgroup these elements generate on the
+    m x n board.  rows[i] is what being fixed asks of row i: (fixed bits,
+    the source of each as (bit, earlier row, shift), a test of the row's
+    own cells that must be equal, or None).  mirrors: is every fixed matrix
+    fixed by fliph as well?  That holds exactly when fliph moves each cell
     within its orbit."""
     first = list(range(m * n))  # union-find; each root is its orbit's least
 
@@ -212,13 +209,9 @@ def _orbits(elements, m, n):
                                for a, b in pairs)
         rows.append((fixed, tuple(sources), keep))
 
-    def fixes_too(g):
-        return all(first[c] == first[d]
-                   for c, d in enumerate(_cell_images(g, m, n)))
-
-    folds = not any(fixed for fixed, _, _ in rows[:(m + 1) // 2]) and \
-        fixes_too("rot180")
-    return tuple(rows), fixes_too("fliph"), folds
+    mirrors = all(first[c] == first[d]
+                  for c, d in enumerate(_cell_images("fliph", m, n)))
+    return tuple(rows), mirrors
 
 
 def _orbit_rule(elements, m, n):
@@ -247,41 +240,36 @@ def _fixed_masks(search, elements):
     return search.start(_orbit_rule(elements, m, n), m // 2 if mirrors else 0)
 
 
-# A matrix fixed by rot180 is its top ⌈m/2⌉ rows and their half turn.  When
-# the orbit rule takes no bit of those rows from an earlier row, it asks
-# each of them only to obey a test of its own (the middle row of an odd
-# board, which the turn maps to itself, to be a palindrome), so the class is
-# counted as a sum over the search's states for those rows, with no
-# listing.  The half turn keeps chains increasing, so the bottom half's
-# longest chain strictly right of column c is A(n-c), A(c) being the top
-# half's at or left of c.  A state is kept when no chain across the fold
-# reaches k and A meets every demand left.  A zero of the bottom half needs
-# no check: it is justified exactly when its image in the top half is.  The
-# middle row's palindrome test only prunes: a one at column j with a zero
-# at n+1-j would need A(j-1) + A(n-j) <= k-2 for the one and >= k-1 for
-# the zero's demand, so the fold's checks reject such a row anyway.
+# A matrix fixed by rot180 is its top ⌈m/2⌉ rows and their half turn.  The
+# orbit rule takes no bit of those rows from an earlier row, and asks of
+# them only that the middle row of an odd board, which the turn maps to
+# itself, be a palindrome.  So HTS is counted as a sum over the search's
+# states for those rows, with no listing and no rule.  The half turn keeps
+# chains increasing, so the bottom half's longest chain strictly right of
+# column c is A(n-c), A(c) being the top half's at or left of c.  A state
+# is kept when no chain across the fold reaches k and A meets every demand
+# left.  A zero of the bottom half needs no check: it is justified exactly
+# when its image in the top half is.  The middle row's palindrome test
+# needs no check either: a one at column j with a zero at n+1-j would need
+# A(j-1) + A(n-j) <= k-2 for the one and >= k-1 for the zero's demand, so
+# the fold's checks reject such a row anyway.
 
 
-def _fold_count(search, elements):
-    """Number of maximal matrices fixed by these elements, for a subgroup
-    that folds (see `_orbits`): the row search's forward sum over the top
-    half (`oracle._Search.layer`), then the fold.  When the rule leaves
-    every top-half row free (HTS), the sum is the rule-free one that the
-    search keeps, so after the census's U count it is not summed again;
-    otherwise (VHS's palindromic rows) it is summed under the rule."""
+def _fold_count(search):
+    """Number of maximal matrices fixed by rot180 (HTS): the row search's
+    forward sum over the top half (`oracle._Search.layer`), then the fold.
+    The sum is the one that the search keeps, so after the census's U
+    count it is not summed again."""
     m, n, k = search.m, search.n, search.k
-    rows, rule = _orbits(elements, m, n)[0], _orbit_rule(elements, m, n)
     half = m // 2
-    free = all(not fixed and keep is None for fixed, _, keep in rows[:half])
     total = 0
-    for (top, demands), ways in search.layer(
-            half, None if free else rule).items():
+    for (top, demands), ways in search.layer(half).items():
         below = _profile(top, n)[::-1]
-        ends = (search._allowed((0,) * half, top, demands, rule) if m % 2
+        ends = (search._children(demands, search.succ(half, top)) if m % 2
                 else [(None, top, demands)])
         for _, tails, dem in ends:
             if _chain_across(tails, top, n) < k and all(
-                    any(r <= below[c] for c, r in pairs) for pairs in dem):
+                    r <= below[c] for c, r in dem):
                 total += ways
     return total
 
@@ -316,17 +304,16 @@ def _class_count(search, tag):
     m, n = search.m, search.n
     if m != n and tag in _SQUARE_ONLY:
         return 0
-    elements = _TAG_ELEMENTS[tag]
-    if _orbits(elements, m, n)[2]:
-        return _fold_count(search, elements)
-    return sum(1 for _ in _fixed_masks(search, elements))
+    if tag == "HTS":
+        return _fold_count(search)
+    return sum(1 for _ in _fixed_masks(search, _TAG_ELEMENTS[tag]))
 
 
 def brute_count_class(tag, m, n, k, budget=None):
     """Count maximal IAMs in a symmetry class by search: U by the oracle's
-    transfer-matrix count, HTS and VHS by folding the board, any other tag
-    by listing the fixed points of its subgroup, as `class_histogram` does
-    (0 for a square-only tag on another board)."""
+    transfer-matrix count, HTS by folding the board, any other tag by
+    listing the fixed points of its subgroup, as `class_histogram` does (0
+    for a square-only tag on another board)."""
     check_mnk(m, n, k)
     if tag == "U":
         return oracle.oracle_count(m, n, k, budget)
@@ -342,13 +329,12 @@ def class_histogram(m, n, k, budget=None):
 
     U is the oracle's transfer-matrix count: the row search's forward sum
     over its states, row by row.  Every other tag is the number of fixed
-    points of its subgroup (see _TAG_ELEMENTS).  HTS and VHS, whose
-    subgroups contain rot180 and leave the top half's rows to tests of
-    their own, are counted by folding the board: the same forward sum over
-    the top half, each state kept when the half turn completes it (see
-    `_fold_count`); HTS reads the top half's layers that the U count
-    kept.  The others are listed by the row search under one orbit rule,
-    a listing whose matrices are all fliph-fixed (HS, TS) cut at the fold.
+    points of its subgroup (see _TAG_ELEMENTS).  HTS, the fixed points of
+    rot180, is counted by folding the board: the top half's layers that
+    the U count kept, each state kept when the half turn completes it (see
+    `_fold_count`).  The others are listed by the row search under one
+    orbit rule, a listing whose matrices are all fliph-fixed (HS, VHS, TS)
+    cut at the fold.
     Nothing is tagged, and all run on one search, so each row state's
     successors, room and children are found once for the whole census:
     the first listing to reach a state keeps its children before any

@@ -442,6 +442,13 @@ def test_options_the_command_would_not_read_are_refused(capsys, argv,
     assert capsys.readouterr() == ("", "invalid input: %s\n" % refused)
 
 
+def test_a_shape_with_no_rows_exits_1(capsys):
+    # the listing once raised an IndexError on it, a traceback at the CLI
+    assert main(["enumerate", "--lambda", "", "--k", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "invalid input: the shape has no rows\n")
+
+
 def test_argparse_errors_end_in_one_line(capsys):
     # argparse's own refusals print no usage text, only the error
     assert main(["count", "--m", "x"]) == 1

@@ -14,6 +14,7 @@ from iamkit.core import (
     Filling,
     SkewShape,
     VerificationError,
+    _profile,
     contains_ik_in_shape,
     is_maximal_iam,
     is_maximal_iam_by_flips,
@@ -363,11 +364,33 @@ def test_every_state_has_a_child_and_no_leaf_carries_a_demand():
         assert all(not dem for _, dem in search.layer(search.m)), (shape, k)
 
 
+def test_every_live_pair_needs_what_the_chain_leaves():
+    # Fact A of the row-search notes: every pair (c, r) of a state after
+    # row i has r = k-1-A(c), A(c) being the chain the placed rows end at
+    # or left of column c; and no live pair sits at a threshold, A(c-1) =
+    # A(c), which Fact B's open case would need.  Every state of every
+    # layer, on every rectangle up to 7 x 7 and every shape in a 4 x 4 box
+    boards = [(SkewShape((n,) * m), k) for m in range(1, 8)
+              for n in range(1, 8) for k in range(2, min(m, n) + 1)]
+    boards += [(sh, k) for sh in _skew_shapes_in_box(4, 4)
+               for k in range(2, 5)]
+    pairs = 0
+    for shape, k in boards:
+        search = oracle._Search(shape, k)
+        for depth in range(search.m + 1):
+            for tails, dem in search.layer(depth):
+                at = _profile(tails, search.n)
+                for c, r in dem:
+                    assert r == k - 1 - at[c] and at[c - 1] == at[c], \
+                        (shape, k, depth, tails, dem)
+                pairs += len(dem)
+    assert pairs > 3000, pairs
+
+
 def test_kept_layers_equal_fresh_ones():
-    # total() keeps every rule-free layer it sums on the search, and a
-    # later layer(d) reads it back; each must equal layer(d) summed on a
-    # fresh search, also under a rule that allows every row (which keeps
-    # nothing), and a layer asked for again is not summed again
+    # total() keeps every layer it sums on the search, and a later
+    # layer(d) reads it back; each must equal layer(d) summed on a fresh
+    # search, and a layer asked for again is not summed again
     from test_skew import CATALOG
     boards = [(SkewShape((n,) * m), k) for m in range(1, 7)
               for n in range(1, 7) for k in range(2, min(m, n) + 1)]
@@ -377,8 +400,7 @@ def test_kept_layers_equal_fresh_ones():
         search.total()
         for depth in range(search.m + 1):
             kept = search.layer(depth)
-            assert kept == oracle._Search(shape, k).layer(depth) == \
-                oracle._Search(shape, k).layer(depth, lambda rows: None), \
+            assert kept == oracle._Search(shape, k).layer(depth), \
                 (shape, k, depth)
             assert search.layer(depth) is kept
 
@@ -390,44 +412,29 @@ def test_invalid_parameters():
         list(enumerate_maximal_iams(3, 3, 4))
     with pytest.raises(ValueError):
         list(enumerate_maximal_fillings(SkewShape((3, 3)), 1))
+    # a shape with no rows is refused by the count and the listing alike
+    with pytest.raises(ValueError):
+        oracle_count_shape(SkewShape(()), 2)
+    with pytest.raises(ValueError):
+        list(enumerate_maximal_fillings(SkewShape(()), 2))
 
 
 # ---------------------------------------------------------------------------
 # the demand bookkeeping of the skew-shape search, against its definitions
 
 
-def _staircases(cols, needs):
-    """Every demand over columns 1..cols and needs 1..needs: columns
-    ascending, needs strictly descending."""
-    out = []
-    for size in range(1, min(cols, needs) + 1):
-        for cs in itertools.combinations(range(1, cols + 1), size):
-            for rs in itertools.combinations(range(needs, 0, -1), size):
-                out.append(tuple(zip(cs, rs)))
-    return out
-
-
-def _implies_by_definition(b, a):
-    return all(any(ca <= cb and ra <= rb for ca, ra in a) for cb, rb in b)
-
-
-def test_demand_implication_matches_its_definition():
-    demands = _staircases(4, 3)
-    assert len(demands) > 30
-    for a in demands:
-        for b in demands:
-            assert oracle._implies(b, a) == _implies_by_definition(b, a)
-
-
 def test_strongest_demands_match_their_definition():
+    # (b, s) implies (c, r) when b >= c and s >= r; the reduction keeps the
+    # pairs that no other one implies, columns ascending, whatever the order
+    # and repeats of its input
     import random
     rng = random.Random(3)
-    demands = _staircases(4, 3)
-    for _ in range(2000):
-        picked = [rng.choice(demands) for _ in range(rng.randint(0, 5))]
+    pairs = [(c, r) for c in range(1, 6) for r in range(1, 5)]
+    for _ in range(3000):
+        picked = [rng.choice(pairs) for _ in range(rng.randint(0, 7))]
         want = sorted(a for a in set(picked)
-                      if not any(b != a and _implies_by_definition(b, a)
-                                 for b in set(picked)))
+                      if not any(b != a and b[0] >= a[0] and b[1] >= a[1]
+                                 for b in picked))
         assert oracle._strongest(picked) == tuple(want)
         rng.shuffle(picked)
         assert oracle._strongest(picked) == tuple(want)
@@ -438,35 +445,53 @@ def test_demand_advances_is_met_and_dies():
     room = [0, 1, 1, 0]                  # room[c] below the row, c = 0..3
     # a one at column 2 advances (1, 2) to (2, 1); (1, 2) itself no longer
     # fits the room below
-    assert search.advance((((1, 2),),), 0b010, [], room) == (((2, 1),),)
+    assert search.advance(((1, 2),), 0b010, [], room) == ((2, 1),)
     # a one right of column 2 meets the last need: the demand is gone
-    assert search.advance((((2, 1),),), 0b001, [], room) == ()
+    assert search.advance(((2, 1),), 0b001, [], room) == ()
     # no one right of column 2 and no room below it: the branch dies
-    assert search.advance((((2, 1),),), 0b100, [], [0, 1, 0, 0]) is None
+    assert search.advance(((2, 1),), 0b100, [], [0, 1, 0, 0]) is None
     # the row's own zeros join the demands, and an implied one is dropped:
     # meeting (2, 1) needs a one right of column 2, which also meets (1, 1)
-    assert search.advance((((2, 1),),), 0b000, [((1, 1),)], room) == (
-        ((2, 1),),)
+    assert search.advance(((2, 1),), 0b000, [(1, 1)], room) == ((2, 1),)
 
 
 def test_demand_keeps_only_undominated_pairs():
     search = oracle._Search(SkewShape((4, 4, 4, 4)), 4)
-    # a one at column 2 adds (2, 2), which dominates (3, 2): it asks for as
-    # much, from further left
-    assert search.advance((((1, 3), (3, 2)),), 0b0100, [],
-                          [0, 3, 3, 3, 3]) == (((1, 3), (2, 2)),)
+    # a one at column 2 moves (1, 3), which no longer fits the room below
+    # column 1, to (2, 2); (3, 2) asks for as much from further right, so
+    # it implies (2, 2), which is dropped
+    assert search.advance(((1, 3), (3, 2)), 0b0100, [],
+                          [0, 2, 3, 3, 3]) == ((3, 2),)
+
+
+def test_demand_with_two_live_alternatives():
+    search = oracle._Search(SkewShape((4, 4, 4, 4)), 4)
+    room = [0, 3, 3, 3, 3]
+    # a one at column 2 leaves (1, 3) two live alternatives, (1, 3) and
+    # (2, 2); the row's zero at column 1 with need 3 implies both, so the
+    # demand is dropped
+    assert search.advance(((1, 3),), 0b0100, [(1, 3)], room) == ((1, 3),)
+    assert search.advance(((1, 3),), 0b0100, [(2, 3)], room) == ((2, 3),)
+    # with nothing to imply them the demand would be two pairs, which the
+    # single-pair state cannot hold: the search raises instead
+    with pytest.raises(VerificationError):
+        search.advance(((1, 3),), 0b0100, [], room)
+    with pytest.raises(VerificationError):
+        search.advance(((1, 3),), 0b0100, [(1, 2)], room)
 
 
 def test_demand_advances_by_the_first_one_right_of_each_pair():
-    # every mask and every column against a scan of the row's entries
+    # every mask and every column against a scan of the row's entries: a
+    # need of 4 never fits a room of 3, so the pair lives only by moving to
+    # the first one right of its column, one need less
     n = 6
     search = oracle._Search(SkewShape((n,) * 3), 5)
-    room = [0] + [4] * n
+    room = [0] + [3] * n
     for mask in range(1 << n):
         for c in range(1, n + 1):
             ones = [j for j in range(c + 1, n + 1) if (mask >> (n - j)) & 1]
-            want = (((c, 4), (ones[0], 3)),) if ones else (((c, 4),),)
-            assert search.advance((((c, 4),),), mask, [], room) == want
+            want = ((ones[0], 3),) if ones else None
+            assert search.advance(((c, 4),), mask, [], room) == want
 
 
 def _room_by_definition(shape, k, i, nxt):
@@ -544,8 +569,8 @@ def test_successors_match_their_definition():
                 for j in range(lo + 1, hi + 1):
                     need = k - 1 - (c_vec[j - 2] if j >= 2 else 0)
                     if not (mask >> (n - j)) & 1 and need > 0:
-                        new.append(((j, need),))
-                if all(room[dem[0][0]] >= dem[0][1] for dem in new):
+                        new.append((j, need))
+                if all(room[j] >= need for j, need in new):
                     want.append((mask, nxt, new, room))
             got = [(mask, _c_vector(nxt, n), new, room)
                    for mask, nxt, new, room in got]
