@@ -114,16 +114,23 @@ from .core import (
 #   0" case.  Should the open case ever arise, `advance` raises
 #   VerificationError, so no count rests on the unproven step.
 #
-# A successor row is built column by column, depth first, 0 before 1, so
-# the masks come out ascending.  Write A(c) for the chain the rows above
-# end at or left of column c.  A one at column j is allowed only while
-# A(j-1) < k-1.  A zero at j with need = k-1-A(j-1) > 0 is kept only if
-# its pair (j, need) has room, which the prefix already decides: once the
-# row is placed, the rows end at or left of j a chain of max(A(j),
-# A(j'-1)+1), j' being the row's last one so far.  So a dead prefix ends
-# at its first cell that can take neither value, and the work follows the
-# rows kept, not the masks of the span.  One step of the sweep then moves
-# the thresholds past the finished row.
+# A successor row is built column by column, all its prefixes at once,
+# each extended by 0 before 1, so the masks come out ascending.  Write A(c)
+# for the chain the rows above end at or left of column c.  A one at
+# column j is allowed only while A(j-1) < k-1, and ends a chain of
+# A(j-1)+1.  A zero at j with need = k-1-A(j-1) > 0 is kept only if its
+# pair (j, need) has room: geo[j] >= need, and once the row is placed the
+# rows end at or left of j a chain of max(A(j), A(j'-1)+1) <= A(j-1), j'
+# being the row's last one so far.  That is, A(j) = A(j-1) (no threshold
+# at column j) and A(j'-1) < A(j-1), which the prefix already decides.
+# Every prefix extends, since a one is refused only where a zero needs
+# nothing, so the work follows the rows kept, not the masks of the span.
+# The next thresholds are carried along instead of swept after the row: a
+# one at column j whose chain A(j-1)+1 is longer than the row's last one's
+# moves threshold A(j-1) to column j.  The thresholds before it are at or
+# left of column j-1 already, and a one of the same chain further left
+# moved it first.  So a prefix holds the next thresholds up to the chain
+# its last one ends, and the rest are those of the rows above.
 #
 # So the state (depth, thresholds, demands) decides exactly which
 # completions are valid.  No state after the last row carries a demand:
@@ -139,13 +146,21 @@ from .core import (
 # filling is still put through the literal maximality test, as an
 # invariant that raises if it ever fails.
 #
+# A row's successor rows and their room read the state and nothing of the
+# row but its span and geo.  geo is only compared with needs <= k-1 and
+# only min'd with k-1 minus a chain, so capping it at k-1 changes neither.
+# The span and the capped geo make the row's *kind*, and the tables are
+# kept per kind, shared by the rows of one kind at any depth: on a
+# rectangle, every row with k-1 rows or more below it.
+#
 # Each state's work is done once per search.  The successor rows are kept
-# per (depth, thresholds) and the room per (depth, next thresholds).  The
-# listing keeps each state's children, before any row rule, per (depth,
-# thresholds, demands), so the many prefixes that reach one state, and
-# every listing on the search (the class listings of a census, under their
-# own rules), advance its demands once; the rule filters the children it
-# reads.  The forward sum takes no rule and keeps no children, only each
+# per (kind, thresholds) and the room per (kind, next thresholds).  The
+# listing keeps each state's children, before any row rule, per (kind,
+# thresholds, demands), so the many prefixes that reach one state, rows
+# of one kind at different depths, and every listing on the search (the
+# class listings of a census, under their own rules), advance its demands
+# once; the rule filters the children it reads.  Nothing is kept across
+# searches.  The forward sum takes no rule and keeps no children, only each
 # layer's counts per state, which the half-turn fold reads again.  Every
 # per-column chain profile of a thresholds tuple is built in one pass
 # (`core._profile`).
@@ -176,22 +191,30 @@ class _Search:
         # geo[depth][c]: the longest run of in-shape cells strictly
         # below-right of (depth+1, c), read as `core._zero_bounds` reads a
         # zero's below-right chain: off the thresholds of the rows below,
-        # here the shape's full rows, turned a half turn
+        # here the shape's full rows, turned a half turn; capped at k-1,
+        # which changes nothing (see the notes above)
         n = self.n
-        self.geo = [_profile(below, n)[::-1] for below in _tails_below(
+        self.geo = [tuple(min(g, k - 1) for g in _profile(below, n)[::-1])
+                    for below in _tails_below(
             [((1 << (hi - lo)) - 1) << (n - hi) for lo, hi in self.spans], n)]
-        self._room = {}    # (depth, next tails) -> room below the row
-        self._succ = {}    # (depth, tails) -> [(mask, next tails,
-                           #                    new demands, room)]
-        self._kids = {}    # (depth, tails, demands) -> the listing's
+        # kind[depth]: the row's span and geo, numbered in order of first
+        # depth, which key the tables below
+        kinds = {}
+        self.kind = [kinds.setdefault(row, len(kinds))
+                     for row in zip(self.spans, self.geo)]
+        self._room = {}    # (kind, next tails) -> room below the row
+        self._succ = {}    # (kind, tails) -> [(mask, next tails,
+                           #                   new demands, room)]
+        self._kids = {}    # (kind, tails, demands) -> the listing's
                            # children, before any rule
         self._layers = [{((), ()): 1}]  # the layers summed so far
 
     def room(self, depth, nxt):
         """room[c]: the longest chain the rows after row depth+1 can still
         put strictly right of column c, bounded by the shape and by
-        avoidance (see the notes above); c = 0..n."""
-        key = (depth, nxt)
+        avoidance (see the notes above); c = 0..n.  Kept per row kind, so
+        rows of one kind at different depths share it."""
+        key = (self.kind[depth], nxt)
         got = self._room.get(key)
         if got is None:
             geo, k = self.geo[depth], self.k
@@ -204,35 +227,49 @@ class _Search:
     def succ(self, depth, tails):
         """Every row after this state that completes no k-chain and leaves
         no zero unjustifiable, masks ascending, as (mask, next thresholds,
-        the (column, need) pairs of the row's zeros, room)."""
-        key = (depth, tails)
+        the (column, need) pairs of the row's zeros, room).  Kept per row
+        kind, so rows of one kind at different depths share the table.
+
+        One pass over the columns, every prefix at once, which carries the
+        next thresholds along, so no row is swept after it is built (see
+        the notes above)."""
+        key = (self.kind[depth], tails)
         got = self._succ.get(key)
         if got is None:
             n, k, geo = self.n, self.k, self.geo[depth]
             lo, hi = self.spans[depth]
             at = _profile(tails, n)
+            # each prefix of the row as (mask so far, the next thresholds
+            # its ones decide, as many as the chain its last one ends, the
+            # pairs of its zeros), extended one column at a time, 0 before
+            # 1, so the masks stay ascending
+            rows = [(0, (), [])]
+            for j in range(lo + 1, hi + 1):
+                a = at[j - 1]
+                if a >= k - 1:  # a one would end a k-chain, a zero
+                    continue    # needs nothing
+                need, bit = k - 1 - a, 1 << (n - j)
+                # a zero needs room below-right of it, and the rows must
+                # end no longer chain at or left of j than at j-1 once
+                # this row is placed
+                zero = geo[j] >= need and at[j] == a
+                ext = []
+                for mask, head, new in rows:
+                    if len(head) <= a:
+                        if zero:
+                            ext.append((mask, head, new + [(j, need)]))
+                        # a one ending a longer chain than the last one
+                        # moves threshold a to column j
+                        ext.append((mask | bit,
+                                    head + tails[len(head):a] + (n - j,),
+                                    new))
+                    else:  # the last one ends as long a chain
+                        ext.append((mask | bit, head, new))
+                rows = ext
             got = []
-            # (next column, mask so far, the chain this row's last one so
-            # far ends or 0, demands of its zeros); a prefix's zero branch
-            # is pushed last, so it is tried first
-            stack = [(lo + 1, 0, 0, [])]
-            while stack:
-                j, mask, reach, new = stack.pop()
-                if j > hi:
-                    nxt = list(tails)
-                    _sweep(nxt, (mask,))
-                    nxt = tuple(nxt)
-                    got.append((mask, nxt, new, self.room(depth, nxt)))
-                    continue
-                need = k - 1 - at[j - 1]
-                if need <= 0:  # a one would end a k-chain
-                    stack.append((j + 1, mask, reach, new))
-                    continue
-                stack.append((j + 1, mask | 1 << (n - j), at[j - 1] + 1, new))
-                # a zero needs room below-right of it, capped by the chain
-                # the rows end at or left of j once this row is placed
-                if min(geo[j], k - 1 - max(at[j], reach)) >= need:
-                    stack.append((j + 1, mask, reach, new + [(j, need)]))
+            for mask, head, new in rows:
+                nxt = head + tails[len(head):]
+                got.append((mask, nxt, new, self.room(depth, nxt)))
             self._succ[key] = got
         return got
 
@@ -282,9 +319,11 @@ class _Search:
         """The children (mask, next thresholds, next demands) of the state
         after the placed rows that obey the rule, in stream order.  The
         state's children before any rule are computed once per search and
-        kept, so every prefix and every listing on this search that reaches
-        the state shares them, and the rule filters them after."""
-        key = (len(rows), tails, demands)
+        kept per (kind of the next row, thresholds, demands), so every
+        prefix and every listing on this search that reaches the state, or
+        the same one before a row of the same kind at another depth, shares
+        them, and the rule filters them after."""
+        key = (self.kind[len(rows)], tails, demands)
         kids = self._kids.get(key)
         if kids is None:
             kids = self._kids[key] = self._children(
@@ -373,13 +412,15 @@ class _Search:
 
 
 def enumerate_maximal_iams(m, n, k, budget=None):
-    """All maximal I_k-avoiding m x n matrices, row-major lex order."""
+    """All maximal I_k-avoiding m x n matrices, row-major lex order.  The
+    board, k and budget are checked when called, before the first
+    matrix."""
     budget = budget or DEFAULT_BUDGET
     check_mnk(m, n, k)
     check_budget(m * n, budget)
     search = _Search(SkewShape((n,) * m), k)
-    for masks in islice(search.start(), budget.max_results):
-        yield BinaryMatrix.from_masks(m, n, masks)
+    return (BinaryMatrix.from_masks(m, n, masks)
+            for masks in islice(search.start(), budget.max_results))
 
 
 def oracle_count(m, n, k, budget=None):
@@ -412,13 +453,21 @@ def enumerate_maximal_fillings(shape, k, budget=None):
 
     The shape may be any well-formed skew diagram; no staircase-style
     admissibility is required here (the determinant formulas are pickier).
-    Each filling is re-checked by `is_maximal_filling`; a failure there is
-    an error in this search, and raises.
+    The shape, k and budget are checked when called, before the first
+    filling.  Each filling is re-checked by `is_maximal_filling`; a failure
+    there is an error in this search, and raises.
     """
     _check_shape_k(shape, k)
     budget = budget or DEFAULT_BUDGET
     check_budget(shape.cell_count(), budget)
-    for masks in islice(_Search(shape, k).start(), budget.max_results):
+    return _checked_fillings(shape, k, islice(_Search(shape, k).start(),
+                                              budget.max_results))
+
+
+def _checked_fillings(shape, k, stream):
+    """The fillings of these row-mask tuples, each put through the literal
+    maximality test."""
+    for masks in stream:
         F = Filling.from_masks(shape, masks)
         if not is_maximal_filling(F, k):
             raise VerificationError("filling search yielded a non-maximal "

@@ -364,6 +364,24 @@ def test_every_state_has_a_child_and_no_leaf_carries_a_demand():
         assert all(not dem for _, dem in search.layer(search.m)), (shape, k)
 
 
+def test_every_shape_lists_as_many_fillings_as_it_counts():
+    # the successor tables and the listing's children are kept per row
+    # kind, shared by rows of one kind at different depths; listing a shape
+    # on the search its count used must yield as many fillings as the
+    # count, for every shape in a 4 x 5 box with no empty row, k = 2..4
+    cases = 0
+    for shape in _skew_shapes_in_box(4, 5):
+        if any(lo == hi for lo, hi in map(shape.row_span,
+                                          range(1, shape.n_rows + 1))):
+            continue
+        for k in (2, 3, 4):
+            search = oracle._Search(shape, k)
+            count = search.total()
+            assert sum(1 for _ in search.start()) == count, (shape, k)
+            cases += 1
+    assert cases == 7122, cases
+
+
 def test_every_live_pair_needs_what_the_chain_leaves():
     # Fact A of the row-search notes: every pair (c, r) of a state after
     # row i has r = k-1-A(c), A(c) being the chain the placed rows end at
@@ -417,6 +435,26 @@ def test_invalid_parameters():
         oracle_count_shape(SkewShape(()), 2)
     with pytest.raises(ValueError):
         list(enumerate_maximal_fillings(SkewShape(()), 2))
+
+
+def test_listings_check_their_arguments_when_called():
+    # both listings refuse a bad board, shape, k or budget when called, as
+    # symmetry.enumerate_fixed_points does, not at the first next()
+    with pytest.raises(ValueError):
+        enumerate_maximal_iams(3, 3, 1)
+    with pytest.raises(ValueError):
+        enumerate_maximal_iams(0, 3, 2)
+    with pytest.raises(BudgetExceeded):
+        enumerate_maximal_iams(9, 9, 3, EnumerationBudget(max_cells=64))
+    with pytest.raises(ValueError):
+        enumerate_maximal_fillings(SkewShape((3, 3)), 1)
+    with pytest.raises(ValueError):
+        enumerate_maximal_fillings(SkewShape(()), 2)
+    with pytest.raises(TypeError):
+        enumerate_maximal_fillings((3, 3), 2)
+    with pytest.raises(BudgetExceeded):
+        enumerate_maximal_fillings(SkewShape((9,) * 9), 3,
+                                   EnumerationBudget(max_cells=64))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +581,10 @@ def test_successors_match_their_definition():
     # one that ends a k-chain or zero with no room; it must still list
     # exactly the masks inside the row span that the C-vector update above
     # accepts and whose zeros pass the room test, masks ascending.  The
-    # state holds chain thresholds, read here as their C-vector
+    # tables are kept per row kind, shared by rows at different depths, so
+    # every (depth, thresholds) the forward sum reaches is checked against
+    # the definition at its own depth.  The state holds chain thresholds,
+    # read here as their C-vector
     from test_skew import CATALOG
     boards = [(SkewShape((n,) * m), k)
               for m, n, k in [(4, 4, 2), (5, 5, 3), (4, 6, 4), (6, 4, 3)]]
@@ -551,28 +592,28 @@ def test_successors_match_their_definition():
     checked = 0
     for shape, k in boards:
         search = oracle._Search(shape, k)
-        search.total()
-        checked += len(search._succ)
         n = shape.n_cols
-        for (depth, tails), got in search._succ.items():
-            assert len(tails) <= k - 1, (shape, k, depth, tails)
-            c_vec = _c_vector(tails, n)
-            lo, hi = shape.row_span(depth + 1)
-            inside = ((1 << (hi - lo)) - 1) << (n - hi)
-            want = []
-            for mask in range(1 << n):
-                nxt = _push_row(c_vec, mask, n, k)
-                if mask & ~inside or nxt is None:
-                    continue
-                room = _room_by_definition(shape, k, depth + 1, nxt)
-                new = []
-                for j in range(lo + 1, hi + 1):
-                    need = k - 1 - (c_vec[j - 2] if j >= 2 else 0)
-                    if not (mask >> (n - j)) & 1 and need > 0:
-                        new.append((j, need))
-                if all(room[j] >= need for j, need in new):
-                    want.append((mask, nxt, new, room))
-            got = [(mask, _c_vector(nxt, n), new, room)
-                   for mask, nxt, new, room in got]
-            assert got == want, (shape, k, depth, tails)
+        for depth in range(search.m):
+            for tails, _ in search.layer(depth):
+                assert len(tails) <= k - 1, (shape, k, depth, tails)
+                c_vec = _c_vector(tails, n)
+                lo, hi = shape.row_span(depth + 1)
+                inside = ((1 << (hi - lo)) - 1) << (n - hi)
+                want = []
+                for mask in range(1 << n):
+                    nxt = _push_row(c_vec, mask, n, k)
+                    if mask & ~inside or nxt is None:
+                        continue
+                    room = _room_by_definition(shape, k, depth + 1, nxt)
+                    new = []
+                    for j in range(lo + 1, hi + 1):
+                        need = k - 1 - (c_vec[j - 2] if j >= 2 else 0)
+                        if not (mask >> (n - j)) & 1 and need > 0:
+                            new.append((j, need))
+                    if all(room[j] >= need for j, need in new):
+                        want.append((mask, nxt, new, room))
+                got = [(mask, _c_vector(nxt, n), new, room)
+                       for mask, nxt, new, room in search.succ(depth, tails)]
+                assert got == want, (shape, k, depth, tails)
+                checked += 1
     assert checked > 100, checked
