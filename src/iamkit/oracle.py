@@ -21,7 +21,10 @@ Three routes, kept deliberately separate:
   prefixes reaching each row state (chain thresholds, demands), with the
   same transitions and prunes and no row rule, so they list nothing;
   `symmetry` counts the half-turn class HTS by folding at the middle the
-  top-half layers the search kept from its count;
+  top-half layers the search kept from its count; a rectangle is counted
+  on its narrow side (`_rect_search`): the transpose maps the maximal
+  m x n matrices one to one onto the maximal n x m ones, and the search's
+  states grow with the width, not the height;
 * `naive_enumerate` scans every (0,1)-matrix, with no pruning at all: one
   table gives each code's longest chain by a subset recurrence of its own,
   and a code is kept when it avoids I_k and every flip of one of its zeros
@@ -160,10 +163,10 @@ from .core import (
 # of one kind at different depths, and every listing on the search (the
 # class listings of a census, under their own rules), advance its demands
 # once; the rule filters the children it reads.  Nothing is kept across
-# searches.  The forward sum takes no rule and keeps no children, only each
-# layer's counts per state, which the half-turn fold reads again.  Every
-# per-column chain profile of a thresholds tuple is built in one pass
-# (`core._profile`).
+# searches.  The forward sum takes no rule and keeps no children, only the
+# counts per state of the layers up to the middle row, which the half-turn
+# fold reads again.  Every per-column chain profile of a thresholds tuple
+# is built in one pass (`core._profile`).
 
 
 def _strongest(pairs):
@@ -207,7 +210,7 @@ class _Search:
                            #                   new demands, room)]
         self._kids = {}    # (kind, tails, demands) -> the listing's
                            # children, before any rule
-        self._layers = [{((), ()): 1}]  # the layers summed so far
+        self._layers = [{((), ()): 1}]  # the layers kept so far
 
     def room(self, depth, nxt):
         """room[c]: the longest chain the rows after row depth+1 can still
@@ -396,9 +399,9 @@ class _Search:
         after the first `depth` rows, summed forward one row at a time; the
         caller must not change it.
 
-        The layers are kept on the search, so each is summed once however
-        often it is asked for: `total()` sums every one, and the half-turn
-        fold (`symmetry._fold_count`) reads the top half's off them.  No
+        The layers asked for are kept on the search, so each is summed
+        once however often it is asked for: `total()` keeps the top half's,
+        which the half-turn fold (`symmetry._fold_count`) reads again.  No
         children are kept, only the counts per state."""
         layers = self._layers
         while len(layers) <= depth:
@@ -407,8 +410,27 @@ class _Search:
 
     def total(self):
         """Number of full fillings: every state after the last row carries
-        no demand (see the notes above), so each prefix it counts is one."""
-        return sum(self.layer(self.m).values())
+        no demand (see the notes above), so each prefix it counts is one.
+        Only the layers up to the middle row are kept; the rest are summed
+        one after another and let go."""
+        half = self.m // 2
+        layer = self.layer(half)
+        for depth in range(half, self.m):
+            layer = self._step(depth, layer)
+        return sum(layer.values())
+
+
+def _rect_search(m, n, k):
+    """(the row search of the m x n board on its narrow side, whether it
+    is transposed).  The transpose maps the maximal m x n matrices one to
+    one onto the maximal n x m ones: it keeps chains increasing, and a
+    zero whose flip completes a k-chain maps to one whose flip does too.
+    The search's states are chain thresholds over the columns, so it is
+    run with n_cols = min(m, n).  Only what is counted runs on it: a
+    listing keeps the caller's board, whose row-major order it follows."""
+    if m < n:
+        return _Search(SkewShape((m,) * n), k), True
+    return _Search(SkewShape((n,) * m), k), False
 
 
 def enumerate_maximal_iams(m, n, k, budget=None):
@@ -429,14 +451,16 @@ def oracle_count(m, n, k, budget=None):
     Sums the row search of `enumerate_maximal_iams` forward over its
     states, row by row, instead of walking its leaves: same transitions,
     same prunes, and no demand left after the last row, so the result
-    equals the length of that stream, but no matrix is built.  A
-    budget is checked only when one is given; the default listing cap does
-    not apply, since nothing is listed.
+    equals the length of that stream, but no matrix is built.  A wide
+    board (m < n) is counted as its transpose, the n x m board, which has
+    as many maximal matrices and a search over m columns, not n (see
+    `_rect_search`).  A budget is checked only when one is given; the
+    default listing cap does not apply, since nothing is listed.
     """
     check_mnk(m, n, k)
     if budget is not None:
         check_budget(m * n, budget)
-    return _Search(SkewShape((n,) * m), k).total()
+    return _rect_search(m, n, k)[0].total()
 
 
 def _check_shape_k(shape, k):

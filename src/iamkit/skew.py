@@ -163,12 +163,17 @@ def count_skew_fillings(shape, k):
     Every shape has a maximal filling, since the all-zero filling avoids
     I_k and so extends to one; a determinant <= 0 is therefore wrong, and
     raises `VerificationError` instead of being returned.
+
+    Entries whose removals leave equal parts share one path count, found
+    once per call: on a rectangle, whose dual's rows are all alike, the
+    (k-1)^2 entries take 2k-3 values.
     """
     if not validate_skew(shape, k):
         raise ValueError("shape fails the staircase admissibility conditions")
-    lam_bar, mu_bar = _dual_rows(shape)
+    lam_bar, mu_bar = map(tuple, _dual_rows(shape))
     rows_n = len(lam_bar)
     d = k - 1
+    counts = {}  # (parts of lam, parts of mu) -> their path count
 
     def entry(i, j):
         a = k - 1 - j
@@ -179,7 +184,9 @@ def count_skew_fillings(shape, k):
         ms = mu_bar[a:rows_n - b]
         if any(l < u for l, u in zip(ls, ms)):
             return 0
-        return kreweras_f(ls, ms)
+        if (ls, ms) not in counts:
+            counts[ls, ms] = kreweras_f(ls, ms)
+        return counts[ls, ms]
 
     rows = [[entry(i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
     det = det_bareiss(rows)

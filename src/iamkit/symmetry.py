@@ -274,12 +274,12 @@ def _fold_count(search):
     return total
 
 
-def _listing_search(m, n, k, budget):
+def _listing_budget(m, n, k, budget):
     # fixed points are listed, so the stream's budget rule applies
     check_mnk(m, n, k)
     budget = budget or DEFAULT_BUDGET
     check_budget(m * n, budget)
-    return oracle._Search(SkewShape((n,) * m), k), budget
+    return budget
 
 
 def enumerate_fixed_points(m, n, k, g, budget=None):
@@ -290,11 +290,30 @@ def enumerate_fixed_points(m, n, k, g, budget=None):
     turns need a square board.  The budget applies as to the stream.  A
     listing of the fixed points of fliph is cut at the fold (see
     `oracle._Search.start`); the matrices and their order are the same.
+    The listing runs on the m x n board as given, since its order is
+    row-major on that board.
     """
-    search, budget = _listing_search(m, n, k, budget)
+    budget = _listing_budget(m, n, k, budget)
+    search = oracle._Search(SkewShape((n,) * m), k)
     masks = _fixed_masks(search, (g,))  # rejects g before the first matrix
     return (BinaryMatrix.from_masks(m, n, rows)
             for rows in islice(masks, budget.max_results))
+
+
+# Conjugating by the transpose swaps flipv with fliph and keeps rot180, so
+# of the tags a non-square board carries it swaps VS with HS and keeps U,
+# VHS and HTS.
+_TRANSPOSED_TAGS = {"VS": "HS", "HS": "VS"}
+
+
+def _census_search(m, n, k, budget):
+    """(the search a class count of the m x n board runs on, the tags to
+    count on it in place of the board's own).  The search is the board's
+    narrow side (`oracle._rect_search`); the square-only tags are 0 on
+    either side."""
+    _listing_budget(m, n, k, budget)
+    search, transposed = oracle._rect_search(m, n, k)
+    return search, _TRANSPOSED_TAGS if transposed else {}
 
 
 def _class_count(search, tag):
@@ -313,14 +332,16 @@ def brute_count_class(tag, m, n, k, budget=None):
     """Count maximal IAMs in a symmetry class by search: U by the oracle's
     transfer-matrix count, HTS by folding the board, any other tag by
     listing the fixed points of its subgroup, as `class_histogram` does (0
-    for a square-only tag on another board)."""
+    for a square-only tag on another board).  A wide board (m < n) is
+    counted as its transpose, with VS and HS swapped (see
+    `class_histogram`)."""
     check_mnk(m, n, k)
     if tag == "U":
         return oracle.oracle_count(m, n, k, budget)
     if tag not in _TAG_ELEMENTS:
         raise ValueError("unknown symmetry tag %r" % (tag,))
-    search, _ = _listing_search(m, n, k, budget)
-    return _class_count(search, tag)
+    search, swap = _census_search(m, n, k, budget)
+    return _class_count(search, swap.get(tag, tag))
 
 
 def class_histogram(m, n, k, budget=None):
@@ -335,6 +356,12 @@ def class_histogram(m, n, k, budget=None):
     `_fold_count`).  The others are listed by the row search under one
     orbit rule, a listing whose matrices are all fliph-fixed (HS, VHS, TS)
     cut at the fold.
+    A wide board (m < n) is counted on its transpose, the n x m board,
+    whose search runs over m columns, not n: the transpose maps the
+    maximal m x n matrices one to one onto the maximal n x m ones and
+    swaps flipv with fliph, so VS(m x n) = HS(n x m) and HS(m x n) =
+    VS(n x m), while U, VHS and HTS carry over and the square-only tags
+    stay 0.
     Nothing is tagged, and all run on one search, so each row state's
     successors, room and children are found once for the whole census:
     the first listing to reach a state keeps its children before any
@@ -342,11 +369,11 @@ def class_histogram(m, n, k, budget=None):
     lists, so the default budget's cell cap applies when none is given;
     `max_results` truncates streams, so it does not apply to counts.
     """
-    search, _ = _listing_search(m, n, k, budget)
+    search, swap = _census_search(m, n, k, budget)
     hist = Counter(U=search.total())
     for tag in _TAG_ELEMENTS:
         if tag != "U":
-            count = _class_count(search, tag)
+            count = _class_count(search, swap.get(tag, tag))
             if count:
                 hist[tag] = count
     return hist

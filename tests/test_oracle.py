@@ -406,9 +406,10 @@ def test_every_live_pair_needs_what_the_chain_leaves():
 
 
 def test_kept_layers_equal_fresh_ones():
-    # total() keeps every layer it sums on the search, and a later
-    # layer(d) reads it back; each must equal layer(d) summed on a fresh
-    # search, and a layer asked for again is not summed again
+    # total() keeps the layers up to the middle row on the search, and
+    # layer(d) keeps any later one it is asked for; each must equal
+    # layer(d) summed on a fresh search, and a layer asked for again is not
+    # summed again
     from test_skew import CATALOG
     boards = [(SkewShape((n,) * m), k) for m in range(1, 7)
               for n in range(1, 7) for k in range(2, min(m, n) + 1)]

@@ -179,6 +179,30 @@ def test_count_skew_fillings_on_rectangles():
                     hprod(m - k + 1, n - k + 1, k - 1)
 
 
+def test_count_skew_fillings_finds_each_minor_once(monkeypatch):
+    # entries whose removals leave equal parts share one path count within
+    # a call: on a rectangle the (k-1)^2 entries take at most 2k-3 values
+    import iamkit.skew as skew
+    calls = []
+
+    def counted(lam, mu):
+        calls.append((lam, mu))
+        return kreweras_f(lam, mu)
+
+    monkeypatch.setattr(skew, "kreweras_f", counted)
+    for m in range(2, 9):
+        for n in range(m, 9):
+            for k in range(2, m + 1):
+                calls.clear()
+                assert count_skew_fillings(SkewShape([n] * m), k) == \
+                    hprod(m - k + 1, n - k + 1, k - 1)
+                assert len(calls) == len(set(calls)) <= 2 * k - 3, (m, n, k)
+    for lam, mu, k, expected in CATALOG:
+        calls.clear()
+        assert count_skew_fillings(SkewShape(lam, mu), k) == expected
+        assert len(calls) == len(set(calls)), (lam, mu, k)
+
+
 # admissible shapes whose determinant is 0, with the oracle's count
 SINGULAR = [
     ((6, 6, 6, 4, 4), (3, 3), 3, 18),

@@ -18,11 +18,13 @@ from iamkit.oracle import (
     EnumerationBudget,
     _Search,
     enumerate_maximal_iams,
+    oracle_count,
 )
 from iamkit.symmetry import (
     D8_ELEMENTS,
     _TAG_ELEMENTS,
     _cell_images,
+    _class_count,
     _fold_count,
     _orbit_rule,
     _orbits,
@@ -308,6 +310,38 @@ def test_brute_count_class_equals_the_census():
             assert brute_count_class(tag, m, n, k) == hist[tag], (m, n, k, tag)
     with pytest.raises(ValueError):
         brute_count_class("XS", 3, 3, 2)
+
+
+def wide_boards(top_m, top_n):
+    """(m, n, k) for every board with m < n, m <= top_m, n <= top_n."""
+    return [(m, n, k) for m in range(2, top_m + 1)
+            for n in range(m + 1, top_n + 1) for k in range(2, m + 1)]
+
+
+def test_transpose_swaps_the_fixed_points_of_flipv_and_fliph():
+    # a wide board's census runs on its transpose and counts VS there as
+    # HS and HS as VS; the counts cannot show a missing swap (VS = HS =
+    # VHS is 0 or 1 on every non-square board), so the listings do
+    for m, n, k in wide_boards(6, 7):
+        for g, image in (("fliph", "flipv"), ("flipv", "fliph"),
+                         ("rot180", "rot180")):
+            turned = {apply(M, "transpose")
+                      for M in enumerate_fixed_points(m, n, k, g)}
+            assert turned == set(enumerate_fixed_points(n, m, k, image)), \
+                (m, n, k, g)
+
+
+def test_wide_row_searches_equal_the_narrow_side():
+    # counts and censuses of a wide board run on its transpose, so the
+    # search over the long rows is kept covered here: its count, and each
+    # tag's class count on it, must equal what the narrow side reports
+    for m, n, k in wide_boards(7, 7):
+        search = _Search(SkewShape((n,) * m), k)
+        assert search.total() == oracle_count(m, n, k), (m, n, k)
+        hist = class_histogram(m, n, k)
+        for tag in _TAG_ELEMENTS:
+            if tag != "U":
+                assert _class_count(search, tag) == hist[tag], (m, n, k, tag)
 
 
 def test_fold_count_equals_the_orbit_rule_listing():
