@@ -427,7 +427,8 @@ def _build_parser():
         for opt in dims:
             sp.add_argument(opt, type=int)
         if budget:
-            sp.add_argument("--budget", type=int, default=64,
+            sp.add_argument("--budget", type=int,
+                            default=DEFAULT_BUDGET.max_cells,
                             help="largest board (cells) a search may touch")
         sp.add_argument("--out", type=str, default=None)
 

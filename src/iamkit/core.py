@@ -553,7 +553,9 @@ class Partition:
 class SkewShape:
     """The diagram lambda/mu: cells (i, j) with mu_i < j <= lambda_i.
 
-    mu is zero-padded to the length of lambda and must fit inside it.
+    mu is zero-padded to the length of lambda and must fit inside it.  The
+    zero parts of lambda, and the parts of mu past them, are then dropped:
+    they cut out no cells, so each diagram is one shape, (3, 0) being (3,).
     """
 
     __slots__ = ("lam", "mu")
@@ -566,8 +568,9 @@ class SkewShape:
         padded = tuple(mu.parts) + (0,) * (len(lam) - len(mu))
         if not lam.contains(padded):
             raise ValueError("mu must fit inside lambda")
-        self.lam = lam
-        self.mu = Partition(padded)
+        rows = len(lam) - lam.parts.count(0)
+        self.lam = Partition(lam.parts[:rows])
+        self.mu = Partition(padded[:rows])
 
     @property
     def n_rows(self):

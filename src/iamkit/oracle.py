@@ -12,10 +12,8 @@ Three routes, kept deliberately separate:
   also takes one extra rule per row, with which `symmetry` lists only the
   matrices fixed by a subgroup (the rule copies each cell from the first
   cell of its orbit), so a symmetry census never filters the full stream;
-  when the rule mirrors the top rows below (fliph), the listing also drops
-  a top-half prefix once a chain across the fold reaches k; a state's
-  children are found once per search and read by every listing on it,
-  whatever its rule;
+  a state's children are found once per search and read by every listing
+  on it, whatever its rule;
 * `oracle_count` and `oracle_count_shape` count the same search by the
   transfer-matrix method: one forward sum, row by row, of the number of
   prefixes reaching each row state (chain thresholds, demands), with the
@@ -46,10 +44,7 @@ from .core import (
     Filling,
     SkewShape,
     VerificationError,
-    _bitrev,
-    _chain_across,
     _profile,
-    _sweep,
     _tails_below,
     check_budget,
     check_mnk,
@@ -338,7 +333,7 @@ class _Search:
         return [x for x in kids if x[0] & fixed == values
                 and (keep is None or keep(x[0]))]
 
-    def start(self, rule=None, mirror=0):
+    def start(self, rule=None):
         """Every full row-mask tuple, in stream order.
 
         With a rule, yield only those whose every row obeys it, in the same
@@ -349,32 +344,14 @@ class _Search:
         Each frame reads its state's children off the search's memo
         (`_listed`), shared by every listing on the search, and filters
         them by the rule.
-
-        When the rule makes the last `mirror` rows repeat the first ones in
-        reverse order (a matrix fixed by fliph), a prefix of at most
-        `mirror` rows is cut at the fold.  The repeated rows' chains
-        strictly right of column c are the prefix's down-left chains there,
-        which are the increasing chains of its rows bit-reversed ending at
-        or left of column n-c.  The prefix is dropped as soon as one of
-        them plus a chain it ends at or left of c reaches k, a sum that
-        only grows as rows are added.  The thresholds of the reversed rows
-        are swept one row at a time, on a stack beside the prefix.
         """
-        m, n, k = self.m, self.n, self.k
+        m = self.m
         rows = []
-        backs = [()]  # backs[d]: thresholds of the first d rows bit-reversed
         stack = [iter(self._listed(rows, (), (), rule))]
         while stack:
-            depth = len(rows)
             for mask, nxt, dem in stack[-1]:
-                if depth < mirror:
-                    back = list(backs[depth])
-                    _sweep(back, (_bitrev(mask, n),))
-                    if _chain_across(nxt, back, n) >= k:
-                        continue
-                    backs[depth + 1:] = [back]
                 rows.append(mask)
-                if depth + 1 == m:
+                if len(rows) == m:
                     yield tuple(rows)
                     rows.pop()
                 else:

@@ -136,14 +136,15 @@ def _tags_of(masks, m, n):
 # points itself, with one rule per row: a cell whose orbit first meets the
 # board (row-major) in an earlier row is a fixed bit, copied from there; a
 # cell whose orbit first meets it earlier in the same row must equal that
-# cell.  Two shortcuts rest on the fold between the top and bottom halves.
-# HTS, the fixed points of rot180, is counted by folding the board: the
-# search's forward sum over its states for the top half, which the search
-# keeps from its U count, with no listing (`_fold_count`).  A listing whose
-# matrices are all fixed by fliph (HS, VHS, TS, and `enumerate_fixed_points`
-# of fliph) drops a top-half prefix once a chain across the fold reaches k
-# (`oracle._Search.start`).  VHS is listed so as well, which keeps the
-# forward sum free of row rules.
+# cell.  HTS, the fixed points of rot180, is counted by folding the board:
+# the search's forward sum over its states for the top half, which the
+# search keeps from its U count, with no listing (`_fold_count`).  VHS is
+# listed, which keeps the forward sum free of row rules.  The transpose
+# turns fliph into flipv, so the matrices fixed by fliph on the m x n board
+# (HS) are the transposes of those fixed by flipv on the n x m board (VS):
+# HS is counted, and the fixed points of fliph listed, as VS of the
+# transposed board, whose orbit rule mirrors each row within itself and
+# asks nothing of the rows above.
 
 
 def _cell_images(g, m, n):
@@ -173,12 +174,10 @@ def _cell_images(g, m, n):
 
 @functools.cache
 def _orbits(elements, m, n):
-    """(rows, mirrors) for the subgroup these elements generate on the
-    m x n board.  rows[i] is what being fixed asks of row i: (fixed bits,
-    the source of each as (bit, earlier row, shift), a test of the row's
-    own cells that must be equal, or None).  mirrors: is every fixed matrix
-    fixed by fliph as well?  That holds exactly when fliph moves each cell
-    within its orbit."""
+    """What being fixed by the subgroup these elements generate on the
+    m x n board asks of each row i: (fixed bits, the source of each as
+    (bit, earlier row, shift), a test of the row's own cells that must be
+    equal, or None)."""
     first = list(range(m * n))  # union-find; each root is its orbit's least
 
     def find(c):
@@ -208,16 +207,13 @@ def _orbits(elements, m, n):
                 return not any(((mask >> a) ^ (mask >> b)) & 1
                                for a, b in pairs)
         rows.append((fixed, tuple(sources), keep))
-
-    mirrors = all(first[c] == first[d]
-                  for c, d in enumerate(_cell_images("fliph", m, n)))
-    return tuple(rows), mirrors
+    return tuple(rows)
 
 
 def _orbit_rule(elements, m, n):
     """The row rule of `oracle._Search.start` that keeps exactly the
     m x n matrices fixed by every one of these group elements."""
-    table = _orbits(elements, m, n)[0]
+    table = _orbits(elements, m, n)  # rejects a bad element first
 
     def rule(rows):
         fixed, sources, keep = table[len(rows)]
@@ -233,11 +229,22 @@ def _orbit_rule(elements, m, n):
 
 def _fixed_masks(search, elements):
     """The row masks of the maximal matrices fixed by these elements, in
-    stream order.  When each of them is fixed by fliph, its top ⌊m/2⌋
-    rows are mirrored below, so the listing cuts them at the fold."""
+    stream order; those of fliph read off flipv's on the transposed board
+    (see the notes above)."""
+    if elements == ("fliph",):
+        return _fliph_masks(search)
+    return search.start(_orbit_rule(elements, search.m, search.n))
+
+
+def _fliph_masks(search):
+    """The transposes of the flipv-fixed matrices of the transposed board,
+    sorted into the row-major order of the search's board: on a square
+    board that is the search itself."""
     m, n = search.m, search.n
-    mirrors = _orbits(elements, m, n)[1]  # rejects a bad element first
-    return search.start(_orbit_rule(elements, m, n), m // 2 if mirrors else 0)
+    if m != n:
+        search = oracle._Search(SkewShape((m,) * n), search.k)
+    yield from sorted(_transpose_masks(cols, n, m)
+                      for cols in _fixed_masks(search, ("flipv",)))
 
 
 # A matrix fixed by rot180 is its top ⌈m/2⌉ rows and their half turn.  The
@@ -287,11 +294,10 @@ def enumerate_fixed_points(m, n, k, g, budget=None):
     in the order of `oracle.enumerate_maximal_iams`.
 
     g is any of D8_ELEMENTS; transpose, antitranspose and the quarter
-    turns need a square board.  The budget applies as to the stream.  A
-    listing of the fixed points of fliph is cut at the fold (see
-    `oracle._Search.start`); the matrices and their order are the same.
-    The listing runs on the m x n board as given, since its order is
-    row-major on that board.
+    turns need a square board.  The budget applies as to the stream.  The
+    fixed points of fliph are the transposes of those of flipv on the
+    n x m board, listed there in full and sorted into the row-major order
+    of this one.
     """
     budget = _listing_budget(m, n, k, budget)
     search = oracle._Search(SkewShape((n,) * m), k)
@@ -354,20 +360,20 @@ def class_histogram(m, n, k, budget=None):
     rot180, is counted by folding the board: the top half's layers that
     the U count kept, each state kept when the half turn completes it (see
     `_fold_count`).  The others are listed by the row search under one
-    orbit rule, a listing whose matrices are all fliph-fixed (HS, VHS, TS)
-    cut at the fold.
+    orbit rule, HS as VS of the transposed board.
     A wide board (m < n) is counted on its transpose, the n x m board,
     whose search runs over m columns, not n: the transpose maps the
     maximal m x n matrices one to one onto the maximal n x m ones and
     swaps flipv with fliph, so VS(m x n) = HS(n x m) and HS(m x n) =
     VS(n x m), while U, VHS and HTS carry over and the square-only tags
     stay 0.
-    Nothing is tagged, and all run on one search, so each row state's
-    successors, room and children are found once for the whole census:
-    the first listing to reach a state keeps its children before any
-    rule, and every later one filters them by its own.  The census still
-    lists, so the default budget's cell cap applies when none is given;
-    `max_results` truncates streams, so it does not apply to counts.
+    Nothing is tagged, and all but the HS listing of a non-square board
+    run on one search, so each row state's successors, room and children
+    are found once for the whole census: the first listing to reach a
+    state keeps its children before any rule, and every later one filters
+    them by its own.  The census still lists, so the default budget's
+    cell cap applies when none is given; `max_results` truncates streams,
+    so it does not apply to counts.
     """
     search, swap = _census_search(m, n, k, budget)
     hist = Counter(U=search.total())

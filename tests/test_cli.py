@@ -449,6 +449,24 @@ def test_a_shape_with_no_rows_exits_1(capsys):
         "", "invalid input: the shape has no rows\n")
 
 
+def test_a_zero_part_adds_no_row(capsys):
+    # one diagram is one shape: 4,4,0 is 4,4, and a lambda of zero parts
+    # has no rows, as an empty one has none
+    assert run(capsys, ["count", "--lambda", "4,4,0", "--k", "2"]) == \
+        run(capsys, ["count", "--lambda", "4,4", "--k", "2"]) == (0, "4\n")
+    assert run(capsys, ["enumerate", "--lambda", "3,0", "--mu", "1",
+                        "--k", "2"]) == \
+        (0, '{"lambda":[3],"mu":[1],"rows":[[1,1]]}\n')
+    for lam in ("0", "0,0"):
+        assert main(["enumerate", "--lambda", lam, "--k", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "invalid input: the shape has no rows\n")
+        assert main(["count", "--lambda", lam, "--k", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "invalid input: shape fails the staircase admissibility "
+                "conditions\n")
+
+
 def test_argparse_errors_end_in_one_line(capsys):
     # argparse's own refusals print no usage text, only the error
     assert main(["count", "--m", "x"]) == 1

@@ -322,6 +322,19 @@ def test_skew_shape_cells():
         SkewShape((2,), (1, 1))
 
 
+def test_zero_parts_of_lambda_are_dropped():
+    # they cut out no cells, so the shape is the same diagram without them;
+    # a Partition keeps them as given
+    assert SkewShape((3, 0)) == SkewShape((3,))
+    assert hash(SkewShape((3, 0))) == hash(SkewShape((3,)))
+    assert SkewShape((3, 2, 0, 0), (1,)) == SkewShape((3, 2), (1, 0))
+    assert SkewShape((3, 0), (1, 0)).to_json_dict() == \
+        {"lambda": [3], "mu": [1]}
+    assert SkewShape((0,)) == SkewShape(()) and SkewShape((0,)).n_rows == 0
+    with pytest.raises(ValueError):
+        SkewShape((3, 0), (1, 1))  # mu is checked before the drop
+
+
 def test_filling_construction_and_json():
     sh = SkewShape((3, 2), (1, 0))
     cells = sh.cells()

@@ -27,7 +27,6 @@ from iamkit.symmetry import (
     _class_count,
     _fold_count,
     _orbit_rule,
-    _orbits,
     _tags_of,
     apply,
     brute_count_class,
@@ -354,53 +353,46 @@ def test_fold_count_equals_the_orbit_rule_listing():
         assert _fold_count(search) == listed, (m, n, k)
 
 
-def test_fliph_listing_cut_at_the_fold_equals_the_uncut_one():
-    # every subgroup whose fixed matrices are all fliph-fixed, on every
-    # board up to 7x7: the cut drops only dead prefixes, so the same masks
-    # come out in the same order
+def test_fliph_fixed_points_equal_the_orbit_rule_listing():
+    # the fixed points of fliph are listed as the transposes of the flipv-
+    # fixed matrices of the transposed board, sorted; on every board up to
+    # 7x7 they must be the listing under fliph's own orbit rule on the
+    # board itself, matrix for matrix and in the same order
     for m, n, k in boards(7):
         search = _Search(SkewShape((n,) * m), k)
-        mirrored = {tag for tag in subgroups(m, n)
-                    if _orbits(_TAG_ELEMENTS[tag], m, n)[1]}
-        assert {"HS", "VHS"} | ({"TS"} if m == n else set()) <= mirrored, \
-            (m, n)
-        for tag in sorted(mirrored):
-            rule = _orbit_rule(_TAG_ELEMENTS[tag], m, n)
-            assert list(search.start(rule, m // 2)) == \
-                list(search.start(rule)), (m, n, k, tag)
+        want = list(search.start(_orbit_rule(("fliph",), m, n)))
+        got = [M.masks for M in enumerate_fixed_points(m, n, k, "fliph")]
+        assert got == want, (m, n, k)
 
 
 def test_listings_on_a_shared_search_equal_fresh_ones():
     # the listing keeps each state's children, before any rule, on the
-    # search, and every listing on it reads them: the DS, AS, HS, ...
+    # search, and every listing on it reads them: the DS, AS, VS, ...
     # listings of a census after its U count, the certifier's stream.  On
-    # every board up to 6x6, each subgroup's listing, cut at the fold or
-    # not, and the unrestricted one, run twice in turn on one search after
-    # its U count, must each equal that listing on a fresh search.  A copy
-    # that keeps the children the rule left instead fails here: the rule
-    # listings run first, and the unrestricted one then misses matrices
+    # every board up to 6x6, each subgroup's listing and the unrestricted
+    # one, run twice in turn on one search after its U count, must each
+    # equal that listing on a fresh search.  A copy that keeps the children
+    # the rule left instead fails here: the rule listings run first, and
+    # the unrestricted one then misses matrices
     for m, n, k in boards(6):
         shape = SkewShape((n,) * m)
-        listings = []
-        for tag, elements in sorted(subgroups(m, n).items()):
-            rule = _orbit_rule(elements, m, n)
-            listings.append((tag, rule, 0))
-            if _orbits(elements, m, n)[1]:
-                listings.append((tag + " cut", rule, m // 2))
-        listings.append(("U", None, 0))
-        fresh = {name: list(_Search(shape, k).start(rule, mirror))
-                 for name, rule, mirror in listings}
+        listings = [(tag, _orbit_rule(elements, m, n))
+                    for tag, elements in sorted(subgroups(m, n).items())]
+        listings.append(("U", None))
+        fresh = {name: list(_Search(shape, k).start(rule))
+                 for name, rule in listings}
         shared = _Search(shape, k)
         shared.total()
         for _ in range(2):
-            for name, rule, mirror in listings:
-                assert list(shared.start(rule, mirror)) == fresh[name], \
+            for name, rule in listings:
+                assert list(shared.start(rule)) == fresh[name], \
                     (m, n, k, name)
 
 
-def test_fold_and_cut_on_boards_taller_than_the_recursion_limit():
-    # the fold sums the top half row by row, and the cut listing keeps its
-    # mirror thresholds on a stack, so neither uses Python's call stack
+def test_fold_and_transpose_on_boards_taller_than_the_recursion_limit():
+    # the fold sums the top half row by row, so it does not use Python's
+    # call stack; HS is VS of the transposed board, two rows of m columns,
+    # whose rows are built column by column in a loop
     for m in (1200, 1201):
         assert m > sys.getrecursionlimit()
         budget = EnumerationBudget(max_cells=2 * m)
@@ -440,8 +432,9 @@ def test_fixed_points_reject_other_elements():
 
 
 def test_census_keeps_the_listing_budget():
-    # the census still lists the fixed points of every tag but HTS and VHS,
-    # which it counts by the fold, so the default 64-cell cap applies
+    # the census still lists the fixed points of every tag but U and HTS,
+    # which it counts by the forward sum and the fold, so the default
+    # 64-cell cap applies
     with pytest.raises(BudgetExceeded):
         class_histogram(9, 9, 5)
     with pytest.raises(BudgetExceeded):
