@@ -4,24 +4,24 @@ Three routes, kept deliberately separate:
 
 * `enumerate_maximal_iams` / `enumerate_maximal_fillings` list by one
   pruned row-by-row search over a skew shape, a rectangle being the shape
-  (n^m)/(); its prunes are safe: chain length, and every zero not yet
-  justified carried in the row state as a demand on later rows, one
-  (column, need) pair each, so it is exact, assumes nothing about the ones
-  count and lists no dead leaf (that one pair suffices is proven in the
-  row-search notes, but for one case, which raises VerificationError); it
-  also takes one extra rule per row, with which `symmetry` lists only the
+  (n^m)/(); its row state is the placed rows' chain thresholds, and it
+  places a row only if the row completes no k-chain and leaves each zero
+  room below for the chain it needs.  No such row strands a zero placed
+  earlier (Fact C of the row-search notes), so the search is exact,
+  assumes nothing about the ones count and lists no dead leaf; it also
+  takes one extra rule per row, with which `symmetry` lists only the
   matrices fixed by a subgroup (the rule copies each cell from the first
   cell of its orbit), so a symmetry census never filters the full stream;
-  a state's children are found once per search and read by every listing
-  on it, whatever its rule;
+  a state's successor rows are found once per search and read by the
+  count and by every listing on it, whatever its rule;
 * `oracle_count` and `oracle_count_shape` count the same search by the
   transfer-matrix method: one forward sum, row by row, of the number of
-  prefixes reaching each row state (chain thresholds, demands), with the
-  same transitions and prunes and no row rule, so they list nothing;
-  `symmetry` counts the half-turn class HTS by folding at the middle the
-  top-half layers the search kept from its count; a rectangle is counted
-  on its narrow side (`_rect_search`): the transpose maps the maximal
-  m x n matrices one to one onto the maximal n x m ones, and the search's
+  prefixes reaching each row state, over the same rows and with no row
+  rule, so they list nothing; `symmetry` counts the half-turn class HTS
+  by folding at the middle a sum over the top half that also carries each
+  zero's pending demand (`_Search.track`); a rectangle is counted on its
+  narrow side (`_rect_search`): the transpose maps the maximal m x n
+  matrices one to one onto the maximal n x m ones, and the search's
   states grow with the width, not the height;
 * `naive_enumerate` scans every (0,1)-matrix, with no pruning at all: one
   table gives each code's longest chain by a subset recurrence of its own,
@@ -70,8 +70,8 @@ from .core import (
 # k-chain.  A zero at (i, j) has its above-left chain U frozen once row i is
 # placed; if need = k-1-U > 0 it needs a chain of `need` ones strictly below
 # and to the right of it, which only later rows can supply.  That
-# requirement joins the row state as a *demand*: one pair (column c,
-# still-needed r), "r more ones in later rows, strictly right of c".
+# requirement is a *demand*: one pair (column c, still-needed r), "r more
+# ones in later rows, strictly right of c".
 #
 # * A new row with no one right of c leaves the pair as it is.  One with a
 #   one right of c, the first at column j, meets the demand if r = 1, and
@@ -82,14 +82,68 @@ from .core import (
 #   read off the thresholds of the shape's full rows below row i turned a
 #   half turn), nor k-1 minus the thresholds at or left of column c, since
 #   those r ones would extend the longest chain the placed rows end there.
-#   An alternative without room is dropped; a demand with none left kills
-#   the branch.
-# * The state keeps only the pairs that no other one implies: (b, s)
-#   implies (c, r) when b >= c and s >= r.
+#   An alternative without room is dropped; a demand with none left would
+#   kill the branch.
 #
-# A demand whose two alternatives both have room would be two pairs, an
-# "or".  Two facts show that it need not be kept.  Write A_i(c) for the
-# chain that rows 1..i end at or left of column c (`core._profile`).
+# A successor row is built column by column, all its prefixes at once,
+# each extended by 0 before 1, so the masks come out ascending.  Write A(c)
+# for the chain the rows above end at or left of column c.  A one at
+# column j is allowed only while A(j-1) < k-1, and ends a chain of
+# A(j-1)+1.  A zero at j with need = k-1-A(j-1) > 0 is kept only if its
+# pair (j, need) has room: geo[j] >= need, and once the row is placed the
+# rows end at or left of j a chain of max(A(j), A(j'-1)+1) <= A(j-1), j'
+# being the row's last one so far.  That is, A(j) = A(j-1) (no threshold
+# at column j) and A(j'-1) < A(j-1), which the prefix already decides.
+# Both tests are necessary, so every maximal filling is a sequence of
+# successor rows.  Every prefix extends, since a one is refused only where
+# a zero needs nothing, so the work follows the rows kept, not the masks
+# of the span; and no state is dead, since the row with a one wherever one
+# is allowed is always a successor.  The next thresholds are carried along
+# instead of swept after the row: a one at column j whose chain A(j-1)+1
+# is longer than the row's last one's moves threshold A(j-1) to column j.
+# The thresholds before it are at or left of column j-1 already, and a one
+# of the same chain further left moved it first.  So a prefix holds the
+# next thresholds up to the chain its last one ends, and the rest are
+# those of the rows above.
+#
+# Fact C: no successor row kills a demand.  Write A_i(c) for the chain that
+# rows 1..i end at or left of column c (`core._profile`), and geo_i, room_i
+# for what lies below row i.  Take a pair (c, r) with room after row i, so
+# r <= geo_i[c] and r <= k-1-A_i(c), and any successor row i+1.
+#
+# * Column c+1 lies in row i+1's span.  A cell lies strictly below-right of
+#   (i, c), as geo_i[c] >= 1, and right ends do not rise going down, so the
+#   row reaches c+1.  The pair's column is that of a cell of an earlier
+#   row, and left ends do not rise either, so the row starts left of c+1.
+# * The row does not skip column c+1, since A_i(c) <= k-1-r <= k-2.
+# * If (i+1, c+1) is 0, that zero passed the zero test with need
+#   k-1-A_i(c) >= r: geo_{i+1}[c+1] >= r, and A_{i+1}(c+1) = A_i(c).  So
+#   room_{i+1}[c+1] >= r, and room_{i+1}[c] >= r too, since neither geo nor
+#   k-1-A rises from left to right.  The pair stays, whether the row has no
+#   one right of c or its first one right of c lies past c+1.
+# * If (i+1, c+1) is 1, the demand is met when r = 1, and otherwise moves
+#   to (c+1, r-1).  Of a chain of r cells strictly below-right of (i, c),
+#   the last r-1 lie strictly below-right of (i+1, c+1): geo_{i+1}[c+1] >=
+#   r-1.  Thresholds sit at distinct columns, so A_i(c+1) <= A_i(c)+1, and
+#   a one of row i+1 at or left of c+1 ends a chain of at most A_i(c)+1: so
+#   A_{i+1}(c+1) <= A_i(c)+1 <= k-r, and room_{i+1}[c+1] >= r-1.
+#
+# A zero's pair has room when its row is placed (the zero test), so every
+# demand keeps an alternative with room through every sequence of
+# successor rows; nothing lies below the last row, so each is met by then.
+# So every sequence of m successor rows is a maximal filling, and the row
+# state is the thresholds alone: the count is one forward sum over the
+# states, row by row, of the number of prefixes reaching each (the
+# transfer-matrix method, `_Search.layer`), and the listing yields every
+# full prefix.  Every listed filling is still put through the literal
+# maximality test, as an invariant that raises if it ever fails.
+#
+# The half-turn fold (`symmetry._fold_count`) alone reads the demands: it
+# keeps a top-half state only if the turned half meets each one pending.
+# Its sum (`_Search.track`) carries them over the same successor rows,
+# keeping only the pairs that no other one implies: (b, s) implies (c, r)
+# when b >= c and s >= r.  A demand whose two alternatives both have room
+# would be two pairs, an "or"; two facts show that it need not be kept.
 #
 # * Fact A: every pair (c, r) of a state after row i has r = k-1-A_i(c).
 #   A zero at (i, j) gets need k-1-A_{i-1}(j-1), and `succ` keeps it only
@@ -105,44 +159,10 @@ from .core import (
 #   the row's span, since left ends move left going down.
 # * The open case is j = c+1 with a one at (i+1, c).  That one gives
 #   A_{i+1}(c) >= A_i(c-1)+1, so (c, r) keeps room only if A_i(c-1) <
-#   A_i(c): a threshold at column c.  No live pair was seen at a threshold:
-#   none of the 6,105 pairs on every rectangle up to 8 x 8 with every k
-#   (the tests check every board up to 7 x 7).  All 11,206 two-alternative
-#   events there and on every shape in a 5 x 6 box were the "(i+1, c) is
-#   0" case.  Should the open case ever arise, `advance` raises
-#   VerificationError, so no count rests on the unproven step.
-#
-# A successor row is built column by column, all its prefixes at once,
-# each extended by 0 before 1, so the masks come out ascending.  Write A(c)
-# for the chain the rows above end at or left of column c.  A one at
-# column j is allowed only while A(j-1) < k-1, and ends a chain of
-# A(j-1)+1.  A zero at j with need = k-1-A(j-1) > 0 is kept only if its
-# pair (j, need) has room: geo[j] >= need, and once the row is placed the
-# rows end at or left of j a chain of max(A(j), A(j'-1)+1) <= A(j-1), j'
-# being the row's last one so far.  That is, A(j) = A(j-1) (no threshold
-# at column j) and A(j'-1) < A(j-1), which the prefix already decides.
-# Every prefix extends, since a one is refused only where a zero needs
-# nothing, so the work follows the rows kept, not the masks of the span.
-# The next thresholds are carried along instead of swept after the row: a
-# one at column j whose chain A(j-1)+1 is longer than the row's last one's
-# moves threshold A(j-1) to column j.  The thresholds before it are at or
-# left of column j-1 already, and a one of the same chain further left
-# moved it first.  So a prefix holds the next thresholds up to the chain
-# its last one ends, and the rest are those of the rows above.
-#
-# So the state (depth, thresholds, demands) decides exactly which
-# completions are valid.  No state after the last row carries a demand:
-# nothing lies below that row, so its room is 0, `advance` drops every
-# demand it does not meet, and `succ` keeps no zero in it that still needs
-# a one.  So each prefix of all m rows is a maximal filling, and the count
-# is one forward sum over the states, row by row, of the number of prefixes
-# reaching each (the transfer-matrix method, `_Search.layer`).  The listing
-# enters every child and yields every full prefix.  That every reachable
-# state has a completion is measured, not proven: no state was dead on any
-# rectangle up to 10 x 10 nor on any of over a million skew shapes; the
-# listing's output does not rest on it, only its work.  Every listed
-# filling is still put through the literal maximality test, as an
-# invariant that raises if it ever fails.
+#   A_i(c): a threshold at column c.  No live pair was seen at a threshold
+#   (none of 6,105 on every rectangle up to 8 x 8; the tests check every
+#   board up to 7 x 7), and should the open case arise, `advance` raises
+#   VerificationError, so no fold rests on the unproven step.
 #
 # A row's successor rows and their room read the state and nothing of the
 # row but its span and geo.  geo is only compared with needs <= k-1 and
@@ -151,17 +171,12 @@ from .core import (
 # kept per kind, shared by the rows of one kind at any depth: on a
 # rectangle, every row with k-1 rows or more below it.
 #
-# Each state's work is done once per search.  The successor rows are kept
-# per (kind, thresholds) and the room per (kind, next thresholds).  The
-# listing keeps each state's children, before any row rule, per (kind,
-# thresholds, demands), so the many prefixes that reach one state, rows
-# of one kind at different depths, and every listing on the search (the
-# class listings of a census, under their own rules), advance its demands
-# once; the rule filters the children it reads.  Nothing is kept across
-# searches.  The forward sum takes no rule and keeps no children, only the
-# counts per state of the layers up to the middle row, which the half-turn
-# fold reads again.  Every per-column chain profile of a thresholds tuple
-# is built in one pass (`core._profile`).
+# Each state's work is done once per search: its successor rows, kept per
+# (kind, thresholds), are read by the forward sum, by every listing on the
+# search (each filtering them by its own rule) and by the fold's tracker,
+# which keeps the room per (kind, next thresholds).  Nothing is kept
+# across searches, and every per-column chain profile of a thresholds
+# tuple is built in one pass (`core._profile`).
 
 
 def _strongest(pairs):
@@ -180,7 +195,7 @@ def _strongest(pairs):
 
 class _Search:
     """One (shape, k) search engine: counting and listing over the row
-    state (depth, thresholds, demands)."""
+    state (depth, thresholds)."""
 
     def __init__(self, shape, k):
         self.k = k
@@ -201,11 +216,8 @@ class _Search:
         self.kind = [kinds.setdefault(row, len(kinds))
                      for row in zip(self.spans, self.geo)]
         self._room = {}    # (kind, next tails) -> room below the row
-        self._succ = {}    # (kind, tails) -> [(mask, next tails,
-                           #                   new demands, room)]
-        self._kids = {}    # (kind, tails, demands) -> the listing's
-                           # children, before any rule
-        self._layers = [{((), ()): 1}]  # the layers kept so far
+        self._succ = {}    # (kind, tails) -> [(mask, next tails)]
+        self._layers = [{(): 1}]  # the layers kept so far
 
     def room(self, depth, nxt):
         """room[c]: the longest chain the rows after row depth+1 can still
@@ -224,13 +236,12 @@ class _Search:
 
     def succ(self, depth, tails):
         """Every row after this state that completes no k-chain and leaves
-        no zero unjustifiable, masks ascending, as (mask, next thresholds,
-        the (column, need) pairs of the row's zeros, room).  Kept per row
-        kind, so rows of one kind at different depths share the table.
-
-        One pass over the columns, every prefix at once, which carries the
-        next thresholds along, so no row is swept after it is built (see
-        the notes above)."""
+        no zero without room below it, masks ascending, as (mask, next
+        thresholds): the state's children, since no such row strands a
+        demand (Fact C in the notes above).  Kept per row kind, so rows of
+        one kind at different depths share the table.  One pass over the
+        columns, every prefix at once, carrying the next thresholds along
+        (see the notes above)."""
         key = (self.kind[depth], tails)
         got = self._succ.get(key)
         if got is None:
@@ -238,10 +249,10 @@ class _Search:
             lo, hi = self.spans[depth]
             at = _profile(tails, n)
             # each prefix of the row as (mask so far, the next thresholds
-            # its ones decide, as many as the chain its last one ends, the
-            # pairs of its zeros), extended one column at a time, 0 before
-            # 1, so the masks stay ascending
-            rows = [(0, (), [])]
+            # its ones decide, as many as the chain its last one ends),
+            # extended one column at a time, 0 before 1, so the masks stay
+            # ascending
+            rows = [(0, ())]
             for j in range(lo + 1, hi + 1):
                 a = at[j - 1]
                 if a >= k - 1:  # a one would end a k-chain, a zero
@@ -252,23 +263,19 @@ class _Search:
                 # this row is placed
                 zero = geo[j] >= need and at[j] == a
                 ext = []
-                for mask, head, new in rows:
+                for mask, head in rows:
                     if len(head) <= a:
                         if zero:
-                            ext.append((mask, head, new + [(j, need)]))
+                            ext.append((mask, head))
                         # a one ending a longer chain than the last one
                         # moves threshold a to column j
                         ext.append((mask | bit,
-                                    head + tails[len(head):a] + (n - j,),
-                                    new))
+                                    head + tails[len(head):a] + (n - j,)))
                     else:  # the last one ends as long a chain
-                        ext.append((mask | bit, head, new))
+                        ext.append((mask | bit, head))
                 rows = ext
-            got = []
-            for mask, head, new in rows:
-                nxt = head + tails[len(head):]
-                got.append((mask, nxt, new, self.room(depth, nxt)))
-            self._succ[key] = got
+            got = self._succ[key] = [(mask, head + tails[len(head):])
+                                     for mask, head in rows]
         return got
 
     def advance(self, demands, mask, new, room):
@@ -303,29 +310,35 @@ class _Search:
                 return None
         return _strongest(out)
 
-    def _children(self, demands, rows):
-        """(mask, next thresholds, next demands) for each of these successor
-        rows that keeps every demand satisfiable, in their order."""
-        out = []
-        for mask, nxt, new, room in rows:
-            dem = self.advance(demands, mask, new, room)
-            if dem is not None:
-                out.append((mask, nxt, dem))
-        return out
+    def track(self, depth, layer):
+        """The fold's layer after row depth+1, {(thresholds, demands):
+        number of prefixes}, summed from the one before it over the
+        successor rows, whose zeros' pairs are read off the state's profile
+        (see the notes above).  A row that kills a demand, which Fact C
+        rules out, raises VerificationError."""
+        n, k = self.n, self.k
+        lo, hi = self.spans[depth]
+        after = {}
+        for (tails, demands), ways in layer.items():
+            at = _profile(tails, n)
+            needs = [(1 << (n - j), j, k - 1 - at[j - 1])
+                     for j in range(lo + 1, hi + 1) if at[j - 1] < k - 1]
+            for mask, nxt in self.succ(depth, tails):
+                dem = self.advance(demands, mask,
+                                   [(j, need) for bit, j, need in needs
+                                    if not mask & bit],
+                                   self.room(depth, nxt))
+                if dem is None:
+                    raise VerificationError("the row %s kills a demand of "
+                                            "%r" % (bin(mask), demands))
+                after[nxt, dem] = after.get((nxt, dem), 0) + ways
+        return after
 
-    def _listed(self, rows, tails, demands, rule):
-        """The children (mask, next thresholds, next demands) of the state
-        after the placed rows that obey the rule, in stream order.  The
-        state's children before any rule are computed once per search and
-        kept per (kind of the next row, thresholds, demands), so every
-        prefix and every listing on this search that reaches the state, or
-        the same one before a row of the same kind at another depth, shares
-        them, and the rule filters them after."""
-        key = (self.kind[len(rows)], tails, demands)
-        kids = self._kids.get(key)
-        if kids is None:
-            kids = self._kids[key] = self._children(
-                demands, self.succ(len(rows), tails))
+    def _listed(self, rows, tails, rule):
+        """The children (mask, next thresholds) of the state after the
+        placed rows that obey the rule, in stream order: the state's
+        successor rows (`succ`), filtered by the rule."""
+        kids = self.succ(len(rows), tails)
         forced = rule(rows) if rule is not None else None
         if forced is None:
             return kids
@@ -341,60 +354,45 @@ class _Search:
         test the mask must pass or None) for the next row, or None when the
         row is free.  One lazy frame per placed row on an explicit stack,
         so a board of any height stays clear of Python's recursion limit.
-        Each frame reads its state's children off the search's memo
-        (`_listed`), shared by every listing on the search, and filters
-        them by the rule.
+        Each frame reads its state's successor rows off the search's table
+        (`_listed`), shared by the count and every listing on the search,
+        and filters them by the rule.
         """
         m = self.m
         rows = []
-        stack = [iter(self._listed(rows, (), (), rule))]
+        stack = [iter(self._listed(rows, (), rule))]
         while stack:
-            for mask, nxt, dem in stack[-1]:
+            for mask, nxt in stack[-1]:
                 rows.append(mask)
                 if len(rows) == m:
                     yield tuple(rows)
                     rows.pop()
                 else:
-                    stack.append(iter(self._listed(rows, nxt, dem, rule)))
+                    stack.append(iter(self._listed(rows, nxt, rule)))
                     break
             else:
                 stack.pop()
                 if rows:
                     rows.pop()
 
-    def _step(self, depth, layer):
-        """The layer after row depth+1, summed from the one before it."""
-        after = {}
-        for (tails, demands), ways in layer.items():
-            for _, nxt, dem in self._children(demands,
-                                              self.succ(depth, tails)):
-                after[nxt, dem] = after.get((nxt, dem), 0) + ways
-        return after
-
     def layer(self, depth):
-        """{(thresholds, demands): number of prefixes} over the states
-        after the first `depth` rows, summed forward one row at a time; the
-        caller must not change it.
-
-        The layers asked for are kept on the search, so each is summed
-        once however often it is asked for: `total()` keeps the top half's,
-        which the half-turn fold (`symmetry._fold_count`) reads again.  No
-        children are kept, only the counts per state."""
+        """{thresholds: number of prefixes} over the states after the
+        first `depth` rows, summed forward one row at a time and kept on
+        the search, so each is summed once however often it is asked for;
+        the caller must not change it."""
         layers = self._layers
         while len(layers) <= depth:
-            layers.append(self._step(len(layers) - 1, layers[-1]))
+            after = {}
+            for tails, ways in layers[-1].items():
+                for _, nxt in self.succ(len(layers) - 1, tails):
+                    after[nxt] = after.get(nxt, 0) + ways
+            layers.append(after)
         return layers[depth]
 
     def total(self):
-        """Number of full fillings: every state after the last row carries
-        no demand (see the notes above), so each prefix it counts is one.
-        Only the layers up to the middle row are kept; the rest are summed
-        one after another and let go."""
-        half = self.m // 2
-        layer = self.layer(half)
-        for depth in range(half, self.m):
-            layer = self._step(depth, layer)
-        return sum(layer.values())
+        """Number of full fillings: every sequence of successor rows is one
+        (Fact C in the notes above), so it is the sum of the last layer."""
+        return sum(self.layer(self.m).values())
 
 
 def _rect_search(m, n, k):
@@ -426,9 +424,9 @@ def oracle_count(m, n, k, budget=None):
     """Number of maximal I_k-avoiding m x n matrices, by transfer matrix.
 
     Sums the row search of `enumerate_maximal_iams` forward over its
-    states, row by row, instead of walking its leaves: same transitions,
-    same prunes, and no demand left after the last row, so the result
-    equals the length of that stream, but no matrix is built.  A wide
+    states, row by row, instead of walking its leaves: the same successor
+    rows, each sequence of which is a maximal matrix, so the result equals
+    the length of that stream, but no matrix is built.  A wide
     board (m < n) is counted as its transpose, the n x m board, which has
     as many maximal matrices and a search over m columns, not n (see
     `_rect_search`).  A budget is checked only when one is given; the

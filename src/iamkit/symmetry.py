@@ -137,8 +137,8 @@ def _tags_of(masks, m, n):
 # board (row-major) in an earlier row is a fixed bit, copied from there; a
 # cell whose orbit first meets it earlier in the same row must equal that
 # cell.  HTS, the fixed points of rot180, is counted by folding the board:
-# the search's forward sum over its states for the top half, which the
-# search keeps from its U count, with no listing (`_fold_count`).  VHS is
+# a sum over the search's states for the top half, each carrying its
+# pending demands, with no listing (`_fold_count`).  VHS is
 # listed, which keeps the forward sum free of row rules.  The transpose
 # turns fliph into flipv, so the matrices fixed by fliph on the m x n board
 # (HS) are the transposes of those fixed by flipv on the n x m board (VS):
@@ -263,21 +263,24 @@ def _fliph_masks(search):
 
 
 def _fold_count(search):
-    """Number of maximal matrices fixed by rot180 (HTS): the row search's
-    forward sum over the top half (`oracle._Search.layer`), then the fold.
-    The sum is the one that the search keeps, so after the census's U
-    count it is not summed again."""
+    """Number of maximal matrices fixed by rot180 (HTS): a sum over the top
+    half that carries each zero's pending demand (`oracle._Search.track`),
+    then the fold.  It reads the successor rows the search keeps, so after
+    the census's U count no row is built again."""
     m, n, k = search.m, search.n, search.k
     half = m // 2
+    layer = {((), ()): 1}
+    for depth in range(half):
+        layer = search.track(depth, layer)
     total = 0
-    for (top, demands), ways in search.layer(half).items():
+    for (top, demands), ways in layer.items():
         below = _profile(top, n)[::-1]
-        ends = (search._children(demands, search.succ(half, top)) if m % 2
-                else [(None, top, demands)])
-        for _, tails, dem in ends:
+        ends = (search.track(half, {(top, demands): ways}) if m % 2
+                else {(top, demands): ways})
+        for (tails, dem), count in ends.items():
             if _chain_across(tails, top, n) < k and all(
                     r <= below[c] for c, r in dem):
-                total += ways
+                total += count
     return total
 
 
@@ -357,8 +360,8 @@ def class_histogram(m, n, k, budget=None):
     U is the oracle's transfer-matrix count: the row search's forward sum
     over its states, row by row.  Every other tag is the number of fixed
     points of its subgroup (see _TAG_ELEMENTS).  HTS, the fixed points of
-    rot180, is counted by folding the board: the top half's layers that
-    the U count kept, each state kept when the half turn completes it (see
+    rot180, is counted by folding the board: a sum over the top half's
+    states, each kept when the half turn completes it (see
     `_fold_count`).  The others are listed by the row search under one
     orbit rule, HS as VS of the transposed board.
     A wide board (m < n) is counted on its transpose, the n x m board,
@@ -368,12 +371,11 @@ def class_histogram(m, n, k, budget=None):
     VS(n x m), while U, VHS and HTS carry over and the square-only tags
     stay 0.
     Nothing is tagged, and all but the HS listing of a non-square board
-    run on one search, so each row state's successors, room and children
-    are found once for the whole census: the first listing to reach a
-    state keeps its children before any rule, and every later one filters
-    them by its own.  The census still lists, so the default budget's
-    cell cap applies when none is given; `max_results` truncates streams,
-    so it does not apply to counts.
+    run on one search, so each row state's successor rows are found once
+    for the whole census, and every listing filters them by its own rule.
+    The census still lists, so the default budget's cell cap applies when
+    none is given; `max_results` truncates streams, so it does not apply
+    to counts.
     """
     search, swap = _census_search(m, n, k, budget)
     hist = Counter(U=search.total())

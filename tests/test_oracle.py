@@ -342,33 +342,53 @@ def test_shape_count_agrees_with_naive_scan_random(sh, k):
         naive, key=lambda F: F.masks)
 
 
-def test_every_state_has_a_child_and_no_leaf_carries_a_demand():
-    # the listing enters every child and yields every full prefix, and the
-    # count sums the states after the last row as one filling each: so no
-    # reachable state may be dead, and none after the last row may still
-    # carry a demand (nothing lies below that row, so its room is 0).  The
-    # first is measured here, on every rectangle up to 7 x 7, the catalog
-    # and every shape in a 4 x 4 box; the second follows from the room
+def _sweep_boards():
+    """Every rectangle up to 7 x 7, the catalog and every shape in a 4 x 4
+    box, each at every k it takes."""
     from test_skew import CATALOG
     boards = [(SkewShape((n,) * m), k) for m in range(1, 8)
               for n in range(1, 8) for k in range(2, min(m, n) + 1)]
     boards += [(SkewShape(lam, mu), k) for lam, mu, k, _ in CATALOG]
     boards += [(sh, k) for sh in _skew_shapes_in_box(4, 4)
                for k in range(2, 5)]
-    for shape, k in boards:
+    return boards
+
+
+def _tracked_layers(search):
+    """The fold's demand-carrying layers after 0, 1, ..., m rows."""
+    layer = {((), ()): 1}
+    yield layer
+    for depth in range(search.m):
+        layer = search.track(depth, layer)
+        yield layer
+
+
+def test_every_state_has_a_child_and_no_leaf_carries_a_demand():
+    # Fact C of the row-search notes: no successor row kills a demand, so
+    # the count and the listing run on the thresholds alone.  Its empirical
+    # twin walks the fold's demand tracker, which raises on a killed
+    # demand, over every layer of the sweep boards: summed over their
+    # demands, its states must be the count's, with the same numbers of
+    # prefixes, every state must have a child, and no state after the last
+    # row may still carry a demand (nothing lies below that row)
+    for shape, k in _sweep_boards():
         search = oracle._Search(shape, k)
-        for depth in range(search.m):
-            for tails, dem in search.layer(depth):
-                assert search._children(dem, search.succ(depth, tails)), \
-                    (shape, k, depth, tails, dem)
-        assert all(not dem for _, dem in search.layer(search.m)), (shape, k)
+        for depth, tracked in enumerate(_tracked_layers(search)):
+            summed = {}
+            for (tails, _), ways in tracked.items():
+                summed[tails] = summed.get(tails, 0) + ways
+            assert summed == search.layer(depth), (shape, k, depth)
+            if depth < search.m:
+                assert all(search.succ(depth, tails) for tails in summed), \
+                    (shape, k, depth)
+        assert all(not dem for _, dem in tracked), (shape, k)
 
 
 def test_every_shape_lists_as_many_fillings_as_it_counts():
-    # the successor tables and the listing's children are kept per row
-    # kind, shared by rows of one kind at different depths; listing a shape
-    # on the search its count used must yield as many fillings as the
-    # count, for every shape in a 4 x 5 box with no empty row, k = 2..4
+    # the successor tables, which are the listing's children, are kept per
+    # row kind, shared by rows of one kind at different depths; listing a
+    # shape on the search its count used must yield as many fillings as
+    # the count, for every shape in a 4 x 5 box with no empty row, k = 2..4
     cases = 0
     for shape in _skew_shapes_in_box(4, 5):
         if any(lo == hi for lo, hi in map(shape.row_span,
@@ -383,20 +403,16 @@ def test_every_shape_lists_as_many_fillings_as_it_counts():
 
 
 def test_every_live_pair_needs_what_the_chain_leaves():
-    # Fact A of the row-search notes: every pair (c, r) of a state after
-    # row i has r = k-1-A(c), A(c) being the chain the placed rows end at
-    # or left of column c; and no live pair sits at a threshold, A(c-1) =
-    # A(c), which Fact B's open case would need.  Every state of every
-    # layer, on every rectangle up to 7 x 7 and every shape in a 4 x 4 box
-    boards = [(SkewShape((n,) * m), k) for m in range(1, 8)
-              for n in range(1, 8) for k in range(2, min(m, n) + 1)]
-    boards += [(sh, k) for sh in _skew_shapes_in_box(4, 4)
-               for k in range(2, 5)]
+    # Fact A of the row-search notes: every pair (c, r) the fold's tracker
+    # carries after row i has r = k-1-A(c), A(c) being the chain the placed
+    # rows end at or left of column c; and no live pair sits at a
+    # threshold, A(c-1) = A(c), which Fact B's open case would need.  Every
+    # state of every tracked layer of the sweep boards
     pairs = 0
-    for shape, k in boards:
+    for shape, k in _sweep_boards():
         search = oracle._Search(shape, k)
-        for depth in range(search.m + 1):
-            for tails, dem in search.layer(depth):
+        for depth, tracked in enumerate(_tracked_layers(search)):
+            for tails, dem in tracked:
                 at = _profile(tails, search.n)
                 for c, r in dem:
                     assert r == k - 1 - at[c] and at[c - 1] == at[c], \
@@ -406,10 +422,9 @@ def test_every_live_pair_needs_what_the_chain_leaves():
 
 
 def test_kept_layers_equal_fresh_ones():
-    # total() keeps the layers up to the middle row on the search, and
-    # layer(d) keeps any later one it is asked for; each must equal
-    # layer(d) summed on a fresh search, and a layer asked for again is not
-    # summed again
+    # total() keeps every layer on the search; each must equal layer(d)
+    # summed on a fresh search, and a layer asked for again is not summed
+    # again
     from test_skew import CATALOG
     boards = [(SkewShape((n,) * m), k) for m in range(1, 7)
               for n in range(1, 7) for k in range(2, min(m, n) + 1)]
@@ -459,7 +474,8 @@ def test_listings_check_their_arguments_when_called():
 
 
 # ---------------------------------------------------------------------------
-# the demand bookkeeping of the skew-shape search, against its definitions
+# the demand bookkeeping of the half-turn fold's tracker, against its
+# definitions
 
 
 def test_strongest_demands_match_their_definition():
@@ -512,7 +528,7 @@ def test_demand_with_two_live_alternatives():
     assert search.advance(((1, 3),), 0b0100, [(1, 3)], room) == ((1, 3),)
     assert search.advance(((1, 3),), 0b0100, [(2, 3)], room) == ((2, 3),)
     # with nothing to imply them the demand would be two pairs, which the
-    # single-pair state cannot hold: the search raises instead
+    # single-pair state cannot hold: the tracker raises instead
     with pytest.raises(VerificationError):
         search.advance(((1, 3),), 0b0100, [], room)
     with pytest.raises(VerificationError):
@@ -581,11 +597,11 @@ def test_successors_match_their_definition():
     # succ builds each row column by column and cuts a prefix at its first
     # one that ends a k-chain or zero with no room; it must still list
     # exactly the masks inside the row span that the C-vector update above
-    # accepts and whose zeros pass the room test, masks ascending.  The
-    # tables are kept per row kind, shared by rows at different depths, so
-    # every (depth, thresholds) the forward sum reaches is checked against
-    # the definition at its own depth.  The state holds chain thresholds,
-    # read here as their C-vector
+    # accepts and whose zeros pass the room test, masks ascending, each
+    # with its next thresholds.  The tables are kept per row kind, shared
+    # by rows at different depths, so every (depth, thresholds) the
+    # forward sum reaches is checked against the definition at its own
+    # depth.  The state holds chain thresholds, read here as their C-vector
     from test_skew import CATALOG
     boards = [(SkewShape((n,) * m), k)
               for m, n, k in [(4, 4, 2), (5, 5, 3), (4, 6, 4), (6, 4, 3)]]
@@ -595,7 +611,7 @@ def test_successors_match_their_definition():
         search = oracle._Search(shape, k)
         n = shape.n_cols
         for depth in range(search.m):
-            for tails, _ in search.layer(depth):
+            for tails in search.layer(depth):
                 assert len(tails) <= k - 1, (shape, k, depth, tails)
                 c_vec = _c_vector(tails, n)
                 lo, hi = shape.row_span(depth + 1)
@@ -606,15 +622,12 @@ def test_successors_match_their_definition():
                     if mask & ~inside or nxt is None:
                         continue
                     room = _room_by_definition(shape, k, depth + 1, nxt)
-                    new = []
-                    for j in range(lo + 1, hi + 1):
-                        need = k - 1 - (c_vec[j - 2] if j >= 2 else 0)
-                        if not (mask >> (n - j)) & 1 and need > 0:
-                            new.append((j, need))
-                    if all(room[j] >= need for j, need in new):
-                        want.append((mask, nxt, new, room))
-                got = [(mask, _c_vector(nxt, n), new, room)
-                       for mask, nxt, new, room in search.succ(depth, tails)]
+                    if all(room[j] >= k - 1 - (c_vec[j - 2] if j >= 2 else 0)
+                           for j in range(lo + 1, hi + 1)
+                           if not (mask >> (n - j)) & 1):
+                        want.append((mask, nxt))
+                got = [(mask, _c_vector(nxt, n))
+                       for mask, nxt in search.succ(depth, tails)]
                 assert got == want, (shape, k, depth, tails)
                 checked += 1
     assert checked > 100, checked
