@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from .bijection import enumerate_pp, matrix_to_paths
+from .bijection import _require_maximal, enumerate_pp
 from .core import (
     DEFAULT_SEED,
     BinaryMatrix,
@@ -87,27 +87,29 @@ def stat_w_cell(M, i, j):
 def stat_d(M, k):
     """The tuple (d_1, ..., d_{k-1}) of up-diagonal zero counts at the
     main-diagonal points of the paths, bottom path first.  Matrices with
-    m > n are transposed first so the diagonal crosses every path."""
+    m > n are transposed first so the diagonal crosses every path.
+
+    The diagonal is the level m-1 of `matrix_to_paths`, inside its path
+    window, so its ones are exactly the paths' points there, and path s
+    meets it at its s-th lowest one: the points are read straight off the
+    diagonal, and no path family is built.
+    """
     if M.m > M.n:
         M = BinaryMatrix.from_masks(M.n, M.m,
                                     _transpose_masks(M.masks, M.m, M.n))
-    m, n, masks = M.m, M.n, M.masks
-    fam = matrix_to_paths(M, k)
-    zeros_above = [0]  # zeros_above[i-1]: zeros at (1, 1) .. (i-1, i-1)
-    for bit in _diagonal(masks, n):
-        zeros_above.append(zeros_above[-1] + 1 - bit)
+    check_mnk(M.m, M.n, k)
+    _require_maximal(M, k)
     out = []
-    for path in fam.paths:
-        pts = [p for p in path if p[0] + p[1] == m - 1]
-        if len(pts) != 1:
-            raise VerificationError("path misses the diagonal level")
-        x, y = pts[0]
-        i, j = m - y, x + 1
-        if i != j:
-            raise VerificationError(
-                "diagonal-level point is off the main diagonal")
-        out.append(zeros_above[i - 1])
-    return tuple(out)
+    zeros = 0  # zeros at (1, 1) .. (i-1, i-1)
+    for bit in _diagonal(M.masks, M.n):
+        if bit:
+            out.append(zeros)
+        else:
+            zeros += 1
+    if len(out) != k - 1:
+        raise VerificationError("the diagonal holds %d ones, expected %d"
+                                % (len(out), k - 1))
+    return tuple(reversed(out))
 
 
 class StatRecord(_Record):

@@ -23,10 +23,11 @@ Three routes, kept deliberately separate:
   narrow side (`_rect_search`): the transpose maps the maximal m x n
   matrices one to one onto the maximal n x m ones, and the search's
   states grow with the width, not the height;
-* `naive_enumerate` scans every (0,1)-matrix, with no pruning at all: one
-  table gives each code's longest chain by a subset recurrence of its own,
-  and a code is kept when it avoids I_k and every flip of one of its zeros
-  does not -- the literal flip definition, each re-test a lookup.
+* `naive_enumerate` scans every (0,1)-matrix, with no pruning at all, on
+  bitsets indexed by code: the codes holding a k-chain come from the
+  textbook up-left recurrence, run on whole sets, and a code is kept when
+  it avoids I_k and every flip of one of its zeros does not -- the literal
+  flip definition, each flip one shift of that set.
 
 Every stream is in row-major lexicographic order on the entries.
 """
@@ -493,63 +494,91 @@ def oracle_count_shape(shape, k, budget=None):
 # the prune-free certifier
 
 
-def _chain_table(m, n):
-    """longest[code]: the longest increasing chain of ones in the m x n
-    matrix with this code, for every code below 2^(mn) (row-major bits, the
-    most significant one entry (1,1)).
+def _cell_masks(cells):
+    """has[c]: the codes below 2^cells with a one at cell c, as a bitset
+    whose bit S stands for code S (row-major cells, cell 0 the most
+    significant bit of a code).
 
-    Filled by a subset recurrence that shares nothing with `core._sweep` or
-    with the row search.  The lowest set bit c of a code S is its last one
-    in row-major order, so a chain through c ends there:
-    longest[S] = max(longest[S ^ c], 1 + longest[S & up_left[c]]), where
-    up_left[c] holds the cells strictly above and left of c.  Both codes on
-    the right are below S, so one ascending pass fills the table.
+    Cell c is bit p = cells-1-c of a code, so its codes come in runs of
+    2^p, absent then present: one period is built and doubled until it
+    spans all 2^cells codes.
     """
-    cells = m * n
-    up_left = {}
-    for c in range(cells):
-        i, j = divmod(c, n)
-        left = ((1 << j) - 1) << (n - j)  # columns 1..j of one row
-        up_left[1 << (cells - 1 - c)] = sum(
-            left << (cells - n * (r + 1)) for r in range(i))
-    longest = bytearray(1 << cells)
-    for S in range(1, 1 << cells):
-        c = S & -S
-        a = longest[S ^ c]
-        b = longest[S & up_left[c]] + 1
-        longest[S] = a if a > b else b
-    return longest
+    has = []
+    for p in range(cells - 1, -1, -1):
+        run = 1 << p
+        mask = ((1 << run) - 1) << run
+        width = run << 1
+        while width < 1 << cells:
+            mask |= mask << width
+            width <<= 1
+        has.append(mask)
+    return has
+
+
+def _chain_table(has, n, k):
+    """reach[t]: the codes of the matrices with n columns and these cell
+    masks (`_cell_masks`) that hold an increasing chain of t ones, as a
+    bitset, for t = 0..k.
+
+    The textbook up-left recurrence, run on whole bitsets, so it shares
+    nothing with `core._sweep` or with the row search.  With end_t(i, j)
+    the codes holding a chain of t ones that ends at cell (i, j), and
+    upto_t(i, j) their union over the cells weakly up-left of (i, j):
+    end_1 = has, and end_{t+1}(i, j) = has(i, j) & upto_t(i-1, j-1), since
+    a chain's one before (i, j) lies strictly above and left of it.
+    reach[t] is upto_t at the last cell.
+    """
+    cells = len(has)
+    reach = [(1 << (1 << cells)) - 1]
+    end = has
+    for t in range(1, k + 1):
+        upto = []  # upto_t of each cell so far, row-major
+        nxt = []
+        for c in range(cells):
+            i, j = divmod(c, n)
+            u = end[c]
+            if i:
+                u |= upto[c - n]
+            if j:
+                u |= upto[c - 1]
+            upto.append(u)
+            nxt.append(has[c] & upto[c - n - 1] if i and j else 0)
+        reach.append(upto[-1])
+        end = nxt
+    return reach
 
 
 def naive_enumerate(m, n, k):
     """Scan all 2^(mn) matrices; keep those passing the literal flip test.
 
-    Restricted to m*n <= 16 cells.  Each code's longest chain is read off
-    `_chain_table`; a code is kept when it avoids I_k and flipping any one
-    of its zeros gives a code that does not, so every zero of every
-    avoiding matrix is still flipped and re-tested, by lookup.  Completely
-    independent of the pruned search: different traversal, different chain
-    routine, different maximality test.  A matrix is built only for the
-    codes kept, in code order, which is row-major lexicographic.
+    Restricted to m*n <= 20 cells.  Runs on bitsets indexed by code: G,
+    the codes that hold a k-chain, comes from `_chain_table`.  A code S is
+    kept when it is not in G and flipping any one of its zeros gives a
+    code in G; the flip of the zero at bit p is S + 2^p, so the codes whose
+    flip there lands in G are G >> 2^p, and those with a one there need
+    no flip:  kept = ~G & AND_p ((G >> 2^p) | has_p).  Every code is still
+    examined and every zero of every avoiding matrix still flipped and
+    re-tested, with no pruning.  Completely independent of the pruned
+    search: different traversal, different chain routine, different
+    maximality test.  A matrix is built only for the codes kept, read off
+    in ascending code order, which is row-major lexicographic.
     """
     check_mnk(m, n, k)
     cells = m * n
-    if cells > 16:
-        raise BudgetExceeded("naive scan is capped at 16 cells")
-    longest = _chain_table(m, n)
-    full = (1 << cells) - 1
+    if cells > 20:
+        raise BudgetExceeded("naive scan is capped at 20 cells")
+    has = _cell_masks(cells)
+    reach = _chain_table(has, n, k)
+    G = reach[k]
+    ok = reach[0] ^ G  # reach[0] holds every code
+    for c, h in enumerate(has):
+        ok &= (G >> (1 << (cells - 1 - c))) | h
     row = (1 << n) - 1
+    bits = format(ok, "b")[::-1]  # bits[S] is code S's bit
     out = []
-    for code in range(1 << cells):
-        if longest[code] >= k:
-            continue
-        zeros = full ^ code
-        while zeros:
-            b = zeros & -zeros
-            if longest[code | b] < k:  # this flip leaves the code avoiding
-                break
-            zeros ^= b
-        else:
-            out.append(BinaryMatrix.from_masks(m, n, [
-                (code >> (cells - n * (i + 1))) & row for i in range(m)]))
+    code = bits.find("1")
+    while code >= 0:
+        out.append(BinaryMatrix.from_masks(m, n, [
+            (code >> (cells - n * (i + 1))) & row for i in range(m)]))
+        code = bits.find("1", code + 1)
     return out

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import iamkit.genfunc
 from iamkit.bijection import (
-    PathFamily,
     matrix_to_paths,
     matrix_to_pp,
     pp_layers,
@@ -123,9 +122,11 @@ def test_mask_statistics_equal_their_cell_definitions(board):
 
 def test_stat_d_equals_its_cell_definition():
     # the literal route: transpose a tall matrix as a BinaryMatrix, find
-    # each path's point on the diagonal level, count the zeros above it
-    for m in range(2, 6):
-        for n in range(2, 6):
+    # each path's point on the diagonal level, count the zeros above it;
+    # `stat_d` reads the diagonal instead, so every maximal matrix of every
+    # board up to 6 x 6, in both orientations, and every k is checked
+    for m in range(2, 7):
+        for n in range(2, 7):
             for k in range(2, min(m, n) + 1):
                 for M in enumerate_maximal_iams(m, n, k):
                     T = apply(M, "transpose") if m > n else M
@@ -139,15 +140,18 @@ def test_stat_d_equals_its_cell_definition():
 
 
 def test_stat_d_raises_when_a_path_misses_the_diagonal(monkeypatch):
-    # the path family is trusted, but a fault in it must raise, also
-    # under python -O, rather than give a wrong tuple; a tall matrix is
-    # transposed first and takes the same route
-    monkeypatch.setattr(iamkit.genfunc, "matrix_to_paths",
-                        lambda M, k: PathFamily(paths=((), ())))
-    for m, n in ((3, 4), (4, 3)):
-        M = next(enumerate_maximal_iams(m, n, 3))
-        with pytest.raises(VerificationError):
-            stat_d(M, 3)
+    # the maximality check is trusted to leave one point of each path on
+    # the diagonal, but a fault in it must raise, also under python -O,
+    # rather than give a wrong tuple; a tall matrix is transposed first
+    # and takes the same route
+    monkeypatch.setattr(iamkit.genfunc, "_require_maximal",
+                        lambda M, k: None)
+    for rows in ([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]):
+        M = BinaryMatrix(rows)
+        for A in (M, apply(M, "transpose")):
+            with pytest.raises(VerificationError):
+                stat_d(A, 3)
 
 
 def test_weight_closed_form_one_matrix():

@@ -35,15 +35,17 @@ from iamkit.oracle import (
 
 
 def test_naive_agrees_with_pruned_search():
-    # every board with at most 16 cells, every valid k; the naive scan
-    # visits every matrix with no pruning, reads each chain off its own
-    # subset-recurrence table and flips every zero of every avoiding matrix
-    # (the literal flip test, each re-test a lookup), so agreement here
+    # every board with at most 20 cells, in both orientations, every valid
+    # k; the naive scan examines every matrix with no pruning, finds each
+    # k-chain by its own up-left recurrence on bitsets and flips every zero
+    # of every avoiding matrix (the literal flip test), so agreement here
     # certifies the pruned search end to end (content and order both)
-    sizes = [(m, n) for m in range(2, 5) for n in range(m, 9) if m * n <= 16]
+    sizes = [(m, n) for m in range(2, 11) for n in range(2, 11)
+             if m * n <= 20]
     for (m, n) in sizes:
         for k in range(2, min(m, n) + 1):
-            assert naive_enumerate(m, n, k) == list(enumerate_maximal_iams(m, n, k))
+            assert naive_enumerate(m, n, k) == \
+                list(enumerate_maximal_iams(m, n, k)), (m, n, k)
 
 
 def _all_matrices(m, n):
@@ -54,14 +56,20 @@ def _all_matrices(m, n):
 
 def test_chain_table_matches_the_quadratic_twin():
     # every code of every board with at most 12 cells; codes run in the
-    # order of `_all_matrices`
+    # order of `_all_matrices`, and a code's longest chain is the largest
+    # t whose chain set holds it (one t past the longest possible chain,
+    # so a set that runs too far shows too)
     for m in range(1, 13):
         for n in range(1, 12 // m + 1):
-            longest = oracle._chain_table(m, n)
-            assert len(longest) == 1 << (m * n)
+            top = min(m, n) + 1
+            reach = oracle._chain_table(oracle._cell_masks(m * n), n, top)
+            assert len(reach) == top + 1
             for code, M in enumerate(_all_matrices(m, n)):
-                assert longest[code] == \
+                longest = max(t for t in range(top + 1)
+                              if reach[t] >> code & 1)
+                assert longest == \
                     longest_increasing_chain_quadratic(M), (m, n, M)
+            assert reach[0] == (1 << (1 << (m * n))) - 1
 
 
 def test_naive_is_the_flip_test_over_every_matrix():
@@ -75,8 +83,9 @@ def test_naive_is_the_flip_test_over_every_matrix():
 
 
 def test_naive_rejects_large_boards():
+    # the cap is 20 cells, and 3 x 7 has 21
     with pytest.raises(BudgetExceeded):
-        naive_enumerate(5, 4, 2)
+        naive_enumerate(3, 7, 2)
 
 
 def test_known_counts():
