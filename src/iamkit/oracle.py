@@ -18,8 +18,9 @@ Three routes, kept deliberately separate:
   transfer-matrix method: one forward sum, row by row, of the number of
   prefixes reaching each row state, over the same rows and with no row
   rule, so they list nothing; `symmetry` counts the half-turn class HTS
-  by folding at the middle a sum over the top half that also carries each
-  zero's pending demand (`_Search.track`); a rectangle is counted on its
+  by folding the same sum at the middle, since on a rectangle what the
+  top half still asks of the rows below is a function of its thresholds
+  (Fact D of the row-search notes); a rectangle is counted on its
   narrow side (`_rect_search`): the transpose maps the maximal m x n
   matrices one to one onto the maximal n x m ones, and the search's
   states grow with the width, not the height;
@@ -139,59 +140,83 @@ from .core import (
 # full prefix.  Every listed filling is still put through the literal
 # maximality test, as an invariant that raises if it ever fails.
 #
-# The half-turn fold (`symmetry._fold_count`) alone reads the demands: it
-# keeps a top-half state only if the turned half meets each one pending.
-# Its sum (`_Search.track`) carries them over the same successor rows,
-# keeping only the pairs that no other one implies: (b, s) implies (c, r)
-# when b >= c and s >= r.  A demand whose two alternatives both have room
-# would be two pairs, an "or"; two facts show that it need not be kept.
+# Fact D (rectangles): what the placed rows ask of the rows below is a
+# function of the thresholds.  Say rows below row i *meet* a pair (c, r)
+# when they hold a chain of r ones strictly right of column c; (b, s)
+# implies (c, r) when b >= c and s >= r.  After any i successor rows of a
+# rectangle, with A = A_i, the zeros of those rows are all justified,
+# whatever rows follow, exactly when the rows below meet every pair of
 #
-# * Fact A: every pair (c, r) of a state after row i has r = k-1-A_i(c).
-#   A zero at (i, j) gets need k-1-A_{i-1}(j-1), and `succ` keeps it only
-#   if need <= k-1-A_i(j); as A_i(j) >= A_{i-1}(j-1), equality holds.
-#   `advance` keeps (c, r) only if r <= room[c] <= k-1-A_{i+1}(c) <=
-#   k-1-A_i(c) = r.  It keeps (j, r-1) only if r-1 <= k-1-A_{i+1}(j), and
-#   the one at column j gives A_{i+1}(j) >= A_i(c)+1: equality again.
-# * Fact B: both alternatives of (c, r) have room only when row i+1's zero
-#   just right of the pair's column, or at it, has a pair (b, s) with b >=
-#   c and s >= r.  That pair implies both alternatives, so the demand is
-#   dropped.  If j > c+1, the zero (i+1, c+1) needs k-1-A_i(c) = r.  If j =
-#   c+1 and (i+1, c) is 0, it needs k-1-A_i(c-1) >= r.  Both cells lie in
-#   the row's span, since left ends move left going down.
-# * The open case is j = c+1 with a one at (i+1, c).  That one gives
-#   A_{i+1}(c) >= A_i(c-1)+1, so (c, r) keeps room only if A_i(c-1) <
-#   A_i(c): a threshold at column c.  No live pair was seen at a threshold
-#   (none of 6,105 on every rectangle up to 8 x 8; the tests check every
-#   board up to 7 x 7), and should the open case arise, `advance` raises
-#   VerificationError, so no fold rests on the unproven step.
+#     D(A) = {(c, k-1-A(c)) : 1 <= c <= n-1, A(c-1) = A(c) < A(c+1)},
 #
-# A row's successor rows and their room read the state and nothing of the
-# row but its span and geo.  geo is only compared with needs <= k-1 and
-# only min'd with k-1 minus a chain, so capping it at k-1 changes neither.
-# The span and the capped geo make the row's *kind*, and the tables are
-# kept per kind, shared by the rows of one kind at any depth: on a
-# rectangle, every row with k-1 rows or more below it.
+# one pair at the last column of each level of A that spans two columns
+# or more (column 0 counts) and has a higher level after it; and each
+# (c, r) in D(A) has r <= geo_i[c].  By induction on i: D(A_0) is empty,
+# and no zero is placed.  Let row i+1 be R, a successor row, which spans
+# every column, B = A_{i+1}, and h(c) the longest chain that R's ones at
+# or left of column c end, a one at j ending A(j-1)+1.  So B(c) =
+# max(A(c), h(c)).
+#
+# * R's zeros.  A zero at j is justified exactly when the rows below R meet
+#   (j, k-1-A(j-1)), A(j-1) being the chain above-left of it; nothing when
+#   A(j-1) >= k-1.  Call Z these pairs, over R's zeros with A(j-1) < k-1.
+#   The zero test gives A(j) = A(j-1) and h(j-1) <= A(j-1), so B(j) =
+#   A(j-1): the pair is (j, k-1-B(j)), B(j-1) = B(j) as A(j-1) <= B(j-1)
+#   <= B(j), and geo_{i+1}[j] >= k-1-B(j) >= 1, so j <= n-1.
+# * (i) The old pairs move.  Take (c, r) in D(A).  A(c) < A(c+1) <= k-1, so
+#   a zero at (i+1, c+1) fails the zero test, which needs A(c+1) = A(c):
+#   R(c+1) = 1.  A chain of r ones strictly right of c in rows i+1 on,
+#   less its first one, is a chain of r-1 ones strictly right of c+1 below
+#   R; and the one at (i+1, c+1) heads any such chain.  So by induction
+#   the zeros of rows 1..i+1 are justified exactly when the rows below R
+#   meet Z and each (c+1, r-1) with r >= 2.  If R(c) = 0, then A(c-1) =
+#   A(c) < k-1, so Z holds (c, r), which implies (c+1, r-1): drop it.  If
+#   R(c) = 1, that one ends a chain of A(c-1)+1 = A(c)+1 = A(c+1), and no
+#   one at or left of c+1 ends a longer one: B(c) = B(c+1) = A(c)+1, and
+#   the pair is (c+1, k-1-B(c+1)).  Fact C's last case gives geo_{i+1}[c+1]
+#   >= r-1, so c+1 <= n-1 when r >= 2.  Call M the pairs of Z and these
+#   moved ones.  Each is (x, k-1-B(x)) with 1 <= x <= n-1, B(x-1) = B(x),
+#   a need of at least 1 and geo_{i+1}[x] at least its need.
+# * (ii) Each x of M has B(x) < B(n).  If A(n-1) >= k-1, then B(n) = k-1,
+#   and B(x) <= k-2.  Otherwise R(n) = 1, since a zero at n would need
+#   geo[n] >= 1 and nothing lies right of column n; so B(n) > A(n-1) >=
+#   B(x), as B(x) = A(x-1) for a pair of Z and A(x) for a moved one.
+# * (iii) D(B) lies in M.  Take c with B(c-1) = B(c) < B(c+1), so B(c) <=
+#   k-2.  If R(c) = 0, then A(c-1) <= B(c) < k-1, and Z holds (c, k-1-B(c)).
+#   If R(c) = 1, then B(c) > A(c-1) and c >= 2, as B(0) = 0 < B(1).  So
+#   B(c-1) = h(c-1) <= A(c-2)+1 <= A(c-1)+1 <= B(c) = B(c-1): A(c-2) =
+#   A(c-1) = B(c)-1.  Had A(c) = A(c-1) too, no one at or left of c+1
+#   would end a chain over B(c), nor would A(c+1) <= A(c)+1 exceed it,
+#   against B(c+1) > B(c).  So A(c) = B(c): c-1 is in D(A), R(c-1) = 1
+#   (a zero there would give B(c-1) = A(c-2)), and by (i) its pair moves
+#   to (c, k-1-B(c)).
+# * (iv) Each pair (x, r) of M is implied by one of D(B): the last column
+#   c with B(c) = B(x) is below n by (ii), at or right of x, and has B(c-1)
+#   = B(c) since B(x-1) = B(x), so c is in D(B), with the pair (c, r).
+#
+# So the rows below R meet M exactly when they meet D(B), and the pairs of
+# D(B) have their geo bound, being in M.  Nothing lies below the last row
+# (geo_m = 0), so D(A_m) is empty, as Fact C says.  The half-turn fold
+# (`symmetry._fold_count`) reads this off the thresholds: it keeps a top
+# half when the turned half meets D(A), so it carries no demand and reads
+# the count's own layers.  The tests' twin, a demand tracker
+# (`tests/demand_tracker.py`), carries each demand row by row as its
+# alternatives with room, keeping the pairs no other one implies; the same
+# steps show that those are D(A), and that a demand with both alternatives
+# alive always has its row's zero at c implying it.
+#
+# A row's successor rows read the state and nothing of the row but its
+# span and geo.  geo is only compared with needs <= k-1, so capping it at
+# k-1 changes nothing.  The span and the capped geo make the row's *kind*,
+# and the tables are kept per kind, shared by the rows of one kind at any
+# depth: on a rectangle, every row with k-1 rows or more below it.
 #
 # Each state's work is done once per search: its successor rows, kept per
 # (kind, thresholds), are read by the forward sum, by every listing on the
-# search (each filtering them by its own rule) and by the fold's tracker,
-# which keeps the room per (kind, next thresholds).  Nothing is kept
-# across searches, and every per-column chain profile of a thresholds
-# tuple is built in one pass (`core._profile`).
-
-
-def _strongest(pairs):
-    """The pairs that no other one implies, columns ascending: (b, s)
-    implies (c, r) when b >= c and s >= r, since s ones strictly right of b
-    hold r strictly right of c.  One scan from the right keeps a pair when
-    its need exceeds every need at or right of its column."""
-    out, best = [], 0
-    for c, r in sorted(pairs, reverse=True):
-        if r > best:
-            out.append((c, r))
-            best = r
-    out.reverse()
-    return tuple(out)
+# search (each filtering them by its own rule) and by the fold, for the
+# middle row of an odd board.  Nothing is kept across searches, and every
+# per-column chain profile of a thresholds tuple is built in one pass
+# (`core._profile`).
 
 
 class _Search:
@@ -216,24 +241,8 @@ class _Search:
         kinds = {}
         self.kind = [kinds.setdefault(row, len(kinds))
                      for row in zip(self.spans, self.geo)]
-        self._room = {}    # (kind, next tails) -> room below the row
         self._succ = {}    # (kind, tails) -> [(mask, next tails)]
         self._layers = [{(): 1}]  # the layers kept so far
-
-    def room(self, depth, nxt):
-        """room[c]: the longest chain the rows after row depth+1 can still
-        put strictly right of column c, bounded by the shape and by
-        avoidance (see the notes above); c = 0..n.  Kept per row kind, so
-        rows of one kind at different depths share it."""
-        key = (self.kind[depth], nxt)
-        got = self._room.get(key)
-        if got is None:
-            geo, k = self.geo[depth], self.k
-            at = _profile(nxt, self.n)
-            got = [0] + [min(geo[c], k - 1 - at[c])
-                         for c in range(1, self.n + 1)]
-            self._room[key] = got
-        return got
 
     def succ(self, depth, tails):
         """Every row after this state that completes no k-chain and leaves
@@ -278,62 +287,6 @@ class _Search:
             got = self._succ[key] = [(mask, head + tails[len(head):])
                                      for mask, head in rows]
         return got
-
-    def advance(self, demands, mask, new, room):
-        """The demands once a row (mask `mask`, pairs of its zeros `new`,
-        room below it `room`) is placed, or None if one can no longer be
-        met."""
-        n = self.n
-        out = list(new)
-        for c, r in demands:
-            right = mask & ((1 << (n - c)) - 1)  # the ones right of c
-            if not right:
-                if r > room[c]:
-                    return None
-                out.append((c, r))
-                continue
-            if r == 1:
-                continue  # this row completes the chain: demand met
-            j = n + 1 - right.bit_length()  # the first one, the highest bit
-            stays, moves = r <= room[c], r - 1 <= room[j]
-            if stays and moves:
-                # both alternatives live: a zero of this row implies the
-                # pair (Fact B), else the demand would be two pairs
-                if not any(b >= c and s >= r for b, s in new):
-                    raise VerificationError(
-                        "the demand (%d, %d) keeps two alternatives, no "
-                        "zero of its row implies it" % (c, r))
-            elif stays:
-                out.append((c, r))
-            elif moves:
-                out.append((j, r - 1))
-            else:
-                return None
-        return _strongest(out)
-
-    def track(self, depth, layer):
-        """The fold's layer after row depth+1, {(thresholds, demands):
-        number of prefixes}, summed from the one before it over the
-        successor rows, whose zeros' pairs are read off the state's profile
-        (see the notes above).  A row that kills a demand, which Fact C
-        rules out, raises VerificationError."""
-        n, k = self.n, self.k
-        lo, hi = self.spans[depth]
-        after = {}
-        for (tails, demands), ways in layer.items():
-            at = _profile(tails, n)
-            needs = [(1 << (n - j), j, k - 1 - at[j - 1])
-                     for j in range(lo + 1, hi + 1) if at[j - 1] < k - 1]
-            for mask, nxt in self.succ(depth, tails):
-                dem = self.advance(demands, mask,
-                                   [(j, need) for bit, j, need in needs
-                                    if not mask & bit],
-                                   self.room(depth, nxt))
-                if dem is None:
-                    raise VerificationError("the row %s kills a demand of "
-                                            "%r" % (bin(mask), demands))
-                after[nxt, dem] = after.get((nxt, dem), 0) + ways
-        return after
 
     def _listed(self, rows, tails, rule):
         """The children (mask, next thresholds) of the state after the

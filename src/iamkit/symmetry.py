@@ -137,8 +137,8 @@ def _tags_of(masks, m, n):
 # board (row-major) in an earlier row is a fixed bit, copied from there; a
 # cell whose orbit first meets it earlier in the same row must equal that
 # cell.  HTS, the fixed points of rot180, is counted by folding the board:
-# a sum over the search's states for the top half, each carrying its
-# pending demands, with no listing (`_fold_count`).  VHS is
+# the count's own layer for the top half, each state kept when the turned
+# half meets what its zeros ask (`_fold_count`), with no listing.  VHS is
 # listed, which keeps the forward sum free of row rules.  The transpose
 # turns fliph into flipv, so the matrices fixed by fliph on the m x n board
 # (HS) are the transposes of those fixed by flipv on the n x m board (VS):
@@ -250,37 +250,40 @@ def _fliph_masks(search):
 # A matrix fixed by rot180 is its top ⌈m/2⌉ rows and their half turn.  The
 # orbit rule takes no bit of those rows from an earlier row, and asks of
 # them only that the middle row of an odd board, which the turn maps to
-# itself, be a palindrome.  So HTS is counted as a sum over the search's
-# states for those rows, with no listing and no rule.  The half turn keeps
-# chains increasing, so the bottom half's longest chain strictly right of
-# column c is A(n-c), A(c) being the top half's at or left of c.  A state
-# is kept when no chain across the fold reaches k and A meets every demand
-# left.  A zero of the bottom half needs no check: it is justified exactly
-# when its image in the top half is.  The middle row's palindrome test
-# needs no check either: a one at column j with a zero at n+1-j would need
-# A(j-1) + A(n-j) <= k-2 for the one and >= k-1 for the zero's demand, so
-# the fold's checks reject such a row anyway.
+# itself, be a palindrome.  So HTS is counted off the search's states for
+# those rows, with no listing and no rule: the count's layer after the top
+# ⌊m/2⌋ rows, and on an odd board each state's successor rows as the
+# middle row.  The half turn keeps chains increasing, so the bottom half's
+# longest chain strictly right of column c is T(n-c), T(c) being the top
+# ⌊m/2⌋ rows' at or left of c.  By Fact D of the row-search notes, the
+# zeros of the top ⌈m/2⌉ rows, with profile A, are all justified exactly
+# when k-1-A(c) <= T(n-c) at each column c of D(A): each c in 1..n-1 with
+# A(c-1) = A(c) < A(c+1).  So a state is kept when that holds and no chain
+# across the fold reaches k.  A zero of the bottom half needs no check: it
+# is justified exactly when its image in the top half is.  The middle
+# row's palindrome test needs no check either: a one at column j with a
+# zero at n+1-j would need T(j-1) + T(n-j) <= k-2 for the one and >= k-1
+# for the zero, so the fold's checks reject such a row anyway.
 
 
 def _fold_count(search):
-    """Number of maximal matrices fixed by rot180 (HTS): a sum over the top
-    half that carries each zero's pending demand (`oracle._Search.track`),
-    then the fold.  It reads the successor rows the search keeps, so after
-    the census's U count no row is built again."""
+    """Number of maximal matrices fixed by rot180 (HTS) on the rectangle
+    of the search: the count's layer after the top ⌊m/2⌋ rows, each state
+    (and on an odd board each middle row after it) kept when the half turn
+    completes it, by Fact D (see the notes above).  The census's U count
+    has summed that layer already; a lone count sums only the top half."""
     m, n, k = search.m, search.n, search.k
     half = m // 2
-    layer = {((), ()): 1}
-    for depth in range(half):
-        layer = search.track(depth, layer)
     total = 0
-    for (top, demands), ways in layer.items():
+    for top, ways in search.layer(half).items():
         below = _profile(top, n)[::-1]
-        ends = (search.track(half, {(top, demands): ways}) if m % 2
-                else {(top, demands): ways})
-        for (tails, dem), count in ends.items():
+        ends = search.succ(half, top) if m % 2 else ((0, top),)
+        for _, tails in ends:
+            at = _profile(tails, n)
             if _chain_across(tails, top, n) < k and all(
-                    r <= below[c] for c, r in dem):
-                total += count
+                    k - 1 - at[c] <= below[c] for c in range(1, n)
+                    if at[c - 1] == at[c] < at[c + 1]):
+                total += ways
     return total
 
 
@@ -339,9 +342,10 @@ def _class_count(search, tag):
 
 def brute_count_class(tag, m, n, k, budget=None):
     """Count maximal IAMs in a symmetry class by search: U by the oracle's
-    transfer-matrix count, HTS by folding the board, any other tag by
-    listing the fixed points of its subgroup, as `class_histogram` does (0
-    for a square-only tag on another board).  A wide board (m < n) is
+    transfer-matrix count, HTS by folding the board (which sums the count's
+    layers for the top half only), any other tag by listing the fixed
+    points of its subgroup, as `class_histogram` does (0 for a square-only
+    tag on another board).  A wide board (m < n) is
     counted as its transpose, with VS and HS swapped (see
     `class_histogram`)."""
     check_mnk(m, n, k)
@@ -360,10 +364,11 @@ def class_histogram(m, n, k, budget=None):
     U is the oracle's transfer-matrix count: the row search's forward sum
     over its states, row by row.  Every other tag is the number of fixed
     points of its subgroup (see _TAG_ELEMENTS).  HTS, the fixed points of
-    rot180, is counted by folding the board: a sum over the top half's
-    states, each kept when the half turn completes it (see
-    `_fold_count`).  The others are listed by the row search under one
-    orbit rule, HS as VS of the transposed board.
+    rot180, is counted by folding the board: it reads the U count's layer
+    after the top half, and keeps each state when the half turn completes
+    it, which is a test on its thresholds (see `_fold_count`).  The others
+    are listed by the row search under one orbit rule, HS as VS of the
+    transposed board.
     A wide board (m < n) is counted on its transpose, the n x m board,
     whose search runs over m columns, not n: the transpose maps the
     maximal m x n matrices one to one onto the maximal n x m ones and

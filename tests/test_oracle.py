@@ -33,6 +33,8 @@ from iamkit.oracle import (
     oracle_count_shape,
 )
 
+from demand_tracker import TrackedSearch, _strongest, fact_d, tracked_layers
+
 
 def test_naive_agrees_with_pruned_search():
     # every board with at most 20 cells, in both orientations, every valid
@@ -363,26 +365,18 @@ def _sweep_boards():
     return boards
 
 
-def _tracked_layers(search):
-    """The fold's demand-carrying layers after 0, 1, ..., m rows."""
-    layer = {((), ()): 1}
-    yield layer
-    for depth in range(search.m):
-        layer = search.track(depth, layer)
-        yield layer
-
-
 def test_every_state_has_a_child_and_no_leaf_carries_a_demand():
     # Fact C of the row-search notes: no successor row kills a demand, so
     # the count and the listing run on the thresholds alone.  Its empirical
-    # twin walks the fold's demand tracker, which raises on a killed
-    # demand, over every layer of the sweep boards: summed over their
-    # demands, its states must be the count's, with the same numbers of
-    # prefixes, every state must have a child, and no state after the last
-    # row may still carry a demand (nothing lies below that row)
+    # twin walks the demand tracker of the tests (demand_tracker.py), which
+    # raises on a killed demand, over every layer of the sweep boards:
+    # summed over their demands, its states must be the count's, with the
+    # same numbers of prefixes, every state must have a child, and no state
+    # after the last row may still carry a demand (nothing lies below that
+    # row)
     for shape, k in _sweep_boards():
-        search = oracle._Search(shape, k)
-        for depth, tracked in enumerate(_tracked_layers(search)):
+        search = TrackedSearch(shape, k)
+        for depth, tracked in enumerate(tracked_layers(search)):
             summed = {}
             for (tails, _), ways in tracked.items():
                 summed[tails] = summed.get(tails, 0) + ways
@@ -412,15 +406,16 @@ def test_every_shape_lists_as_many_fillings_as_it_counts():
 
 
 def test_every_live_pair_needs_what_the_chain_leaves():
-    # Fact A of the row-search notes: every pair (c, r) the fold's tracker
-    # carries after row i has r = k-1-A(c), A(c) being the chain the placed
-    # rows end at or left of column c; and no live pair sits at a
-    # threshold, A(c-1) = A(c), which Fact B's open case would need.  Every
-    # state of every tracked layer of the sweep boards
+    # every pair (c, r) the demand tracker carries after row i has r =
+    # k-1-A(c), A(c) being the chain the placed rows end at or left of
+    # column c; and no live pair sits at a threshold, A(c-1) = A(c), where
+    # a demand could keep two alternatives that no zero of its row implies.
+    # Every state of every tracked layer of the sweep boards, skew shapes
+    # included, where Fact D does not apply
     pairs = 0
     for shape, k in _sweep_boards():
-        search = oracle._Search(shape, k)
-        for depth, tracked in enumerate(_tracked_layers(search)):
+        search = TrackedSearch(shape, k)
+        for depth, tracked in enumerate(tracked_layers(search)):
             for tails, dem in tracked:
                 at = _profile(tails, search.n)
                 for c, r in dem:
@@ -428,6 +423,27 @@ def test_every_live_pair_needs_what_the_chain_leaves():
                         (shape, k, depth, tails, dem)
                 pairs += len(dem)
     assert pairs > 3000, pairs
+
+
+def test_tracked_pairs_are_fact_d_of_the_thresholds():
+    # Fact D of the row-search notes: on a rectangle, what the placed rows
+    # ask of the rows below is D(A), the pair (c, k-1-A(c)) at each column
+    # c = 1..n-1 with A(c-1) = A(c) < A(c+1).  The demand tracker re-derives
+    # the demands row by row with none of the facts assumed; at every depth
+    # of every rectangle up to 7x7, at every k, each state's pairs must be
+    # D of its thresholds, as `symmetry._fold_count` reads them
+    states = pairs = 0
+    for m in range(1, 8):
+        for n in range(1, 8):
+            for k in range(2, min(m, n) + 1):
+                search = TrackedSearch(SkewShape((n,) * m), k)
+                for depth, tracked in enumerate(tracked_layers(search)):
+                    for tails, dem in tracked:
+                        assert dem == fact_d(tails, n, k), \
+                            (m, n, k, depth, tails, dem)
+                        states += 1
+                        pairs += len(dem)
+    assert states > 2000 and pairs > 2000, (states, pairs)
 
 
 def test_kept_layers_equal_fresh_ones():
@@ -483,7 +499,7 @@ def test_listings_check_their_arguments_when_called():
 
 
 # ---------------------------------------------------------------------------
-# the demand bookkeeping of the half-turn fold's tracker, against its
+# the demand bookkeeping of the tests' demand tracker, against its
 # definitions
 
 
@@ -499,13 +515,13 @@ def test_strongest_demands_match_their_definition():
         want = sorted(a for a in set(picked)
                       if not any(b != a and b[0] >= a[0] and b[1] >= a[1]
                                  for b in picked))
-        assert oracle._strongest(picked) == tuple(want)
+        assert _strongest(picked) == tuple(want)
         rng.shuffle(picked)
-        assert oracle._strongest(picked) == tuple(want)
+        assert _strongest(picked) == tuple(want)
 
 
 def test_demand_advances_is_met_and_dies():
-    search = oracle._Search(SkewShape((3, 3, 3)), 3)
+    search = TrackedSearch(SkewShape((3, 3, 3)), 3)
     room = [0, 1, 1, 0]                  # room[c] below the row, c = 0..3
     # a one at column 2 advances (1, 2) to (2, 1); (1, 2) itself no longer
     # fits the room below
@@ -520,7 +536,7 @@ def test_demand_advances_is_met_and_dies():
 
 
 def test_demand_keeps_only_undominated_pairs():
-    search = oracle._Search(SkewShape((4, 4, 4, 4)), 4)
+    search = TrackedSearch(SkewShape((4, 4, 4, 4)), 4)
     # a one at column 2 moves (1, 3), which no longer fits the room below
     # column 1, to (2, 2); (3, 2) asks for as much from further right, so
     # it implies (2, 2), which is dropped
@@ -529,7 +545,7 @@ def test_demand_keeps_only_undominated_pairs():
 
 
 def test_demand_with_two_live_alternatives():
-    search = oracle._Search(SkewShape((4, 4, 4, 4)), 4)
+    search = TrackedSearch(SkewShape((4, 4, 4, 4)), 4)
     room = [0, 3, 3, 3, 3]
     # a one at column 2 leaves (1, 3) two live alternatives, (1, 3) and
     # (2, 2); the row's zero at column 1 with need 3 implies both, so the
@@ -549,7 +565,7 @@ def test_demand_advances_by_the_first_one_right_of_each_pair():
     # need of 4 never fits a room of 3, so the pair lives only by moving to
     # the first one right of its column, one need less
     n = 6
-    search = oracle._Search(SkewShape((n,) * 3), 5)
+    search = TrackedSearch(SkewShape((n,) * 3), 5)
     room = [0] + [3] * n
     for mask in range(1 << n):
         for c in range(1, n + 1):

@@ -353,6 +353,16 @@ def test_fold_count_equals_the_orbit_rule_listing():
         assert _fold_count(search) == listed, (m, n, k)
 
 
+def test_a_lone_fold_sums_only_the_top_half():
+    # the fold reads the count's layer after the top m // 2 rows (and, on
+    # an odd board, the successor rows after it as the middle row), so on
+    # a fresh search it sums no layer past that one
+    for m, n, k in [(2, 2, 2), (5, 4, 3), (6, 6, 3), (7, 5, 4), (8, 3, 2)]:
+        search = _Search(SkewShape((n,) * m), k)
+        _fold_count(search)
+        assert len(search._layers) == m // 2 + 1, (m, n, k)
+
+
 def test_fliph_fixed_points_equal_the_orbit_rule_listing():
     # the fixed points of fliph are listed as the transposes of the flipv-
     # fixed matrices of the transposed board, sorted; on every board up to
