@@ -67,9 +67,9 @@ def _digits(n):
     return _digits(hi) + _digits(lo).zfill(half)
 
 
-# the options that some branch of count or enumerate does not read
+# the options that some branch of a command does not read
 _DESTS = {"--m": "m", "--n": "n", "--t": "t", "--lambda": "lam", "--mu": "mu",
-          "--budget": "budget"}
+          "--budget": "budget", "--points": "points", "--seed": "seed"}
 
 
 def _refuse(args, why, *options):
@@ -199,8 +199,10 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_biject(args, out, stdin):
-    if args.k is None and args.to in ("pp", "paths"):
-        raise ValueError("biject needs --k")
+    if args.to in ("pp", "paths"):
+        if args.k is None:
+            raise ValueError("biject needs --k")
+        _refuse(args, "with --to %s" % args.to, "--budget")
     from . import bijection
     payload = json.load(stdin)
     if args.to == "pp":
@@ -226,7 +228,8 @@ def _cmd_biject(args, out, stdin):
             raise ValueError("--k disagrees with the array box")
         m, n = pp.a + pp.c, pp.b + pp.c
         # a few bytes of box sides can ask for a huge matrix
-        check_budget(m * n, EnumerationBudget(max_cells=args.budget))
+        check_budget(m * n, DEFAULT_BUDGET if args.budget is None
+                     else EnumerationBudget(max_cells=args.budget))
         M = bijection.pp_to_matrix(pp, m, n, k)
         if bijection.matrix_to_pp(M, k) != pp:
             _emit(out, "round trip failed")
@@ -247,13 +250,16 @@ def _cmd_genfunc(args, out):
     m, n, k = args.m, args.n, args.k
     budget = EnumerationBudget(max_cells=args.budget)
     if args.t1:
+        _refuse(args, "with --t1", "--points", "--seed")
         poly = genfunc.volume_gf(m, n, k, budget)
         _emit(out, ",".join(str(c) for c in poly.to_list()))
         return EXIT_OK
-    if args.points < 1:
-        raise ValueError("--points must be at least 1, got %d" % args.points)
-    pts = genfunc.seeded_points(args.points, seed=args.seed,
-                                span=m + n + k)
+    points = 20 if args.points is None else args.points
+    if points < 1:
+        raise ValueError("--points must be at least 1, got %d" % points)
+    pts = genfunc.seeded_points(
+        points, seed=DEFAULT_SEED if args.seed is None else args.seed,
+        span=m + n + k)
     bad = 0
     for (q, t) in pts:
         lhs = genfunc.gf_lhs(m, n, k, q, t, budget)
@@ -457,15 +463,20 @@ def _build_parser():
     sp = sub.add_parser("biject", help="convert matrix/pp/paths, verifying "
                                        "the round trip")
     add_common(sp, dims=("--k",))
+    # only --to matrix builds a board, so a budget given with another
+    # target is refused, and one not given is told apart from the default
+    sp.set_defaults(budget=None)
     sp.add_argument("--to", choices=("pp", "paths", "matrix"), required=True)
 
     sp = sub.add_parser("genfunc", help="volume polynomial or the (q,t) "
                                         "identity at sampled points")
     add_common(sp)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # --t1 draws no points, so these are refused with it, and ones not
+    # given are told apart from their defaults
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--t1", action="store_true",
                     help="print the t=1 volume polynomial coefficients")
-    sp.add_argument("--points", type=int, default=20)
+    sp.add_argument("--points", type=int, default=None)
 
     sp = sub.add_parser("selftest", help="run the built-in checks")
     add_common(sp, dims=(), budget=False)

@@ -9,15 +9,16 @@ Three routes, kept deliberately separate:
   room below for the chain it needs.  No such row strands a zero placed
   earlier (Fact C of the row-search notes), so the search is exact,
   assumes nothing about the ones count and lists no dead leaf; it also
-  takes one extra rule per row, with which `symmetry` lists only the
-  matrices fixed by a subgroup (the rule copies each cell from the first
-  cell of its orbit), so a symmetry census never filters the full stream;
-  a state's successor rows are found once per search and read by the
-  count and by every listing on it, whatever its rule;
+  takes a subgroup's orbit table (`symmetry._orbits`), one entry per row,
+  with which it lists only the matrices the subgroup fixes (each cell a
+  copy of the first cell of its orbit), so a symmetry census never
+  filters the full stream; a state's successor rows are found once per
+  search and read by the count and by every listing on it, whatever its
+  table;
 * `oracle_count` and `oracle_count_shape` count the same search by the
   transfer-matrix method: one forward sum, row by row, of the number of
-  prefixes reaching each row state, over the same rows and with no row
-  rule, so they list nothing; `symmetry` counts the half-turn class HTS
+  prefixes reaching each row state, over the same rows and with no orbit
+  table, so they list nothing; `symmetry` counts the half-turn class HTS
   by folding the same sum at the middle, since on a rectangle what the
   top half still asks of the rows below is a function of its thresholds
   (Fact D of the row-search notes); a rectangle is counted on its
@@ -213,9 +214,9 @@ from .core import (
 #
 # Each state's work is done once per search: its successor rows, kept per
 # (kind, thresholds), are read by the forward sum, by every listing on the
-# search (each filtering them by its own rule) and by the fold, for the
-# middle row of an odd board.  Nothing is kept across searches, and every
-# per-column chain profile of a thresholds tuple is built in one pass
+# search (each filtering them by its own orbit table) and by the fold, for
+# the middle row of an odd board.  Nothing is kept across searches, and
+# every per-column chain profile of a thresholds tuple is built in one pass
 # (`core._profile`).
 
 
@@ -288,33 +289,40 @@ class _Search:
                                      for mask, head in rows]
         return got
 
-    def _listed(self, rows, tails, rule):
+    def _listed(self, rows, tails, orbits):
         """The children (mask, next thresholds) of the state after the
-        placed rows that obey the rule, in stream order: the state's
-        successor rows (`succ`), filtered by the rule."""
+        placed rows that obey the next row's entry of the orbit table, in
+        stream order: the state's successor rows (`succ`), each kept when
+        its fixed bits equal the bits of the placed rows they are copied
+        from and its own cells pass the entry's test."""
         kids = self.succ(len(rows), tails)
-        forced = rule(rows) if rule is not None else None
-        if forced is None:
+        if orbits is None:
             return kids
-        fixed, values, keep = forced
+        fixed, sources, keep = orbits[len(rows)]
+        if not fixed and keep is None:
+            return kids
+        values = 0
+        for bit, i0, shift in sources:
+            if (rows[i0] >> shift) & 1:
+                values |= bit
         return [x for x in kids if x[0] & fixed == values
                 and (keep is None or keep(x[0]))]
 
-    def start(self, rule=None):
+    def start(self, orbits=None):
         """Every full row-mask tuple, in stream order.
 
-        With a rule, yield only those whose every row obeys it, in the same
-        order: `rule(rows placed so far)` gives (fixed bits, their values, a
-        test the mask must pass or None) for the next row, or None when the
-        row is free.  One lazy frame per placed row on an explicit stack,
-        so a board of any height stays clear of Python's recursion limit.
-        Each frame reads its state's successor rows off the search's table
-        (`_listed`), shared by the count and every listing on the search,
-        and filters them by the rule.
+        With an orbit table (`symmetry._orbits`), yield only the matrices
+        constant on each orbit, in the same order: row i of the table gives
+        (fixed bits, the source of each as (bit, earlier row, shift), a
+        test of the row's own cells or None).  One lazy frame per placed
+        row on an explicit stack, so a board of any height stays clear of
+        Python's recursion limit.  Each frame reads its state's successor
+        rows off the search's table (`_listed`), shared by the count and
+        every listing on the search, and filters them by the table's row.
         """
         m = self.m
         rows = []
-        stack = [iter(self._listed(rows, (), rule))]
+        stack = [iter(self._listed(rows, (), orbits))]
         while stack:
             for mask, nxt in stack[-1]:
                 rows.append(mask)
@@ -322,7 +330,7 @@ class _Search:
                     yield tuple(rows)
                     rows.pop()
                 else:
-                    stack.append(iter(self._listed(rows, nxt, rule)))
+                    stack.append(iter(self._listed(rows, nxt, orbits)))
                     break
             else:
                 stack.pop()
@@ -350,16 +358,14 @@ class _Search:
 
 
 def _rect_search(m, n, k):
-    """(the row search of the m x n board on its narrow side, whether it
-    is transposed).  The transpose maps the maximal m x n matrices one to
-    one onto the maximal n x m ones: it keeps chains increasing, and a
-    zero whose flip completes a k-chain maps to one whose flip does too.
-    The search's states are chain thresholds over the columns, so it is
-    run with n_cols = min(m, n).  Only what is counted runs on it: a
-    listing keeps the caller's board, whose row-major order it follows."""
-    if m < n:
-        return _Search(SkewShape((m,) * n), k), True
-    return _Search(SkewShape((n,) * m), k), False
+    """The row search of the m x n board on its narrow side.  The
+    transpose maps the maximal m x n matrices one to one onto the maximal
+    n x m ones: it keeps chains increasing, and a zero whose flip
+    completes a k-chain maps to one whose flip does too.  The search's
+    states are chain thresholds over the columns, so it is run with
+    n_cols = min(m, n).  Only what is counted runs on it: a listing keeps
+    the caller's board, whose row-major order it follows."""
+    return _Search(SkewShape((min(m, n),) * max(m, n)), k)
 
 
 def enumerate_maximal_iams(m, n, k, budget=None):
@@ -389,7 +395,7 @@ def oracle_count(m, n, k, budget=None):
     check_mnk(m, n, k)
     if budget is not None:
         check_budget(m * n, budget)
-    return _rect_search(m, n, k)[0].total()
+    return _rect_search(m, n, k).total()
 
 
 def _check_shape_k(shape, k):

@@ -133,18 +133,25 @@ def _tags_of(masks, m, n):
 #
 # A matrix is fixed by a subgroup exactly when it is constant on each orbit
 # of the subgroup on the cells.  So the oracle's row search lists the fixed
-# points itself, with one rule per row: a cell whose orbit first meets the
-# board (row-major) in an earlier row is a fixed bit, copied from there; a
-# cell whose orbit first meets it earlier in the same row must equal that
-# cell.  HTS, the fixed points of rot180, is counted by folding the board:
-# the count's own layer for the top half, each state kept when the turned
-# half meets what its zeros ask (`_fold_count`), with no listing.  VHS is
-# listed, which keeps the forward sum free of row rules.  The transpose
-# turns fliph into flipv, so the matrices fixed by fliph on the m x n board
-# (HS) are the transposes of those fixed by flipv on the n x m board (VS):
-# HS is counted, and the fixed points of fliph listed, as VS of the
-# transposed board, whose orbit rule mirrors each row within itself and
-# asks nothing of the rows above.
+# points itself, reading one entry of the subgroup's orbit table per row
+# (`_orbits`): a cell whose orbit first meets the board (row-major) in an
+# earlier row is a fixed bit, copied from there; a cell whose orbit first
+# meets it earlier in the same row must equal that cell.  HTS, the fixed
+# points of rot180, is counted by folding the board: the count's own layer
+# for the top half, each state kept when the turned half meets what its
+# zeros ask (`_fold_count`), with no listing.  VHS is listed, which keeps
+# the forward sum free of orbit tables.
+#
+# The transpose maps the maximal m x n matrices one to one onto the
+# maximal n x m ones, keeps rot180 and the subgroup of VHS, and turns
+# fliph into flipv.  So a census (`_class_counts`) decides each tag's
+# board in one place: U, HTS, VHS and the square-only tags run on the
+# narrow side, whose search runs over min(m, n) columns; VS is the fixed
+# points of flipv on the m x n board; and HS, the fixed points of fliph,
+# is counted as those of flipv on the n x m board, whose orbit table
+# mirrors each row within itself and asks nothing of the rows above.
+# Only `enumerate_fixed_points` lists fliph's fixed points themselves, as
+# the transposes of those, sorted into row-major order (`_fliph_masks`).
 
 
 def _cell_images(g, m, n):
@@ -174,10 +181,11 @@ def _cell_images(g, m, n):
 
 @functools.cache
 def _orbits(elements, m, n):
-    """What being fixed by the subgroup these elements generate on the
-    m x n board asks of each row i: (fixed bits, the source of each as
-    (bit, earlier row, shift), a test of the row's own cells that must be
-    equal, or None)."""
+    """The orbit table of the subgroup these elements generate on the
+    m x n board, which `oracle._Search.start` lists its fixed points
+    under: what being fixed asks of each row i, as (fixed bits, the source
+    of each as (bit, earlier row, shift), a test of the row's own cells
+    that must be equal, or None)."""
     first = list(range(m * n))  # union-find; each root is its orbit's least
 
     def find(c):
@@ -210,48 +218,20 @@ def _orbits(elements, m, n):
     return tuple(rows)
 
 
-def _orbit_rule(elements, m, n):
-    """The row rule of `oracle._Search.start` that keeps exactly the
-    m x n matrices fixed by every one of these group elements."""
-    table = _orbits(elements, m, n)  # rejects a bad element first
-
-    def rule(rows):
-        fixed, sources, keep = table[len(rows)]
-        if not fixed and keep is None:
-            return None
-        values = 0
-        for bit, i0, shift in sources:
-            if (rows[i0] >> shift) & 1:
-                values |= bit
-        return fixed, values, keep
-    return rule
-
-
-def _fixed_masks(search, elements):
-    """The row masks of the maximal matrices fixed by these elements, in
-    stream order; those of fliph read off flipv's on the transposed board
-    (see the notes above)."""
-    if elements == ("fliph",):
-        return _fliph_masks(search)
-    return search.start(_orbit_rule(elements, search.m, search.n))
-
-
-def _fliph_masks(search):
-    """The transposes of the flipv-fixed matrices of the transposed board,
-    sorted into the row-major order of the search's board: on a square
-    board that is the search itself."""
-    m, n = search.m, search.n
-    if m != n:
-        search = oracle._Search(SkewShape((m,) * n), search.k)
+def _fliph_masks(m, n, k):
+    """The row masks of the maximal m x n matrices fixed by fliph, in
+    row-major order: the transposes of the flipv-fixed matrices of the
+    n x m board, sorted into the order of this one (see the notes above)."""
+    search = oracle._Search(SkewShape((m,) * n), k)
     yield from sorted(_transpose_masks(cols, n, m)
-                      for cols in _fixed_masks(search, ("flipv",)))
+                      for cols in search.start(_orbits(("flipv",), n, m)))
 
 
 # A matrix fixed by rot180 is its top ⌈m/2⌉ rows and their half turn.  The
-# orbit rule takes no bit of those rows from an earlier row, and asks of
+# orbit table takes no bit of those rows from an earlier row, and asks of
 # them only that the middle row of an odd board, which the turn maps to
 # itself, be a palindrome.  So HTS is counted off the search's states for
-# those rows, with no listing and no rule: the count's layer after the top
+# those rows, with no listing and no table: the count's layer after the top
 # ⌊m/2⌋ rows, and on an odd board each state's successor rows as the
 # middle row.  The half turn keeps chains increasing, so the bottom half's
 # longest chain strictly right of column c is T(n-c), T(c) being the top
@@ -306,55 +286,60 @@ def enumerate_fixed_points(m, n, k, g, budget=None):
     of this one.
     """
     budget = _listing_budget(m, n, k, budget)
-    search = oracle._Search(SkewShape((n,) * m), k)
-    masks = _fixed_masks(search, (g,))  # rejects g before the first matrix
+    if g == "fliph":
+        masks = _fliph_masks(m, n, k)
+    else:  # the orbit table rejects g before the first matrix
+        masks = oracle._Search(SkewShape((n,) * m), k).start(
+            _orbits((g,), m, n))
     return (BinaryMatrix.from_masks(m, n, rows)
             for rows in islice(masks, budget.max_results))
 
 
-# Conjugating by the transpose swaps flipv with fliph and keeps rot180, so
-# of the tags a non-square board carries it swaps VS with HS and keeps U,
-# VHS and HTS.
-_TRANSPOSED_TAGS = {"VS": "HS", "HS": "VS"}
-
-
-def _census_search(m, n, k, budget):
-    """(the search a class count of the m x n board runs on, the tags to
-    count on it in place of the board's own).  The search is the board's
-    narrow side (`oracle._rect_search`); the square-only tags are 0 on
-    either side."""
+def _class_counts(m, n, k, tags, budget):
+    """{tag: number of maximal m x n matrices carrying it}, for these
+    tags.  Each count runs on the row search of one board, built at most
+    once per call and only when a tag reads it (see the notes above): U
+    (the forward sum), HTS (the fold), VHS and the square-only tags
+    (listed under their orbit tables; 0 on a non-square board) on the
+    narrow side; VS listed as the fixed points of flipv on the m x n
+    board, and HS as those of flipv on the n x m one.  Fixed points are
+    listed, so the stream's budget rule applies."""
     _listing_budget(m, n, k, budget)
-    search, transposed = oracle._rect_search(m, n, k)
-    return search, _TRANSPOSED_TAGS if transposed else {}
+    board = functools.cache(
+        lambda rows, cols: oracle._Search(SkewShape((cols,) * rows), k))
+    narrow = (max(m, n), min(m, n))
 
+    def listed(elements, rows, cols):
+        orbits = _orbits(elements, rows, cols)
+        return sum(1 for _ in board(rows, cols).start(orbits))
 
-def _class_count(search, tag):
-    """Number of maximal matrices carrying a tag other than U: the fixed
-    points of its elements, by one search (0 for a square-only tag on
-    another board)."""
-    m, n = search.m, search.n
-    if m != n and tag in _SQUARE_ONLY:
-        return 0
-    if tag == "HTS":
-        return _fold_count(search)
-    return sum(1 for _ in _fixed_masks(search, _TAG_ELEMENTS[tag]))
+    counts = {}
+    for tag in tags:
+        if tag == "U":
+            counts[tag] = board(*narrow).total()
+        elif tag == "HTS":
+            counts[tag] = _fold_count(board(*narrow))
+        elif m != n and tag in _SQUARE_ONLY:
+            counts[tag] = 0
+        elif tag == "VS":
+            counts[tag] = listed(("flipv",), m, n)
+        elif tag == "HS":
+            counts[tag] = listed(("flipv",), n, m)
+        else:
+            counts[tag] = listed(_TAG_ELEMENTS[tag], *narrow)
+    return counts
 
 
 def brute_count_class(tag, m, n, k, budget=None):
     """Count maximal IAMs in a symmetry class by search: U by the oracle's
-    transfer-matrix count, HTS by folding the board (which sums the count's
-    layers for the top half only), any other tag by listing the fixed
-    points of its subgroup, as `class_histogram` does (0 for a square-only
-    tag on another board).  A wide board (m < n) is
-    counted as its transpose, with VS and HS swapped (see
-    `class_histogram`)."""
+    transfer-matrix count, any other tag as `class_histogram` counts it,
+    running only the one search its count reads."""
     check_mnk(m, n, k)
     if tag == "U":
         return oracle.oracle_count(m, n, k, budget)
     if tag not in _TAG_ELEMENTS:
         raise ValueError("unknown symmetry tag %r" % (tag,))
-    search, swap = _census_search(m, n, k, budget)
-    return _class_count(search, swap.get(tag, tag))
+    return _class_counts(m, n, k, (tag,), budget)[tag]
 
 
 def class_histogram(m, n, k, budget=None):
@@ -362,34 +347,26 @@ def class_histogram(m, n, k, budget=None):
     carrying it.
 
     U is the oracle's transfer-matrix count: the row search's forward sum
-    over its states, row by row.  Every other tag is the number of fixed
-    points of its subgroup (see _TAG_ELEMENTS).  HTS, the fixed points of
-    rot180, is counted by folding the board: it reads the U count's layer
-    after the top half, and keeps each state when the half turn completes
-    it, which is a test on its thresholds (see `_fold_count`).  The others
-    are listed by the row search under one orbit rule, HS as VS of the
-    transposed board.
-    A wide board (m < n) is counted on its transpose, the n x m board,
-    whose search runs over m columns, not n: the transpose maps the
-    maximal m x n matrices one to one onto the maximal n x m ones and
-    swaps flipv with fliph, so VS(m x n) = HS(n x m) and HS(m x n) =
-    VS(n x m), while U, VHS and HTS carry over and the square-only tags
-    stay 0.
-    Nothing is tagged, and all but the HS listing of a non-square board
-    run on one search, so each row state's successor rows are found once
-    for the whole census, and every listing filters them by its own rule.
-    The census still lists, so the default budget's cell cap applies when
-    none is given; `max_results` truncates streams, so it does not apply
-    to counts.
+    over its states, row by row, on the board's narrow side, whose search
+    runs over min(m, n) columns: the transpose maps the maximal m x n
+    matrices one to one onto the maximal n x m ones.  Every other tag is
+    the number of fixed points of its subgroup (see _TAG_ELEMENTS).  HTS,
+    the fixed points of rot180, is counted by folding the narrow side: it
+    reads the U count's layer after the top half, and keeps each state
+    when the half turn completes it, which is a test on its thresholds
+    (see `_fold_count`).  The others are listed by the row search under
+    their orbit tables: VS as the fixed points of flipv on the m x n
+    board, HS as those of flipv on the n x m board, which the transpose
+    turns into those of fliph, and VHS and the square-only tags on the
+    narrow side (0 on a non-square board).  Nothing is tagged, and each
+    board's search is built once, so the listings on it share each row
+    state's successor rows.  The census still lists, so the default
+    budget's cell cap applies when none is given; `max_results` truncates
+    streams, so it does not apply to counts.
     """
-    search, swap = _census_search(m, n, k, budget)
-    hist = Counter(U=search.total())
-    for tag in _TAG_ELEMENTS:
-        if tag != "U":
-            count = _class_count(search, swap.get(tag, tag))
-            if count:
-                hist[tag] = count
-    return hist
+    counts = _class_counts(m, n, k, _TAG_ELEMENTS, budget)
+    return Counter({tag: count for tag, count in counts.items()
+                    if count or tag == "U"})
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,14 @@ def test_usage_errors_exit_1(capsys):
      "--budget is not read without --with-oracle"),
     (["count", "--k", "3", "--lambda", "4,4,4", "--budget", "1"],
      "--budget is not read without --with-oracle"),
+    (["genfunc", "--m", "3", "--n", "4", "--k", "3", "--t1", "--points", "0"],
+     "--points is not read with --t1"),
+    (["genfunc", "--m", "3", "--n", "4", "--k", "3", "--t1", "--seed", "5"],
+     "--seed is not read with --t1"),
+    (["biject", "--to", "pp", "--k", "3", "--budget", "1"],
+     "--budget is not read with --to pp"),
+    (["biject", "--to", "paths", "--k", "3", "--budget", "1"],
+     "--budget is not read with --to paths"),
 ])
 def test_options_the_command_would_not_read_are_refused(capsys, argv,
                                                         refused):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from iamkit.bijection import enumerate_pp, matrix_to_pp
 from iamkit.core import BinaryMatrix, SkewShape
-from iamkit.formulas import SYMMETRY_TAGS, count_symmetry
+from iamkit.formulas import _SQUARE_ONLY, SYMMETRY_TAGS, count_symmetry
 from iamkit.oracle import (
     BudgetExceeded,
     EnumerationBudget,
@@ -24,9 +24,8 @@ from iamkit.symmetry import (
     D8_ELEMENTS,
     _TAG_ELEMENTS,
     _cell_images,
-    _class_count,
     _fold_count,
-    _orbit_rule,
+    _orbits,
     _tags_of,
     apply,
     brute_count_class,
@@ -176,15 +175,17 @@ def _symmetrized(M, elements):
         operator.or_, rows) for rows in zip(*images)])
 
 
-def _rule_keeps(rule, masks):
-    """Does every row obey the row rule, read row by row as
-    `oracle._Search.start` reads it?"""
+def _rule_keeps(orbits, masks):
+    """Does every row obey its entry of the orbit table, read row by row as
+    `oracle._Search._listed` reads it?"""
     for d, mask in enumerate(masks):
-        forced = rule(masks[:d])
-        if forced is not None:
-            fixed, values, keep = forced
-            if mask & fixed != values or (keep is not None and not keep(mask)):
-                return False
+        fixed, sources, keep = orbits[d]
+        values = 0
+        for bit, i0, shift in sources:
+            if (masks[i0] >> shift) & 1:
+                values |= bit
+        if mask & fixed != values or (keep is not None and not keep(mask)):
+            return False
     return True
 
 
@@ -205,12 +206,12 @@ def test_orbit_rule_keeps_exactly_the_fixed_matrices(case):
         assert all(apply(M, g) == M for g in subgroups(m, n)[sym])
     for tag, elements in subgroups(m, n).items():
         want = all(apply(M, g) == M for g in elements)
-        assert _rule_keeps(_orbit_rule(elements, m, n), M.masks) == want, \
+        assert _rule_keeps(_orbits(elements, m, n), M.masks) == want, \
             (M, tag)
     # on a square board the odd elements alone as well
     if m == n:
         for g in D8_ELEMENTS:
-            assert _rule_keeps(_orbit_rule((g,), m, n), M.masks) == \
+            assert _rule_keeps(_orbits((g,), m, n), M.masks) == \
                 (apply(M, g) == M), (M, g)
 
 
@@ -331,25 +332,33 @@ def test_transpose_swaps_the_fixed_points_of_flipv_and_fliph():
 
 
 def test_wide_row_searches_equal_the_narrow_side():
-    # counts and censuses of a wide board run on its transpose, so the
-    # search over the long rows is kept covered here: its count, and each
-    # tag's class count on it, must equal what the narrow side reports
+    # counts and censuses of a wide board run U, HTS and VHS on its
+    # transpose, so the search over the long rows is kept covered here:
+    # its count, its fold and each tag's orbit listing on it must equal
+    # what the census reports
     for m, n, k in wide_boards(7, 7):
         search = _Search(SkewShape((n,) * m), k)
         assert search.total() == oracle_count(m, n, k), (m, n, k)
         hist = class_histogram(m, n, k)
-        for tag in _TAG_ELEMENTS:
-            if tag != "U":
-                assert _class_count(search, tag) == hist[tag], (m, n, k, tag)
+        for tag, elements in _TAG_ELEMENTS.items():
+            if tag == "U":
+                want = search.total()
+            elif tag == "HTS":
+                want = _fold_count(search)
+            elif tag in _SQUARE_ONLY:
+                want = 0
+            else:
+                want = sum(1 for _ in search.start(_orbits(elements, m, n)))
+            assert want == hist[tag], (m, n, k, tag)
 
 
 def test_fold_count_equals_the_orbit_rule_listing():
     # every board up to 7x7, so odd heights (a middle row, left free by the
     # fold) and m > n too; the census and brute_count_class count HTS by
-    # folding, so the listing under the rot180 orbit rule is its twin here
+    # folding, so the listing under the rot180 orbit table is its twin here
     for m, n, k in boards(7):
         search = _Search(SkewShape((n,) * m), k)
-        listed = sum(1 for _ in search.start(_orbit_rule(("rot180",), m, n)))
+        listed = sum(1 for _ in search.start(_orbits(("rot180",), m, n)))
         assert _fold_count(search) == listed, (m, n, k)
 
 
@@ -366,36 +375,36 @@ def test_a_lone_fold_sums_only_the_top_half():
 def test_fliph_fixed_points_equal_the_orbit_rule_listing():
     # the fixed points of fliph are listed as the transposes of the flipv-
     # fixed matrices of the transposed board, sorted; on every board up to
-    # 7x7 they must be the listing under fliph's own orbit rule on the
+    # 7x7 they must be the listing under fliph's own orbit table on the
     # board itself, matrix for matrix and in the same order
     for m, n, k in boards(7):
         search = _Search(SkewShape((n,) * m), k)
-        want = list(search.start(_orbit_rule(("fliph",), m, n)))
+        want = list(search.start(_orbits(("fliph",), m, n)))
         got = [M.masks for M in enumerate_fixed_points(m, n, k, "fliph")]
         assert got == want, (m, n, k)
 
 
 def test_listings_on_a_shared_search_equal_fresh_ones():
-    # the listing keeps each state's children, before any rule, on the
-    # search, and every listing on it reads them: the DS, AS, VS, ...
+    # the listing keeps each state's children, before any orbit table, on
+    # the search, and every listing on it reads them: the DS, AS, VS, ...
     # listings of a census after its U count, the certifier's stream.  On
     # every board up to 6x6, each subgroup's listing and the unrestricted
     # one, run twice in turn on one search after its U count, must each
     # equal that listing on a fresh search.  A copy that keeps the children
-    # the rule left instead fails here: the rule listings run first, and
+    # the table left instead fails here: the table listings run first, and
     # the unrestricted one then misses matrices
     for m, n, k in boards(6):
         shape = SkewShape((n,) * m)
-        listings = [(tag, _orbit_rule(elements, m, n))
+        listings = [(tag, _orbits(elements, m, n))
                     for tag, elements in sorted(subgroups(m, n).items())]
         listings.append(("U", None))
-        fresh = {name: list(_Search(shape, k).start(rule))
-                 for name, rule in listings}
+        fresh = {name: list(_Search(shape, k).start(orbits))
+                 for name, orbits in listings}
         shared = _Search(shape, k)
         shared.total()
         for _ in range(2):
-            for name, rule in listings:
-                assert list(shared.start(rule)) == fresh[name], \
+            for name, orbits in listings:
+                assert list(shared.start(orbits)) == fresh[name], \
                     (m, n, k, name)
 
 
