@@ -12,6 +12,8 @@ then encode a plane partition in an (m-k+1) x (n-k+1) x (k-1) box.
 
 from __future__ import annotations
 
+import functools
+
 from .core import (
     BinaryMatrix,
     Partition,
@@ -184,11 +186,13 @@ class PathFamily:
         return "PathFamily(%r)" % (self.paths,)
 
 
+@functools.cache
 def path_endpoints(m, n, k):
-    """Canonical start/end points: path s runs u_s -> v_s, s = 1..k-1."""
+    """Canonical start/end points: path s runs u_s -> v_s, s = 1..k-1.
+    Built once per board, as tuples, so no caller can change them."""
     check_mnk(m, n, k)
-    starts = [(k - 1 - s, s - 1) for s in range(1, k)]
-    ends = [(n - s, m - k + s) for s in range(1, k)]
+    starts = tuple((k - 1 - s, s - 1) for s in range(1, k))
+    ends = tuple((n - s, m - k + s) for s in range(1, k))
     return starts, ends
 
 
@@ -245,9 +249,10 @@ def matrix_to_paths(M, k):
     return PathFamily._of(paths)
 
 
+@functools.cache
 def _staircase_masks(m, n, k):
-    """The forced ones off the path window, as row masks: two corner
-    staircases.
+    """The forced ones off the path window, as a tuple of row masks built
+    once per board: two corner staircases.
 
     Lower-left: columns j <= k-1, rows i >= m-k+j+1, so the first
     i-m+k-1 columns of row i.  Upper-right: rows i <= k-1, columns
@@ -262,7 +267,7 @@ def _staircase_masks(m, n, k):
             masks[i - 1] |= ((1 << left) - 1) << (n - left)
         if i < k:
             masks[i - 1] |= (1 << (k - i)) - 1
-    return masks
+    return tuple(masks)
 
 
 def paths_to_matrix(paths, m, n, k):

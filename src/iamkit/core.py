@@ -51,9 +51,18 @@ class _PackedGrid:
 
 class BinaryMatrix(_PackedGrid):
     """An immutable m-by-n (0,1)-matrix, rows packed with bit (n - j)
-    holding column j."""
+    holding column j.
 
-    __slots__ = ("m", "n")
+    A matrix remembers the k for which `is_maximal_iam` found it maximal,
+    so a later check with that k returns at once.  Only that function's
+    own sweep sets it: every constructor, `symmetry.apply` and the
+    listings start without one, the bijections verify each matrix they
+    build afresh, and equality and hashing ignore it.  A matrix is
+    maximal for at most one k, since flipping a zero of a maximal
+    I_k-avoiding matrix makes a chain of exactly k.
+    """
+
+    __slots__ = ("m", "n", "_maximal_for")
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
@@ -73,6 +82,7 @@ class BinaryMatrix(_PackedGrid):
         self.m = len(rows)
         self.n = n
         self._rows = tuple(masks)
+        self._maximal_for = None
 
     @classmethod
     def from_masks(cls, m, n, masks):
@@ -90,6 +100,7 @@ class BinaryMatrix(_PackedGrid):
         obj.m = m
         obj.n = n
         obj._rows = masks
+        obj._maximal_for = None
         return obj
 
     # -- access ------------------------------------------------------------
@@ -427,15 +438,22 @@ def is_maximal_iam(M, k):
 
     Fast path: an avoiding matrix holding the extremal number of ones is
     always maximal.  Otherwise every 0 must complete a chain of length k
-    when flipped, by the chain bounds of `_zero_bounds`.
+    when flipped, by the chain bounds of `_zero_bounds`.  A True verdict
+    is kept on M (see `BinaryMatrix`), and a later call with the same k
+    returns it without a sweep; any other call sweeps again.
     """
     m, n, masks = M.m, M.n, M.masks
     check_mnk(m, n, k)
+    if M._maximal_for == k:
+        return True
     if _longest_chain(masks, k) >= k:
         return False
-    if sum(map(int.bit_count, masks)) == max_ones(m, n, k):
-        return True
-    return _zeros_justified(masks, n, [(0, n)] * m, k)
+    # the extremal number is max_ones(m, n, k), whose check ran above
+    extremal = sum(map(int.bit_count, masks)) == (k - 1) * (m + n - k + 1)
+    if not (extremal or _zeros_justified(masks, n, [(0, n)] * m, k)):
+        return False
+    M._maximal_for = k
+    return True
 
 
 def is_maximal_iam_by_flips(M, k):

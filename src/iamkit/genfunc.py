@@ -23,7 +23,6 @@ from fractions import Fraction
 from .bijection import _require_maximal, enumerate_pp
 from .core import (
     DEFAULT_SEED,
-    BinaryMatrix,
     EnumerationBudget,
     VerificationError,
     _Record,
@@ -94,14 +93,14 @@ def stat_d(M, k):
     meets it at its s-th lowest one: the points are read straight off the
     diagonal, and no path family is built.
     """
-    if M.m > M.n:
-        M = BinaryMatrix.from_masks(M.n, M.m,
-                                    _transpose_masks(M.masks, M.m, M.n))
-    check_mnk(M.m, M.n, k)
-    _require_maximal(M, k)
+    m, n, masks = M.m, M.n, M.masks
+    check_mnk(m, n, k)
+    _require_maximal(M, k)  # the transpose is maximal exactly when M is
+    if m > n:
+        masks, n = _transpose_masks(masks, m, n), m
     out = []
     zeros = 0  # zeros at (1, 1) .. (i-1, i-1)
-    for bit in _diagonal(M.masks, M.n):
+    for bit in _diagonal(masks, n):
         if bit:
             out.append(zeros)
         else:

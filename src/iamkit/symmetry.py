@@ -302,13 +302,15 @@ def _class_counts(m, n, k, tags, budget):
     (the forward sum), HTS (the fold), VHS and the square-only tags
     (listed under their orbit tables; 0 on a non-square board) on the
     narrow side; VS listed as the fixed points of flipv on the m x n
-    board, and HS as those of flipv on the n x m one.  Fixed points are
-    listed, so the stream's budget rule applies."""
+    board, and HS as those of flipv on the n x m one, each listing run
+    once per call (on a square board VS and HS are one listing).  Fixed
+    points are listed, so the stream's budget rule applies."""
     _listing_budget(m, n, k, budget)
     board = functools.cache(
         lambda rows, cols: oracle._Search(SkewShape((cols,) * rows), k))
     narrow = (max(m, n), min(m, n))
 
+    @functools.cache
     def listed(elements, rows, cols):
         orbits = _orbits(elements, rows, cols)
         return sum(1 for _ in board(rows, cols).start(orbits))

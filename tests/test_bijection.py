@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from iamkit.bijection import (
     PathFamily,
     PlanePartition,
+    _staircase_masks,
     count_zigzag_decompositions,
     enumerate_pp,
     matrix_to_paths,
@@ -22,6 +26,7 @@ from iamkit.formulas import hprod
 from iamkit.genfunc import stat_record
 from iamkit.oracle import enumerate_maximal_iams
 from iamkit.symmetry import classes_of
+from test_cli import SRC
 
 # ---------------------------------------------------------------------------
 # frozen fixtures: the six maximal 3x4 matrices for k=3 with their encodings
@@ -86,6 +91,122 @@ def test_big_fixture_paths():
     for s, path in enumerate(fam.paths):
         assert path[0] == starts[s] and path[-1] == ends[s]
     assert paths_to_matrix(fam, 9, 7, 5) == BIG
+
+
+def test_board_tables_are_built_once_per_board():
+    # the endpoints and the corner staircases depend only on (m, n, k):
+    # each is built once per board, as tuples, so a second call hands back
+    # the same object and no caller can change what the next one reads
+    for m in range(2, 9):
+        for n in range(2, 9):
+            for k in range(2, min(m, n) + 1):
+                starts = [(k - 1 - s, s - 1) for s in range(1, k)]
+                ends = [(n - s, m - k + s) for s in range(1, k)]
+                # lower-left: j <= k-1 and i >= m-k+j+1; upper-right:
+                # i <= k-1 and j >= n-k+i+1
+                stairs = [sum(1 << (n - j) for j in range(1, n + 1)
+                              if j <= k - 1 and i >= m - k + j + 1
+                              or i <= k - 1 and j >= n - k + i + 1)
+                          for i in range(1, m + 1)]
+                points = path_endpoints(m, n, k)
+                masks = _staircase_masks(m, n, k)
+                assert points == (tuple(starts), tuple(ends)), (m, n, k)
+                assert masks == tuple(stairs), (m, n, k)
+                assert type(masks) is tuple and \
+                    all(type(p) is tuple for p in points), (m, n, k)
+                assert path_endpoints(m, n, k) is points
+                assert _staircase_masks(m, n, k) is masks
+
+
+# Run with and without -O; it cannot use assert, which -O strips.  Each
+# whole-matrix chain sweep is counted by wrapping core._longest_chain.
+VERDICT_SCRIPT = """
+import sys
+from itertools import islice
+import iamkit.core as core
+from iamkit.bijection import (count_zigzag_decompositions, matrix_to_paths,
+                              matrix_to_pp, paths_to_matrix, pp_to_matrix)
+from iamkit.core import BinaryMatrix, is_maximal_iam
+from iamkit.genfunc import stat_record
+from iamkit.oracle import enumerate_maximal_iams
+from iamkit.symmetry import apply, classes_of
+
+sweeps = 0
+longest_chain = core._longest_chain
+
+
+def counted(masks, limit=None):
+    global sweeps
+    sweeps += 1
+    return longest_chain(masks, limit)
+
+
+core._longest_chain = counted
+
+
+def check(ok, what):
+    if not ok:
+        sys.exit(what)
+
+
+def swept(call, *args):
+    before = sweeps
+    result = call(*args)
+    return result, sweeps - before
+
+
+k = 4
+M = next(islice(enumerate_maximal_iams(6, 6, k), 100, None))
+check(swept(is_maximal_iam, M, k) == (True, 1), "the stream set a verdict")
+check(pp_to_matrix(matrix_to_pp(M, k), 6, 6, k) == M, "pp round trip")
+check(paths_to_matrix(matrix_to_paths(M, k), 6, 6, k) == M, "path round trip")
+stat_record(M, k)
+classes_of(M, k)
+count_zigzag_decompositions(M, k)
+check(sweeps == 3, "%d sweeps, not 3: the input and the two bijection "
+      "outputs once each" % sweeps)
+
+# maximal for at most one k: a verdict for k does not answer k + 1
+check(swept(is_maximal_iam, M, k + 1) == (False, 1), "k + 1")
+check(swept(is_maximal_iam, M, k) == (True, 0), "the verdict for k")
+
+# a non-maximal matrix is swept on every call, and every route refuses it
+top, *rest = M.masks
+N = BinaryMatrix.from_masks(6, 6, (top & (top - 1),) + tuple(rest))
+for _ in range(2):
+    check(swept(is_maximal_iam, N, k) == (False, 1), "non-maximal")
+for route in (matrix_to_pp, matrix_to_paths, stat_record, classes_of,
+              count_zigzag_decompositions):
+    before = sweeps
+    try:
+        route(N, k)
+    except ValueError:
+        check(sweeps == before + 1, "%s did not sweep" % route.__name__)
+    else:
+        sys.exit("%s took a non-maximal matrix" % route.__name__)
+
+# constructors start with no verdict; == and hash ignore it
+for copy in (BinaryMatrix(M.to_lists()),
+             BinaryMatrix.from_masks(6, 6, M.masks),
+             BinaryMatrix.from_json_dict(M.to_json_dict()), apply(M, "id")):
+    check(copy == M and hash(copy) == hash(M), "== or hash read the verdict")
+    check(swept(is_maximal_iam, copy, k) == (True, 1), "a copy kept a verdict")
+check(swept(is_maximal_iam, apply(M, "rot180"), k) == (True, 1),
+      "apply kept a verdict")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_each_matrix_is_verified_once_also_under_python_O(optimize):
+    # a matrix keeps the k that is_maximal_iam found it maximal for, so
+    # the routes after the first check do not sweep it again; the
+    # bijections still verify the matrices they build
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable] + flags + ["-c", VERDICT_SCRIPT],
+                          env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
 
 
 def test_zigzag_counts():

@@ -312,6 +312,31 @@ def test_brute_count_class_equals_the_census():
         brute_count_class("XS", 3, 3, 2)
 
 
+def test_census_lists_each_orbit_table_once(monkeypatch):
+    # on a square board VS and HS are both the fixed points of flipv on
+    # one board, so the census lists them once and reads that count twice;
+    # on every board, no (board, orbit table) pair is listed twice
+    started = []
+    start = _Search.start
+
+    def recording(self, orbits=None):
+        started.append((self.m, self.n, orbits))
+        return start(self, orbits)
+
+    monkeypatch.setattr(_Search, "start", recording)
+    for m, n, k in boards(5):
+        started.clear()
+        hist = class_histogram(m, n, k)
+        assert len(started) == len(set(started)), (m, n, k)
+        flipv = _orbits(("flipv",), m, n)
+        assert sum(orbits is flipv for _, _, orbits in started) == 1, \
+            (m, n, k)
+        for tag in SYMMETRY_TAGS:
+            if m == n or tag not in _SQUARE_ONLY:
+                assert hist[tag] == count_symmetry(tag, m, n, k), \
+                    (m, n, k, tag)
+
+
 def wide_boards(top_m, top_n):
     """(m, n, k) for every board with m < n, m <= top_m, n <= top_n."""
     return [(m, n, k) for m in range(2, top_m + 1)
