@@ -27,6 +27,15 @@ from .core import (
 # plane partitions
 
 
+def _check_box(a, b, c):
+    """ValueError unless a, b and c are nonnegative integers."""
+    for side in (a, b, c):
+        if type(side) is not int:  # not bool, float or str
+            raise ValueError("box sides must be integers, got %r" % (side,))
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("box sides must be nonnegative")
+
+
 class PlanePartition:
     """An a x b array pi of integers in [0, c], weakly decreasing along rows
     and down columns; the all-zero array is allowed."""
@@ -34,12 +43,7 @@ class PlanePartition:
     __slots__ = ("a", "b", "c", "pi")
 
     def __init__(self, a, b, c, pi):
-        for side in (a, b, c):
-            if type(side) is not int:  # not bool, float or str
-                raise ValueError("box sides must be integers, got %r"
-                                 % (side,))
-        if a < 0 or b < 0 or c < 0:
-            raise ValueError("box sides must be nonnegative")
+        _check_box(a, b, c)
         pi = tuple(tuple(row) for row in pi)
         if len(pi) != a or any(len(row) != b for row in pi):
             raise ValueError("array must be %d x %d" % (a, b))
@@ -89,12 +93,11 @@ class PlanePartition:
 
 
 def enumerate_pp(a, b, c):
-    """All plane partitions in an a x b x c box (recursive row search)."""
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
+    """All plane partitions in an a x b x c box (recursive row search).  The
+    box sides are checked when called, before the first plane partition."""
+    _check_box(a, b, c)
     if a == 0 or b == 0:
-        yield PlanePartition(a, b, c, tuple(() for _ in range(a)))
-        return
+        return iter((PlanePartition(a, b, c, tuple(() for _ in range(a))),))
 
     def rows_below(bound):
         # weakly decreasing rows pointwise <= bound
@@ -118,7 +121,7 @@ def enumerate_pp(a, b, c):
             yield from rec_rows(i + 1, row, acc)
             acc.pop()
 
-    yield from rec_rows(0, (c,) * b, [])
+    return rec_rows(0, (c,) * b, [])
 
 
 def pp_layers(pp):
@@ -377,64 +380,67 @@ def count_zigzag_decompositions(M, k):
     prescribed lengths m+n-1, m+n-3, ..., m+n-(2k-3).
 
     A zigzag path occupies one cell per level on a contiguous run of levels,
-    consecutive cells adjacent by a unit east/north step.  This sweeps the
-    levels directly and counts every partition of the ones into such paths;
-    it does not assume anything about where the paths must sit.
+    consecutive cells adjacent by a unit east/north step.  This sums level
+    by level and assumes nothing about where the paths sit.  After a level
+    the live chains end at exactly its points, in y order, since a chain
+    steps east (same y) or north (y+1) and two never cross.  So the layer
+    is {(start level of each live chain, lengths still wanted as a bit
+    set): ways}.  Into the next level each chain steps to a free neighbour
+    or closes at a wanted length, the points left over start chains, and
+    no more chains stay live than lengths are wanted.
+
+    On each level of a maximal matrix's path window [k-2, m+n-k] but the
+    first, point s is one step from point s of the level below and all k-1
+    lengths are still wanted, so no chain can close and the layer carries
+    over untouched: only the corner staircases are summed chain by chain.
+    No two histories meet before the window, so up to (k-1)! states cross
+    it.
     """
     m, n = M.m, M.n
     check_mnk(m, n, k)
     _require_maximal(M, k)
     if M.ones_count() != max_ones(m, n, k):
         raise ValueError("input must hold the extremal number of ones")
-    top = m + n - 2
-    by_level = _points_by_level(M.masks, m, n)
-    # steps[lev][a]: the points of level lev+1 one east/north step from
-    # point a of level lev, as a bit set over their positions in by_level
-    steps = []
-    for lev in range(top):
-        at = {p: t for t, p in enumerate(by_level[lev + 1])}
-        steps.append([(1 << at[(x + 1, y)] if (x + 1, y) in at else 0)
-                      | (1 << at[(x, y + 1)] if (x, y + 1) in at else 0)
-                      for (x, y) in by_level[lev]])
-    lengths = frozenset(m + n - (2 * s - 1) for s in range(1, k))
-
-    def sweep(lev, active, remaining, opened):
-        # active: (position on level lev-1, length) of each open chain
-        if lev > top:
-            for (_, length) in active:
-                if length not in remaining:
-                    return 0
-                remaining = remaining - {length}
-            return 1 if (opened == k - 1 and not remaining) else 0
-        size = len(by_level[lev])
-        step = steps[lev - 1] if lev else ()
-        total = 0
-
-        # chain by chain: extend to an unused east/north neighbour on this
-        # level, or close if its length is still wanted; the points left
-        # over start new chains while no more than k-1 have been opened
-        def assign(idx, used, extended, remaining):
-            nonlocal total
-            left = size - used.bit_count()  # points not yet taken
-            if left - (len(active) - idx) > k - 1 - opened:
-                return  # the chains still to place cannot take enough
-            if idx == len(active):
-                fresh = [(t, 1) for t in range(size) if not used >> t & 1]
-                total += sweep(lev + 1, tuple(extended + fresh), remaining,
-                               opened + left)
-                return
-            a, length = active[idx]
-            free = step[a] & ~used
-            while free:
-                low = free & -free
-                free ^= low
-                assign(idx + 1, used | low,
-                       extended + [(low.bit_length() - 1, length + 1)],
-                       remaining)
-            if length in remaining:
-                assign(idx + 1, used, extended, remaining - {length})
-
-        assign(0, 0, [], remaining)
-        return total
-
-    return sweep(0, (), lengths, 0)
+    layer = {((), sum(1 << (m + n + 1 - 2 * s) for s in range(1, k))): 1}
+    # an empty level on either side: none below the first, and one past the
+    # top that closes every chain
+    levels = [[]] + _points_by_level(M.masks, m, n) + [[]]
+    for lev, (below, pts) in enumerate(zip(levels, levels[1:])):
+        size = len(pts)
+        # point a one step from point a below, and no chain can close (at
+        # a wanted length, leaving one per point): every chain steps to
+        # the point at its own position, and none starts
+        if (size == len(below)
+                and all(y - v in (0, 1) for (_, y), (_, v) in zip(pts, below))
+                and not any(rem.bit_count() > size
+                            and any(rem >> (lev - s) & 1 for s in starts)
+                            for starts, rem in layer)):
+            continue
+        at = {p: t for t, p in enumerate(pts)}
+        # moves[a]: the points one east/north step from point a of the
+        # level below, as positions on this level, ascending
+        moves = [[at[p] for p in ((x + 1, y), (x, y + 1)) if p in at]
+                 for (x, y) in below]
+        nxt = {}
+        pad = [(lev,) * t for t in range(size + 1)]  # fresh chains start here
+        for (starts, rem), ways in layer.items():
+            if rem.bit_count() < size:
+                continue  # more points than lengths still wanted
+            # chain by chain: (starts at positions 0..last, last, wanted)
+            partial = [((), -1, rem)]
+            for a, s in enumerate(starts):
+                bit = 1 << (lev - s)
+                grown = []
+                for head, last, r in partial:
+                    for t in moves[a]:
+                        if t > last:
+                            grown.append(
+                                (head + pad[t - last - 1] + (s,), t, r))
+                    if r & bit and r.bit_count() > size:
+                        grown.append((head, last, r ^ bit))
+                partial = grown
+            for head, last, r in partial:
+                key = (head + pad[size - 1 - last], r)
+                nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return layer.get(((), 0), 0)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, zip_longest
 
-from .bijection import _require_maximal, enumerate_pp
+from .bijection import _check_box, _require_maximal
 from .core import (
     DEFAULT_SEED,
     EnumerationBudget,
@@ -337,26 +338,59 @@ def volume_gf(m, n, k, budget=None):
     """Sum of q^{v(M)} over maximal matrices, as a polynomial.
 
     Computed twice -- once from the matrix stream, once by expanding the
-    closed product of q-integer ratios -- and the two must agree.
+    closed product of q-integer ratios -- and the two must agree.  The
+    product is expanded on one coefficient list: multiplied by each
+    1 - q^{i+j+l-1}, then divided by each 1 - q^{i+j+l-2}, every division
+    checked for a remainder.
     """
     check_mnk(m, n, k)
     total = _tally(stat_v(M) for M in _every_maximal(m, n, k, budget))
-    num = QPoly.one()
-    den = QPoly.one()
-    for i in range(1, m - k + 2):
-        for j in range(1, n - k + 2):
-            for l in range(1, k):
-                num = num * QPoly.one_minus_q_power(i + j + l - 1)
-                den = den * QPoly.one_minus_q_power(i + j + l - 2)
-    product = num.exact_div(den)
-    if product != total:
+    exps = [i + j + l - 1 for i in range(1, m - k + 2)
+            for j in range(1, n - k + 2) for l in range(1, k)]
+    cs = [1]
+    for e in exps:  # times 1 - q^e
+        cs.extend([0] * e)
+        for t in range(len(cs) - 1, e - 1, -1):
+            cs[t] -= cs[t - e]
+    for e in exps:
+        _divide_out(cs, e - 1)
+    if QPoly(cs) != total:
         raise VerificationError("stream and product expansions disagree")
     return total
 
 
+def _divide_out(cs, d):
+    """Divide the coefficient list cs by 1 - q^d in place: the quotient's
+    coefficient t is cs[t] plus its coefficient t-d, and the top d so
+    formed are the remainder, a failed verification unless all 0."""
+    for t in range(d, len(cs)):
+        cs[t] += cs[t - d]
+    if any(cs[len(cs) - d:]):
+        raise VerificationError("the product leaves a remainder on "
+                                "division by 1 - q^%d" % d)
+    del cs[len(cs) - d:]
+
+
 def pp_volume_gf(a, b, c):
-    """Sum of q^{volume} over plane partitions in an a x b x c box."""
-    return _tally(pp.volume() for pp in enumerate_pp(a, b, c))
+    """Sum of q^{volume} over plane partitions in an a x b x c box.
+
+    Summed row by row, with no plane partition built: the layer is
+    {last row: coefficient list}, starting from a row of c's above the
+    box.  A row is any weakly decreasing tuple of entries in [0, c], and
+    it may follow every row that it is pointwise at most.
+    """
+    _check_box(a, b, c)
+    rows = list(combinations_with_replacement(range(c, -1, -1), b))
+    layer = {(c,) * b: [1]}
+    for _ in range(a):
+        nxt = {}
+        for row in rows:
+            polys = [poly for above, poly in layer.items()
+                     if all(x <= y for x, y in zip(row, above))]
+            nxt[row] = [0] * sum(row) + [
+                sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
+        layer = nxt
+    return QPoly([sum(cs) for cs in zip_longest(*layer.values(), fillvalue=0)])
 
 
 def _tally(exponents):

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+import iamkit.bijection
+import zigzag_walker
 from iamkit.bijection import (
     PathFamily,
     PlanePartition,
@@ -21,7 +24,7 @@ from iamkit.bijection import (
     pp_layers,
     pp_to_matrix,
 )
-from iamkit.core import BinaryMatrix, max_ones
+from iamkit.core import DEFAULT_SEED, BinaryMatrix, max_ones
 from iamkit.formulas import hprod
 from iamkit.genfunc import stat_record
 from iamkit.oracle import enumerate_maximal_iams
@@ -216,6 +219,49 @@ def test_zigzag_counts():
     # k = 2: a single zigzag covering everything, always unique
     for M in enumerate_maximal_iams(2, 4, 2):
         assert count_zigzag_decompositions(M, 2) == 1
+
+
+def test_zigzag_level_sum_equals_the_walker():
+    # the walker lists every decomposition through every level; the level
+    # sum must count as many on every maximal matrix up to 5x5, and on a
+    # seeded sample of the 6x6 and 7x7 ones at k <= 6
+    walker = zigzag_walker.count_zigzag_decompositions
+    for m in range(2, 6):
+        for n in range(2, 6):
+            for k in range(2, min(m, n) + 1):
+                for M in enumerate_maximal_iams(m, n, k):
+                    assert count_zigzag_decompositions(M, k) == walker(M, k)
+    rng = random.Random(DEFAULT_SEED)
+    for side in (6, 7):
+        for k in range(2, 7):
+            stream = list(enumerate_maximal_iams(side, side, k))
+            for M in rng.sample(stream, min(len(stream), 6)):
+                assert count_zigzag_decompositions(M, k) == walker(M, k)
+
+
+def test_zigzag_level_sum_equals_the_walker_on_any_ones(monkeypatch):
+    # with the maximality and extremality guards lifted, both count the
+    # splits of any set of ones into k-1 zigzag paths of the prescribed
+    # lengths; levels of equal size whose points do not pair up east/north
+    # index by index occur here and on no maximal matrix
+    ones = [0]
+    for module in (iamkit.bijection, zigzag_walker):
+        monkeypatch.setattr(module, "_require_maximal", lambda M, k: None)
+        monkeypatch.setattr(module, "max_ones", lambda m, n, k: ones[0])
+    walker = zigzag_walker.count_zigzag_decompositions
+    rng = random.Random(DEFAULT_SEED)
+    boards = [(3, 3, code) for code in range(1 << 9)]
+    boards += [(4, 4, rng.getrandbits(16)) for _ in range(300)]
+    nonzero = 0
+    for m, n, code in boards:
+        M = BinaryMatrix.from_masks(
+            m, n, [code >> (n * i) & ((1 << n) - 1) for i in range(m)])
+        ones[0] = M.ones_count()
+        for k in range(2, m + 1):
+            got = count_zigzag_decompositions(M, k)
+            assert got == walker(M, k), (M.masks, k)
+            nonzero += got > 0
+    assert nonzero > 0
 
 
 def test_roundtrips_small_boards():

@@ -1,5 +1,6 @@
 """Statistics, exact weights, the (q,t) identity, volume polynomials."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import iamkit.genfunc
 from iamkit.bijection import (
+    enumerate_pp,
     matrix_to_paths,
     matrix_to_pp,
     pp_layers,
@@ -20,6 +22,7 @@ from iamkit.core import (
 )
 from iamkit.genfunc import (
     QPoly,
+    _divide_out,
     StatRecord,
     gf_lhs,
     gf_rhs,
@@ -211,6 +214,48 @@ def test_volume_gf_matches_pp_volume_gf():
             for k in range(2, m + 1):
                 assert volume_gf(m, n, k) == \
                     pp_volume_gf(m - k + 1, n - k + 1, k - 1)
+
+
+@pytest.mark.parametrize("box", [
+    (a, b, c) for a in range(4) for b in range(4) for c in range(4)
+] + [(2, 4, 3), (4, 4, 2), (3, 3, 4)])
+def test_pp_volume_gf_equals_the_listing(box):
+    # the row-by-row sum against the tally of every listed plane partition
+    counts = Counter(pp.volume() for pp in enumerate_pp(*box))
+    want = [counts[e] for e in range(max(counts) + 1)]
+    assert pp_volume_gf(*box).to_list() == want
+
+
+@pytest.mark.parametrize("sides,message", [
+    ((1.5, 2, 2), "must be integers, got 1.5"),
+    ((2, 2, 1.5), "must be integers, got 1.5"),
+    ((2, "2", 2), "must be integers, got '2'"),
+    ((True, 2, 2), "must be integers, got True"),
+    ((2, -1, 2), "must be nonnegative"),
+])
+def test_box_sides_are_checked_before_any_work(sides, message):
+    # each once recursed until RecursionError, raised TypeError, or only
+    # failed once a plane partition was built
+    with pytest.raises(ValueError, match=message):
+        pp_volume_gf(*sides)
+    with pytest.raises(ValueError, match=message):
+        enumerate_pp(*sides)  # on the call, not at the first next()
+
+
+@pytest.mark.parametrize("sides", [(0, 3, 2), (3, 0, 2), (3, 2, 0)])
+def test_a_zero_side_gives_the_empty_partition_alone(sides):
+    assert pp_volume_gf(*sides) == QPoly([1])
+    assert [pp.volume() for pp in enumerate_pp(*sides)] == [0]
+
+
+def test_a_remainder_in_the_product_is_a_failed_verification():
+    cs = [1, 0, 0, -1]  # 1 - q^3 = (1 - q)(1 + q + q^2)
+    _divide_out(cs, 1)
+    assert cs == [1, 1, 1]
+    with pytest.raises(VerificationError, match="remainder"):
+        _divide_out([1, 1, 1], 1)
+    with pytest.raises(VerificationError, match="remainder"):
+        _divide_out([1, 0, 0, -1], 2)
 
 
 def test_sums_over_the_stream_honour_the_cell_budget():
