@@ -12,27 +12,40 @@ The weighted sum of q^v t^(v_d) times a Pochhammer correction over all
 maximal matrices equals a closed triple product; both sides are evaluated
 exactly at rational points.  Setting t = 1 collapses the weight to q^v and
 the identity becomes a polynomial one, handled by QPoly below.
+
+The sums over the matrices (`gf_lhs`, `volume_gf`) list none: they run
+forward over the row search of `oracle_count`, on the narrow side (v, v_d
+and the diagonal read top down are transpose-invariant), and weigh each
+successor row by its share of the statistics (`_row_shares`).  A one at
+(i, j) counts the zeros strictly up-diagonal of it, min(i, j) - 1 less the
+ones the rows above hold on its level j - i, and those counts per level
+are a function of the row state (Fact E of the row-search notes), carried
+with it and checked on every merge.  A one at (i, i) with o ones above it
+on the diagonal is path s = k-1-o's point there, with d_s = i-1-o, and
+v_d = d_1 + ... + d_{k-1}, so its row also takes that path's factor.  The
+per-matrix statistics below (`stat_record`, `weight_at`) are the twin.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, zip_longest
+from operator import add, mul
 
 from .bijection import _check_box, _require_maximal
 from .core import (
+    DEFAULT_BUDGET,
     DEFAULT_SEED,
-    EnumerationBudget,
     VerificationError,
     _Record,
     _transpose_masks,
+    check_budget,
     check_mnk,
     diag_ones_below,
     diag_zeros_above,
 )
-from .oracle import enumerate_maximal_iams
+from .oracle import _rect_search
 
 
 # ---------------------------------------------------------------------------
@@ -139,53 +152,153 @@ def _qpochhammer(x, q, r):
     return out
 
 
+def _exact(x):
+    """x as a Fraction, when it is an int (not a bool) or a Fraction;
+    ValueError otherwise, so no sum runs on binary floats."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValueError("q and t must be integers or Fractions, got %r"
+                         % (x,))
+    return Fraction(x)
+
+
+def _ratio(s, d, k, q, t):
+    """(q^{k-s}; q)_d / (t q^{k-s}; q)_d, exactly.  Raises ValueError when
+    the denominator vanishes; nothing is ever divided through silently."""
+    den = _qpochhammer(t * q ** (k - s), q, d)
+    if den == 0:
+        raise ValueError("vanishing Pochhammer denominator at s=%d" % s)
+    return _qpochhammer(q ** (k - s), q, d) / den
+
+
 def weight_at(M, k, q, t):
     """The matrix weight q^v t^(v_d) * prod_s (q^{k-s}; q)_{d_s} /
-    (t q^{k-s}; q)_{d_s} evaluated at exact rationals.
+    (t q^{k-s}; q)_{d_s} evaluated at exact rationals, from the matrix's
+    own statistics: the twin of the row weights of `gf_lhs`.
 
-    Raises ValueError when a Pochhammer denominator vanishes; nothing is
-    ever divided through silently.
+    q and t must be ints or Fractions.  Raises ValueError when a Pochhammer
+    denominator vanishes.
     """
-    return _weight(stat_record(M, k), k, Fraction(q), Fraction(t))
-
-
-def _weight(rec, k, q, t):
+    q, t = _exact(q), _exact(t)
+    rec = stat_record(M, k)
     out = q ** rec.v * t ** rec.v_d
-    for s in range(1, k):
-        num = _qpochhammer(q ** (k - s), q, rec.d[s - 1])
-        den = _qpochhammer(t * q ** (k - s), q, rec.d[s - 1])
-        if den == 0:
-            raise ValueError("vanishing Pochhammer denominator at s=%d" % s)
-        out *= num / den
+    for s, d in enumerate(rec.d, start=1):
+        out *= _ratio(s, d, k, q, t)
     return out
 
 
-def _every_maximal(m, n, k, budget):
-    """The whole stream of maximal matrices: a sum needs every one, so the
-    budget's cell cap applies (the default one when none is given) and its
-    `max_results` does not."""
-    if budget is not None:
-        budget = EnumerationBudget(budget.max_cells)
-    return enumerate_maximal_iams(m, n, k, budget)
+def _row_shares(m, n, k, budget):
+    """The steps of the forward sum over the maximal m x n matrices, one
+    list per row: for each state after the rows above, (its thresholds,
+    its successor rows), each row as (next thresholds, e, diagonal).  e is
+    the row's share of v, and diagonal is (s, d_s) when the row's one on
+    the main diagonal is the point of path s there, else None.
+
+    The sum runs on the narrow side (`oracle._rect_search`), as
+    `oracle_count` does: v, v_d and the main diagonal read top down are
+    the same for M and its transpose, which keeps every diagonal and the
+    main diagonal's order.
+
+    A one at (i, j) has min(i, j) - 1 cells strictly up-diagonal of it,
+    all in the rows above; the ones among them are those that the rows
+    above hold on its level j - i, and the rest are the zeros it counts
+    towards v.  The diagonal holds k-1 ones, path s meeting it at its s-th
+    lowest (`stat_d`), so a one at (i, i) with o ones above it there is
+    the point of path s = k-1-o, and d_s = i-1-o.
+
+    The ones per level ride along with each state, as a function of its
+    thresholds (Fact E of the row-search notes); two arrivals at one state
+    that disagree raise VerificationError.  The budget's cell cap applies
+    (the default one when none is given), and its `max_results` does not,
+    since a sum needs every matrix.
+    """
+    check_budget(m * n, budget or DEFAULT_BUDGET)
+    search = _rect_search(m, n, k)
+    w = search.n
+    cols = {}  # mask -> its bits, column 1 first
+    # thresholds -> above, above[j-1] being the ones that the placed rows
+    # hold on the level of the next row's cell in column j
+    layer = {(): (0,) * w}
+    for depth in range(search.m):
+        i = depth + 1
+        up = [min(i, j) - 1 for j in range(1, w + 1)]
+        cells = {}  # mask -> the cells up-diagonal of its ones
+        steps = []
+        nxt = {}
+        for tails, above in layer.items():
+            rows = []
+            for mask, after in search.succ(depth, tails):
+                bits = cols.get(mask)
+                if bits is None:
+                    bits = cols[mask] = tuple((mask >> (w - j)) & 1
+                                              for j in range(1, w + 1))
+                e = cells.get(mask)
+                if e is None:
+                    e = cells[mask] = sum(map(mul, up, bits))
+                e -= sum(map(mul, above, bits))
+                diag = None
+                if i <= w and bits[i - 1]:
+                    o = above[i - 1]
+                    diag = (k - 1 - o, i - 1 - o)
+                # the next row's cell in column j shares the level of this
+                # row's cell in column j-1
+                below = (0,) + tuple(map(add, above, bits[:-1]))
+                if nxt.setdefault(after, below) != below:
+                    raise VerificationError(
+                        "two prefixes reach thresholds %r with different "
+                        "ones per level" % (after,))
+                rows.append((after, e, diag))
+            steps.append((tails, rows))
+        yield steps
+        layer = nxt
 
 
 def gf_lhs(m, n, k, q, t, budget=None):
-    """Sum of weights over every maximal I_k-avoiding m x n matrix: the
-    statistics are taken once per matrix, and the weight once per distinct
-    (v, v_d, d)."""
+    """Sum of weights over every maximal I_k-avoiding m x n matrix, summed
+    forward row by row over the row search (`_row_shares`), so no matrix
+    is built: each state carries the sum of the weights of the prefixes
+    reaching it, and each successor row multiplies it by its factor.  The
+    search runs on the board's narrow side, since v, v_d and the main
+    diagonal read top down are transpose-invariant, and the ones per
+    diagonal that a row's share of v reads ride along with each state, a
+    function of its thresholds (Fact E of the row-search notes).
+
+    The weight splits over the rows.  q^v is the product of q^e over the
+    rows' shares e of v, a one at (i, j) counting min(i, j) - 1 less the
+    ones above it on its diagonal.  A zero on the main diagonal with h
+    ones below it there is counted once by each of those ones, so v_d =
+    d_1 + ... + d_{k-1}, and t^(v_d) times the Pochhammer correction is
+    the product, over the ones on the main diagonal, of t^(d_s)
+    (q^{k-s}; q)_{d_s} / (t q^{k-s}; q)_{d_s}, s being the one's path.
+    Each factor is taken once per (e, s, d_s).  q and t must be ints or
+    Fractions.
+    """
     check_mnk(m, n, k)
-    q = Fraction(q)
-    t = Fraction(t)
-    recs = Counter(stat_record(M, k)
-                   for M in _every_maximal(m, n, k, budget))
-    return sum(count * _weight(rec, k, q, t) for rec, count in recs.items())
+    q, t = _exact(q), _exact(t)
+    paths = {None: 1}  # (s, d_s) -> the factor of path s's point
+    factors = {}  # (e, (s, d_s) or None) -> the row's factor
+    sums = {(): Fraction(1)}
+    for steps in _row_shares(m, n, k, budget):
+        nxt = {}
+        for tails, rows in steps:
+            val = sums[tails]
+            for after, e, diag in rows:
+                f = factors.get((e, diag))
+                if f is None:
+                    p = paths.get(diag)
+                    if p is None:
+                        s, d = diag
+                        p = paths[diag] = t ** d * _ratio(s, d, k, q, t)
+                    f = factors[e, diag] = q ** e * p
+                nxt[after] = nxt.get(after, 0) + val * f
+        sums = nxt
+    return sum(sums.values())
 
 
 def gf_rhs(m, n, k, q, t):
-    """The closed product over the (m-k+1) x (n-k+1) x (k-1) box."""
+    """The closed product over the (m-k+1) x (n-k+1) x (k-1) box; q and t
+    must be ints or Fractions."""
     check_mnk(m, n, k)
-    q = Fraction(q)
-    t = Fraction(t)
+    q, t = _exact(q), _exact(t)
     out = Fraction(1)
     for i in range(1, m - k + 2):
         for j in range(1, n - k + 2):
@@ -229,13 +342,19 @@ class QPoly:
 
     Immutable; the zero polynomial is the empty tuple.  Division is exact
     division (ValueError on any remainder) -- these polynomials only ever
-    come from products known to divide.
+    come from products known to divide.  Coefficients must be ints, and
+    evaluation points ints or Fractions (ValueError otherwise, bools
+    included), so nothing is truncated or evaluated in binary floats.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(int(c) for c in coeffs)
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:  # not bool, float or Fraction
+                raise ValueError("coefficients must be integers, got %r"
+                                 % (c,))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -314,6 +433,9 @@ class QPoly:
         return QPoly(quot)
 
     def __call__(self, x):
+        if type(x) is not int and type(x) is not Fraction:
+            raise ValueError("evaluation points must be integers or "
+                             "Fractions, got %r" % (x,))
         out = Fraction(0)
         for c in reversed(self.coeffs):
             out = out * x + c
@@ -337,14 +459,35 @@ class QPoly:
 def volume_gf(m, n, k, budget=None):
     """Sum of q^{v(M)} over maximal matrices, as a polynomial.
 
-    Computed twice -- once from the matrix stream, once by expanding the
-    closed product of q-integer ratios -- and the two must agree.  The
-    product is expanded on one coefficient list: multiplied by each
+    Computed twice -- once summed forward over the row search, once by
+    expanding the closed product of q-integer ratios -- and the two must
+    agree.  The forward sum (`_row_shares`) runs on the board's narrow
+    side, v being transpose-invariant, and carries, per state, the
+    coefficient list of the prefixes reaching it; each successor row adds
+    it shifted by q^e, e being the row's share of v: a one at (i, j)
+    counts min(i, j) - 1 less the ones above it on its diagonal, and those
+    per diagonal ride along with the state, a function of its thresholds
+    (Fact E of the row-search notes).  No matrix is built.  The product
+    is expanded on one coefficient list: multiplied by each
     1 - q^{i+j+l-1}, then divided by each 1 - q^{i+j+l-2}, every division
     checked for a remainder.
     """
     check_mnk(m, n, k)
-    total = _tally(stat_v(M) for M in _every_maximal(m, n, k, budget))
+    sums = {(): [1]}
+    for steps in _row_shares(m, n, k, budget):
+        nxt = {}
+        for tails, rows in steps:
+            cs = sums[tails]
+            for after, e, _ in rows:
+                acc = nxt.get(after)
+                if acc is None:
+                    nxt[after] = [0] * e + cs
+                    continue
+                acc.extend([0] * (e + len(cs) - len(acc)))
+                for x, c in enumerate(cs, e):
+                    acc[x] += c
+        sums = nxt
+    total = QPoly(_added(sums.values()))
     exps = [i + j + l - 1 for i in range(1, m - k + 2)
             for j in range(1, n - k + 2) for l in range(1, k)]
     cs = [1]
@@ -357,6 +500,11 @@ def volume_gf(m, n, k, budget=None):
     if QPoly(cs) != total:
         raise VerificationError("stream and product expansions disagree")
     return total
+
+
+def _added(lists):
+    """The sum of coefficient lists, as one list."""
+    return [sum(cs) for cs in zip_longest(*lists, fillvalue=0)]
 
 
 def _divide_out(cs, d):
@@ -387,13 +535,7 @@ def pp_volume_gf(a, b, c):
         for row in rows:
             polys = [poly for above, poly in layer.items()
                      if all(x <= y for x, y in zip(row, above))]
-            nxt[row] = [0] * sum(row) + [
-                sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
+            nxt[row] = [0] * sum(row) + _added(polys)
         layer = nxt
-    return QPoly([sum(cs) for cs in zip_longest(*layer.values(), fillvalue=0)])
+    return QPoly(_added(layer.values()))
 
-
-def _tally(exponents):
-    """Sum of q^e over the exponents, as one polynomial."""
-    counts = Counter(exponents)
-    return QPoly([counts[e] for e in range(max(counts, default=-1) + 1)])

@@ -24,7 +24,9 @@ Three routes, kept deliberately separate:
   (Fact D of the row-search notes); a rectangle is counted on its
   narrow side (`_rect_search`): the transpose maps the maximal m x n
   matrices one to one onto the maximal n x m ones, and the search's
-  states grow with the width, not the height;
+  states grow with the width, not the height; `genfunc` sums the matrix
+  statistics over the same layers, since the ones the placed rows hold
+  per diagonal are a function of the thresholds too (Fact E);
 * `naive_enumerate` scans every (0,1)-matrix, with no pruning at all, on
   bitsets indexed by code: the codes holding a k-chain come from the
   textbook up-left recurrence, run on whole sets, and a code is kept when
@@ -205,6 +207,21 @@ from .core import (
 # alternatives with room, keeping the pairs no other one implies; the same
 # steps show that those are D(A), and that a demand with both alternatives
 # alive always has its row's zero at c implying it.
+#
+# Fact E (rectangles): the ones that the placed rows hold on each level
+# (each diagonal j - i) are a function of the thresholds.  No state is
+# dead, and every sequence of successor rows is a maximal filling (Fact
+# C), so two prefixes of i rows with equal thresholds have the same rows
+# below them and share a completion.  A maximal m x n matrix holds exactly
+# k-1 ones on each level of the path window (`bijection.matrix_to_paths`)
+# and a one on every cell of each level outside it, all of which lie in
+# the two corner staircases (`bijection._staircase_masks`): its ones per
+# level depend on m, n and k alone.  Both prefixes, completed alike, hold
+# those, and the completion holds the same ones below the cut, so the
+# prefixes hold equal counts above it.  `genfunc`'s forward sums carry the
+# counts with each state, to weigh each row's share of the statistics,
+# and raise VerificationError when two arrivals at one state disagree, so
+# the fact is checked on every merge.
 #
 # A row's successor rows read the state and nothing of the row but its
 # span and geo.  geo is only compared with needs <= k-1, so capping it at

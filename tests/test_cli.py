@@ -643,9 +643,9 @@ def test_text_only_subcommands_reject_json(capsys, argv):
 
 
 def test_verification_error_exits_2(capsys, monkeypatch):
-    # the stream and the product expansion of the volume polynomial
+    # the forward sum and the product expansion of the volume polynomial
     # disagree: a fault of iamkit, reported as one line
-    monkeypatch.setattr(iamkit.genfunc, "enumerate_maximal_iams",
+    monkeypatch.setattr(iamkit.genfunc, "_row_shares",
                         lambda m, n, k, budget=None: iter(()))
     rc = main(["genfunc", "--m", "2", "--n", "2", "--k", "2", "--t1"])
     captured = capsys.readouterr()
@@ -745,7 +745,7 @@ try:
     sys.exit("_int_of returned an integer for 1/2")
 except VerificationError:
     pass
-iamkit.genfunc.enumerate_maximal_iams = lambda m, n, k, budget=None: iter(())
+iamkit.genfunc._row_shares = lambda m, n, k, budget=None: iter(())
 sys.exit(main(["genfunc", "--m", "2", "--n", "2", "--k", "2", "--t1"]))
 """
 

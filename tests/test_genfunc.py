@@ -1,5 +1,6 @@
 """Statistics, exact weights, the (q,t) identity, volume polynomials."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iamkit.genfunc
+import iamkit.oracle
 from iamkit.bijection import (
     enumerate_pp,
     matrix_to_paths,
@@ -189,17 +191,70 @@ def test_seeded_points_deterministic():
 
 
 def test_grouped_sums_equal_the_per_matrix_sums():
-    # volume_gf tallies v and gf_lhs weighs each distinct (v, v_d, d) once;
-    # both must equal the sums taken matrix by matrix
-    for (m, n, k) in [(3, 4, 3), (4, 4, 2), (4, 5, 3)]:
-        matrices = list(enumerate_maximal_iams(m, n, k))
-        total = QPoly()
-        for M in matrices:
-            total = total + QPoly.q_power(stat_v(M))
-        assert volume_gf(m, n, k) == total
-        for (q, t) in seeded_points(2, seed=3, span=m + n + k):
-            assert gf_lhs(m, n, k, q, t) == \
-                sum(weight_at(M, k, q, t) for M in matrices)
+    # volume_gf and gf_lhs sum forward over the row search, each successor
+    # row weighed by its share of the statistics; the twin takes each
+    # listed matrix's own: the tally of stat_v on every board up to 6 x 6,
+    # and the sum of weight_at on every board up to 5 x 5 at two seeded
+    # points, both orientations
+    for m in range(2, 7):
+        for n in range(2, 7):
+            for k in range(2, min(m, n) + 1):
+                matrices = list(enumerate_maximal_iams(m, n, k))
+                counts = Counter(stat_v(M) for M in matrices)
+                assert volume_gf(m, n, k).to_list() == \
+                    [counts[e] for e in range(max(counts) + 1)]
+                if max(m, n) > 5:
+                    continue
+                for (q, t) in seeded_points(2, seed=3, span=m + n + k):
+                    assert gf_lhs(m, n, k, q, t) == \
+                        sum(weight_at(M, k, q, t) for M in matrices)
+
+
+def test_two_arrivals_that_disagree_raise(monkeypatch):
+    # the ones per level ride along with each state, as a function of its
+    # thresholds (Fact E); a search whose first rows all reach one state
+    # breaks that, and the merge must raise rather than sum on
+    succ = iamkit.oracle._Search.succ
+
+    def merged(self, depth, tails):
+        rows = succ(self, depth, tails)
+        return [(mask, rows[0][1]) for mask, _ in rows] if depth == 0 \
+            else rows
+
+    monkeypatch.setattr(iamkit.oracle._Search, "succ", merged)
+    with pytest.raises(VerificationError, match="ones per level"):
+        volume_gf(4, 4, 3)
+    with pytest.raises(VerificationError, match="ones per level"):
+        gf_lhs(4, 4, 3, Fraction(1, 2), Fraction(1, 3))
+
+
+def test_boards_no_listing_reaches():
+    # 10 x 10, k=5 has hprod(6, 6, 4) maximal matrices, about 1.4e9; the
+    # forward sums weigh rows, not matrices
+    assert hprod(6, 6, 4) > 10 ** 9
+    budget = EnumerationBudget(max_cells=100)
+    assert volume_gf(10, 10, 5, budget) == pp_volume_gf(6, 6, 4)
+    for (q, t) in seeded_points(1, span=25):
+        assert gf_lhs(10, 10, 5, q, t, budget) == gf_rhs(10, 10, 5, q, t)
+
+
+@pytest.mark.parametrize("q,t,bad", [
+    (0.5, 0.25, 0.5),
+    (Fraction(1, 2), 0.25, 0.25),
+    (True, "2", True),
+    (2, "2", "2"),
+])
+def test_q_and_t_must_be_exact(q, t, bad):
+    # each once ran: on binary floats, or with True as 1 and "2" as 2
+    message = re.escape("q and t must be integers or Fractions, got %r"
+                        % (bad,))
+    M = BinaryMatrix([[1, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 0]])
+    with pytest.raises(ValueError, match=message):
+        gf_lhs(3, 4, 3, q, t)
+    with pytest.raises(ValueError, match=message):
+        gf_rhs(3, 4, 3, q, t)
+    with pytest.raises(ValueError, match=message):
+        weight_at(M, 3, q, t)
 
 
 def test_volume_gf_values():
@@ -276,8 +331,8 @@ def test_sums_over_the_stream_honour_the_cell_budget():
 
 
 def test_volume_gf_disagreement_raises(monkeypatch):
-    # an empty stream cannot match the product expansion
-    monkeypatch.setattr(iamkit.genfunc, "enumerate_maximal_iams",
+    # an empty forward sum cannot match the product expansion
+    monkeypatch.setattr(iamkit.genfunc, "_row_shares",
                         lambda m, n, k, budget=None: iter(()))
     with pytest.raises(VerificationError):
         volume_gf(3, 4, 3)
@@ -311,6 +366,28 @@ def test_qpoly_exact_division():
         QPoly([1]).exact_div(QPoly([1, -1]))
     with pytest.raises(ZeroDivisionError):
         QPoly([1]).exact_div(QPoly())
+
+
+@pytest.mark.parametrize("coeffs,bad", [
+    ([1.7, 2], 1.7),
+    ([1, True], True),
+    ([Fraction(1), 2], Fraction(1)),
+    (["1"], "1"),
+])
+def test_qpoly_refuses_non_integer_coefficients(coeffs, bad):
+    # QPoly([1.7, 2]) once truncated to 1 + 2q
+    with pytest.raises(ValueError, match=re.escape(
+            "coefficients must be integers, got %r" % (bad,))):
+        QPoly(coeffs)
+
+
+@pytest.mark.parametrize("x", [0.5, True, "1"])
+def test_qpoly_refuses_inexact_points(x):
+    # QPoly([1, 1])(0.5) once returned a float
+    with pytest.raises(ValueError, match=re.escape(
+            "evaluation points must be integers or Fractions, got %r"
+            % (x,))):
+        QPoly([1, 1])(x)
 
 
 def test_qpoly_eval_and_normalization():
