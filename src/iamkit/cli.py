@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: count, enumerate, biject, genfunc, selftest.  Exit codes:
-0 success / agreement, 1 usage or invalid parameters (each with one line
-on stderr, never a traceback), 2 verification failure or disagreement,
-3 budget exceeded.  A reader that closes the output pipe early ends the
-run quietly.  All output is deterministic for fixed arguments (fixed
-default seed, sorted iteration everywhere).
+0 success / agreement, 1 usage, invalid parameters or an output that
+cannot be written (each with one line on stderr, never a traceback),
+2 verification failure or disagreement, 3 budget exceeded.  A reader
+that closes the output pipe early ends the run quietly.  All output is
+deterministic for fixed arguments (fixed default seed, sorted iteration
+everywhere).
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ _DESTS = {"--m": "m", "--n": "n", "--t": "t", "--lambda": "lam", "--mu": "mu",
           "--budget": "budget", "--points": "points", "--seed": "seed"}
 
 
+def _budget(args, max_results=None):
+    """The budget of --budget, the default cap when it is not given."""
+    cells = DEFAULT_BUDGET.max_cells if args.budget is None else args.budget
+    return EnumerationBudget(max_cells=cells, max_results=max_results)
+
+
 def _refuse(args, why, *options):
     """Refuse the first of these options that was given: the branch that
     runs (`why`) does not read it, so its answer would not be the one
@@ -89,8 +96,7 @@ def _cmd_count(args, out):
     fmt = args.format
     if not args.with_oracle:
         _refuse(args, "without --with-oracle", "--budget")
-    budget = (DEFAULT_BUDGET if args.budget is None
-              else EnumerationBudget(max_cells=args.budget))
+    budget = _budget(args)
     oracle_val = None
     if args.lam is None:
         _refuse(args, "without --lambda", "--mu")
@@ -175,8 +181,7 @@ def _cmd_enumerate(args, out):
     if args.k is None:
         raise ValueError("enumerate needs --k")
     from . import oracle
-    budget = EnumerationBudget(max_cells=args.budget,
-                               max_results=args.max_results)
+    budget = _budget(args, args.max_results)
     if args.lam is not None:
         _refuse(args, "with --lambda", "--m", "--n")
         shape = SkewShape(_parse_parts(args.lam),
@@ -198,29 +203,13 @@ def _cmd_enumerate(args, out):
 # biject
 
 
-def _cmd_biject(args, out, stdin):
-    if args.to in ("pp", "paths"):
+def _cmd_biject(args, out):
+    if args.to != "matrix":
         if args.k is None:
             raise ValueError("biject needs --k")
         _refuse(args, "with --to %s" % args.to, "--budget")
     from . import bijection
-    payload = json.load(stdin)
-    if args.to == "pp":
-        M = BinaryMatrix.from_json_dict(payload)
-        pp = bijection.matrix_to_pp(M, args.k)
-        if bijection.pp_to_matrix(pp, M.m, M.n, args.k) != M:
-            _emit(out, "round trip failed")
-            return EXIT_VERIFY
-        _emit(out, _json_compact(pp.to_json_dict()))
-        return EXIT_OK
-    if args.to == "paths":
-        M = BinaryMatrix.from_json_dict(payload)
-        fam = bijection.matrix_to_paths(M, args.k)
-        if bijection.paths_to_matrix(fam, M.m, M.n, args.k) != M:
-            _emit(out, "round trip failed")
-            return EXIT_VERIFY
-        _emit(out, _json_compact(fam.to_json()))
-        return EXIT_OK
+    payload = json.load(sys.stdin)
     if args.to == "matrix":
         pp = bijection.PlanePartition.from_json_dict(payload)
         k = pp.c + 1
@@ -228,15 +217,22 @@ def _cmd_biject(args, out, stdin):
             raise ValueError("--k disagrees with the array box")
         m, n = pp.a + pp.c, pp.b + pp.c
         # a few bytes of box sides can ask for a huge matrix
-        check_budget(m * n, DEFAULT_BUDGET if args.budget is None
-                     else EnumerationBudget(max_cells=args.budget))
+        check_budget(m * n, _budget(args))
         M = bijection.pp_to_matrix(pp, m, n, k)
-        if bijection.matrix_to_pp(M, k) != pp:
-            _emit(out, "round trip failed")
-            return EXIT_VERIFY
-        _emit(out, _json_compact(M.to_json_dict()))
-        return EXIT_OK
-    raise ValueError("unknown target %r" % (args.to,))
+        ok, doc = bijection.matrix_to_pp(M, k) == pp, M.to_json_dict()
+    else:
+        M = BinaryMatrix.from_json_dict(payload)
+        there, back = ((bijection.matrix_to_pp, bijection.pp_to_matrix)
+                       if args.to == "pp" else
+                       (bijection.matrix_to_paths, bijection.paths_to_matrix))
+        obj = there(M, args.k)
+        ok = back(obj, M.m, M.n, args.k) == M
+        doc = obj.to_json_dict() if args.to == "pp" else obj.to_json()
+    if not ok:
+        _emit(out, "round trip failed")
+        return EXIT_VERIFY
+    _emit(out, _json_compact(doc))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +244,7 @@ def _cmd_genfunc(args, out):
         raise ValueError("genfunc needs --m --n --k")
     from . import genfunc
     m, n, k = args.m, args.n, args.k
-    budget = EnumerationBudget(max_cells=args.budget)
+    budget = _budget(args)
     if args.t1:
         _refuse(args, "with --t1", "--points", "--seed")
         poly = genfunc.volume_gf(m, n, k, budget)
@@ -278,7 +274,8 @@ def _cmd_genfunc(args, out):
 
 
 def _selftest_checks(quick):
-    """(name, callable) pairs; each callable returns a bool."""
+    """(name, callable) pairs, each entry marked whether --quick runs it;
+    each callable returns a bool."""
     from . import bijection, genfunc, oracle, skew
 
     def six_matrices():
@@ -371,22 +368,19 @@ def _selftest_checks(quick):
         return True
 
     checks = [
-        ("six-matrix-statistics", six_matrices),
-        ("counts-vs-oracle", counts),
-        ("round-trips", roundtrips),
-        ("zigzag-decompositions", zigzag),
-        ("genfunc-identity", gfid),
-        ("volume-polynomial", volume),
-        ("truncated-rectangles", truncated),
-        ("skew-determinant", skewdet),
-        ("binomial-determinant", kratt),
-        ("product-relations", products),
+        ("six-matrix-statistics", six_matrices, True),
+        ("counts-vs-oracle", counts, False),
+        ("round-trips", roundtrips, False),
+        ("zigzag-decompositions", zigzag, False),
+        ("genfunc-identity", gfid, False),
+        ("volume-polynomial", volume, True),
+        ("truncated-rectangles", truncated, False),
+        ("skew-determinant", skewdet, True),
+        ("binomial-determinant", kratt, True),
+        ("product-relations", products, True),
     ]
-    if quick:
-        keep = {"six-matrix-statistics", "volume-polynomial", "skew-determinant",
-                "binomial-determinant", "product-relations"}
-        checks = [c for c in checks if c[0] in keep]
-    return checks
+    return [(name, fn) for name, fn, in_quick in checks
+            if in_quick or not quick]
 
 
 def _cmd_selftest(args, out):
@@ -429,21 +423,20 @@ def _build_parser():
                     "I_k-avoiding matrices and skew-shape fillings.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, dims=("--m", "--n", "--k"), budget=True):
+    def add_common(sp, run, dims=("--m", "--n", "--k"), budget=True):
+        sp.set_defaults(run=run)
         for opt in dims:
             sp.add_argument(opt, type=int)
+        # None, not the default cap: `count` without --with-oracle and
+        # `biject --to pp|paths` refuse a budget that was given
         if budget:
-            sp.add_argument("--budget", type=int,
-                            default=DEFAULT_BUDGET.max_cells,
+            sp.add_argument("--budget", type=int, default=None,
                             help="largest board (cells) a search may touch")
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("count", help="closed-form counts, optionally "
                                       "checked against the search oracle")
-    add_common(sp)
-    # only --with-oracle runs a search, so a budget given without it is
-    # refused, and one not given is told apart from the default
-    sp.set_defaults(budget=None)
+    add_common(sp, _cmd_count)
     sp.add_argument("--format", choices=("text", "json", "csv"),
                     default="text")
     sp.add_argument("--t", type=int, default=None)
@@ -455,22 +448,19 @@ def _build_parser():
 
     sp = sub.add_parser("enumerate", help="stream all maximal objects as "
                                           "JSON lines")
-    add_common(sp)
+    add_common(sp, _cmd_enumerate)
     sp.add_argument("--lambda", dest="lam", type=str, default=None)
     sp.add_argument("--mu", type=str, default=None)
     sp.add_argument("--max-results", type=int, default=None)
 
     sp = sub.add_parser("biject", help="convert matrix/pp/paths, verifying "
                                        "the round trip")
-    add_common(sp, dims=("--k",))
-    # only --to matrix builds a board, so a budget given with another
-    # target is refused, and one not given is told apart from the default
-    sp.set_defaults(budget=None)
+    add_common(sp, _cmd_biject, dims=("--k",))
     sp.add_argument("--to", choices=("pp", "paths", "matrix"), required=True)
 
     sp = sub.add_parser("genfunc", help="volume polynomial or the (q,t) "
                                         "identity at sampled points")
-    add_common(sp)
+    add_common(sp, _cmd_genfunc)
     # --t1 draws no points, so these are refused with it, and ones not
     # given are told apart from their defaults
     sp.add_argument("--seed", type=int, default=None)
@@ -479,7 +469,7 @@ def _build_parser():
     sp.add_argument("--points", type=int, default=None)
 
     sp = sub.add_parser("selftest", help="run the built-in checks")
-    add_common(sp, dims=(), budget=False)
+    add_common(sp, _cmd_selftest, dims=(), budget=False)
     sp.add_argument("--quick", action="store_true")
 
     return p
@@ -514,26 +504,23 @@ def main(argv=None):
         print("cannot open --out file: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "count":
-            code = _cmd_count(args, sink)
-        elif args.command == "enumerate":
-            code = _cmd_enumerate(args, sink)
-        elif args.command == "biject":
-            code = _cmd_biject(args, sink, sys.stdin)
-        elif args.command == "genfunc":
-            code = _cmd_genfunc(args, sink)
-        elif args.command == "selftest":
-            code = _cmd_selftest(args, sink)
-        else:
-            code = EXIT_USAGE
-        sink.flush()
+        try:
+            code = args.run(args, sink)
+            sink.flush()
+        finally:
+            if sink is not sys.stdout:
+                sink.close()
         return code
-    except BrokenPipeError:
-        # the reader stopped early (`iamkit enumerate ... | head`): not an
-        # error of this command, so end quietly
+    except OSError as exc:
+        # output left unwritten must not be flushed again at exit.  A
+        # reader that stopped early (`iamkit enumerate ... | head`) is no
+        # error of this command, so it ends quietly; a full disk is one
         if sink is sys.stdout:
             _quiet_stdout()
-        return EXIT_OK
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK
+        print("i/o error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
@@ -543,9 +530,6 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
 
 
 if __name__ == "__main__":

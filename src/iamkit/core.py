@@ -428,9 +428,13 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 
 def check_budget(cells, budget):
+    """Refuse more cells than the budget (None: DEFAULT_BUDGET); return it."""
+    if budget is None:
+        budget = DEFAULT_BUDGET
     if cells > budget.max_cells:
         raise BudgetExceeded(
             "board has %d cells, budget allows %d" % (cells, budget.max_cells))
+    return budget
 
 
 def is_maximal_iam(M, k):

@@ -1,5 +1,10 @@
 """Closed-form counts: the box product and the ten symmetry-class formulas.
 
+U counts the plane partitions in the a x b x c box, a = m-k+1, b = n-k+1,
+c = k-1, HTS the self-complementary ones and DAS the symmetric
+self-complementary ones: each a product of box products (R. P. Stanley,
+"Symmetries of plane partitions", J. Combin. Theory A 43, 1986).
+
 All arithmetic is exact (big integers / Fractions); every product that is
 claimed to be an integer is checked to divide out exactly rather than
 rounded.
@@ -72,34 +77,24 @@ def _count_as(n, k):
 
 
 def _count_das(n, k):
-    # fixed by both transpose and antitranspose; empty for even k
+    # fixed by both transpose and antitranspose: the symmetric
+    # self-complementary plane partitions in the a x a x c box (Stanley
+    # 1986); none for even k (c odd)
     if k % 2 == 0:
         return 0
-    if n % 2 == 1:
-        return hprod((n - k + 2) // 2, (n - k) // 2, (k - 1) // 2)
-    return hprod((n - k + 1) // 2, (n - k + 1) // 2, (k - 1) // 2)
+    a = n - k + 1
+    return hprod((a + 1) // 2, a // 2, (k - 1) // 2)
 
 
 def _count_hts(m, n, k):
-    # fixed by half-turn rotation; normalize to m odd when parities differ
-    if m % 2 == 0 and n % 2 == 1:
-        m, n = n, m
-    if k % 2 == 0:
-        if m % 2 == 1 and n % 2 == 1:
-            return (hprod((m - k + 1) // 2, (n - k + 1) // 2, k // 2)
-                    * hprod((m - k + 1) // 2, (n - k + 1) // 2, (k - 2) // 2))
-        if m % 2 == 1 and n % 2 == 0:
-            return (hprod((m - k + 1) // 2, (n - k + 2) // 2, (k - 2) // 2)
-                    * hprod((m - k + 1) // 2, (n - k) // 2, k // 2))
+    # fixed by half-turn rotation: the self-complementary plane partitions
+    # in the a x b x c box (Stanley 1986); their number is symmetric in the
+    # sides, so an even side is put last, as c, and three odd sides give 0
+    a, b, c = sorted((m - k + 1, n - k + 1, k - 1), key=lambda s: s % 2 == 0)
+    if c % 2:
         return 0
-    # k odd
-    if m % 2 == 1 and n % 2 == 1:
-        return (hprod((m - k + 2) // 2, (n - k) // 2, (k - 1) // 2)
-                * hprod((m - k) // 2, (n - k + 2) // 2, (k - 1) // 2))
-    if m % 2 == 1 and n % 2 == 0:
-        return (hprod((m - k + 2) // 2, (n - k + 1) // 2, (k - 1) // 2)
-                * hprod((m - k) // 2, (n - k + 1) // 2, (k - 1) // 2))
-    return hprod((m - k + 1) // 2, (n - k + 1) // 2, (k - 1) // 2) ** 2
+    return (hprod((a + 1) // 2, b // 2, c // 2)
+            * hprod(a // 2, (b + 1) // 2, c // 2))
 
 
 def count_symmetry(tag, m, n, k):

@@ -35,7 +35,6 @@ from operator import add, mul
 
 from .bijection import _check_box, _require_maximal
 from .core import (
-    DEFAULT_BUDGET,
     DEFAULT_SEED,
     VerificationError,
     _Record,
@@ -211,7 +210,7 @@ def _row_shares(m, n, k, budget):
     (the default one when none is given), and its `max_results` does not,
     since a sum needs every matrix.
     """
-    check_budget(m * n, budget or DEFAULT_BUDGET)
+    check_budget(m * n, budget)
     search = _rect_search(m, n, k)
     w = search.n
     cols = {}  # mask -> its bits, column 1 first

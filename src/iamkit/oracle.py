@@ -42,7 +42,6 @@ from itertools import islice
 
 # EnumerationBudget lives in core and is exported from here as well
 from .core import (
-    DEFAULT_BUDGET,
     BinaryMatrix,
     BudgetExceeded,
     EnumerationBudget,
@@ -389,9 +388,8 @@ def enumerate_maximal_iams(m, n, k, budget=None):
     """All maximal I_k-avoiding m x n matrices, row-major lex order.  The
     board, k and budget are checked when called, before the first
     matrix."""
-    budget = budget or DEFAULT_BUDGET
     check_mnk(m, n, k)
-    check_budget(m * n, budget)
+    budget = check_budget(m * n, budget)
     search = _Search(SkewShape((n,) * m), k)
     return (BinaryMatrix.from_masks(m, n, masks)
             for masks in islice(search.start(), budget.max_results))
@@ -434,8 +432,7 @@ def enumerate_maximal_fillings(shape, k, budget=None):
     there is an error in this search, and raises.
     """
     _check_shape_k(shape, k)
-    budget = budget or DEFAULT_BUDGET
-    check_budget(shape.cell_count(), budget)
+    budget = check_budget(shape.cell_count(), budget)
     return _checked_fillings(shape, k, islice(_Search(shape, k).start(),
                                               budget.max_results))
 

@@ -4,7 +4,8 @@ partitions.
 Group elements are named strings; `apply(M, g)` returns the transformed
 matrix.  One table defines all eight, each as a base image of the row masks
 with the row order reversed or not; `apply` and the class tagging both read
-it, and the composition law is read back off `apply`, not re-derived.
+it, and the composition law and each element's cell images (the orbit
+tables' input) are read back off `apply`, not re-derived.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from itertools import islice
 
 from . import oracle
 from .core import (
-    DEFAULT_BUDGET,
     BinaryMatrix,
     SkewShape,
     VerificationError,
@@ -44,6 +44,7 @@ _ELEMENTS = {
     "flipv": ("flipv", False),
 }
 D8_ELEMENTS = tuple(_ELEMENTS)
+_TRANSPOSING = ("transpose", "rot90")  # the bases that swap the sides
 
 
 def _base_image(masks, m, n, base):
@@ -64,7 +65,7 @@ def apply(M, g):
         raise ValueError("unknown group element %r" % (g,))
     base, reverse = _ELEMENTS[g]
     image = _base_image(M.masks, M.m, M.n, base)
-    m, n = (M.n, M.m) if base in ("transpose", "rot90") else (M.m, M.n)
+    m, n = (M.n, M.m) if base in _TRANSPOSING else (M.m, M.n)
     return BinaryMatrix.from_masks(m, n, image[::-1] if reverse else image)
 
 
@@ -132,15 +133,17 @@ def _tags_of(masks, m, n):
 # fixed points and class counts
 #
 # A matrix is fixed by a subgroup exactly when it is constant on each orbit
-# of the subgroup on the cells.  So the oracle's row search lists the fixed
-# points itself, reading one entry of the subgroup's orbit table per row
-# (`_orbits`): a cell whose orbit first meets the board (row-major) in an
-# earlier row is a fixed bit, copied from there; a cell whose orbit first
-# meets it earlier in the same row must equal that cell.  HTS, the fixed
-# points of rot180, is counted by folding the board: the count's own layer
-# for the top half, each state kept when the turned half meets what its
-# zeros ask (`_fold_count`), with no listing.  VHS is listed, which keeps
-# the forward sum free of orbit tables.
+# of the subgroup on the cells, where each element moves a cell to the one
+# set bit of `apply` on that cell's unit matrix (`_cell_images`).  So the
+# oracle's row search lists the fixed points itself, reading one entry of
+# the subgroup's orbit table per row (`_orbits`): a cell whose orbit first
+# meets the board (row-major) in an earlier row is a fixed bit, copied
+# from there; a cell whose orbit first meets it earlier in the same row
+# must equal that cell.  HTS, the fixed points of rot180, is counted by
+# folding the board: the count's own layer for the top half, each state
+# kept when the turned half meets what its zeros ask (`_fold_count`), with
+# no listing.  VHS is listed, which keeps the forward sum free of orbit
+# tables.
 #
 # The transpose maps the maximal m x n matrices one to one onto the
 # maximal n x m ones, keeps rot180 and the subgroup of VHS, and turns
@@ -156,26 +159,15 @@ def _tags_of(masks, m, n):
 
 def _cell_images(g, m, n):
     """image[c]: the cell (row-major index) that g moves cell c to, read
-    off g's base image and row reversal in `_ELEMENTS`."""
-    if g not in _ELEMENTS:
-        raise ValueError("unknown group element %r" % (g,))
-    base, reverse = _ELEMENTS[g]
-    if base in ("transpose", "rot90") and m != n:
+    off `apply`: the one set bit of g's image of the unit matrix of c."""
+    if g in _ELEMENTS and _ELEMENTS[g][0] in _TRANSPOSING and m != n:
         raise ValueError("%s fixes only square matrices" % g)
     image = []
-    for i in range(m):
-        for j in range(n):
-            if base == "flipv":
-                i2, j2 = i, n - 1 - j
-            elif base == "transpose":
-                i2, j2 = j, i
-            elif base == "rot90":  # the transpose of the rows reversed
-                i2, j2 = j, m - 1 - i
-            else:
-                i2, j2 = i, j
-            if reverse:
-                i2 = m - 1 - i2
-            image.append(i2 * n + j2)
+    for c in range(m * n):
+        unit = [0] * m
+        unit[c // n] = 1 << (n - 1 - c % n)
+        (i, j), = apply(BinaryMatrix.from_masks(m, n, unit), g).one_cells()
+        image.append((i - 1) * n + j - 1)
     return image
 
 
@@ -267,14 +259,6 @@ def _fold_count(search):
     return total
 
 
-def _listing_budget(m, n, k, budget):
-    # fixed points are listed, so the stream's budget rule applies
-    check_mnk(m, n, k)
-    budget = budget or DEFAULT_BUDGET
-    check_budget(m * n, budget)
-    return budget
-
-
 def enumerate_fixed_points(m, n, k, g, budget=None):
     """All maximal I_k-avoiding m x n matrices fixed by the group element g,
     in the order of `oracle.enumerate_maximal_iams`.
@@ -285,7 +269,8 @@ def enumerate_fixed_points(m, n, k, g, budget=None):
     n x m board, listed there in full and sorted into the row-major order
     of this one.
     """
-    budget = _listing_budget(m, n, k, budget)
+    check_mnk(m, n, k)
+    budget = check_budget(m * n, budget)
     if g == "fliph":
         masks = _fliph_masks(m, n, k)
     else:  # the orbit table rejects g before the first matrix
@@ -305,7 +290,8 @@ def _class_counts(m, n, k, tags, budget):
     board, and HS as those of flipv on the n x m one, each listing run
     once per call (on a square board VS and HS are one listing).  Fixed
     points are listed, so the stream's budget rule applies."""
-    _listing_budget(m, n, k, budget)
+    check_mnk(m, n, k)
+    check_budget(m * n, budget)
     board = functools.cache(
         lambda rows, cols: oracle._Search(SkewShape((cols,) * rows), k))
     narrow = (max(m, n), min(m, n))

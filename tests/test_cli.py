@@ -700,6 +700,23 @@ def test_enumerate_into_a_closed_pipe_ends_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+@pytest.mark.parametrize("args", [
+    ["count", "--m", "3", "--n", "3", "--k", "2"],
+    ["selftest", "--quick", "--out", "/dev/full"],
+])
+def test_an_output_that_cannot_be_written_exits_1_in_one_line(args):
+    # a write to a full device used to end in an OSError traceback, on
+    # stdout from the flush and on --out from closing the file
+    with open("/dev/full", "wb") as full:
+        proc = iamkit_process(args, stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith(b"i/o error: ") and b"Traceback" not in err
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_biject_non_maximal_exits_1_also_under_python_O(optimize):
     # validation must not rest on assert, which python -O strips

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from iamkit.bijection import enumerate_pp
 from iamkit.core import VerificationError
 from iamkit.formulas import (
     SYMMETRY_TAGS,
@@ -15,6 +16,7 @@ from iamkit.formulas import (
     hprod,
 )
 from iamkit.oracle import oracle_count
+from iamkit.symmetry import is_SC, is_SSC
 
 
 def test_hprod_values():
@@ -130,3 +132,22 @@ def test_non_integer_class_count_raises():
     assert _int_of(Fraction(6, 3)) == 2
     with pytest.raises(VerificationError):
         _int_of(Fraction(1, 2))
+
+
+def test_hts_and_das_count_the_sc_and_ssc_plane_partitions():
+    # HTS and DAS are the SC and SSC box products (Stanley 1986); here they
+    # meet the plane partitions of each box with a*b*c <= 36 themselves,
+    # every parity of the three sides, not through the bijection
+    boxes = 0
+    for a, b, c in itertools.product(range(1, 37), repeat=3):
+        if a * b * c > 36:
+            continue
+        boxes += 1
+        pps = list(enumerate_pp(a, b, c))
+        m, n, k = a + c, b + c, c + 1
+        assert count_symmetry("HTS", m, n, k) == sum(map(is_SC, pps)), \
+            (a, b, c)
+        if a == b:
+            assert count_symmetry("DAS", m, n, k) == sum(map(is_SSC, pps)), \
+                (a, b, c)
+    assert boxes == 363

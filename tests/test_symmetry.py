@@ -22,6 +22,7 @@ from iamkit.oracle import (
 )
 from iamkit.symmetry import (
     D8_ELEMENTS,
+    _ELEMENTS,
     _TAG_ELEMENTS,
     _cell_images,
     _fold_count,
@@ -234,16 +235,26 @@ def test_tags_past_the_lookup_tables_equal_their_apply_definition(case):
     assert _tags_of(M.masks, m, n) == _tags_by_apply(M)
 
 
-def _cell_images_by_apply(g, m, n):
-    """Where g moves each cell, read off `apply` on each unit matrix."""
+def _cell_images_by_coordinates(g, m, n):
+    """Where g moves each cell, by coordinates: g's base image in
+    `_ELEMENTS`, then the row order reversed if g asks for it.  An
+    independent twin of `_cell_images`, which reads the images off
+    `apply` on unit matrices."""
+    base, reverse = _ELEMENTS[g]
     image = []
     for i in range(m):
         for j in range(n):
-            unit = [0] * m
-            unit[i] = 1 << (n - 1 - j)
-            (i2, j2), = apply(BinaryMatrix.from_masks(m, n, unit),
-                              g).one_cells()
-            image.append((i2 - 1) * n + j2 - 1)
+            if base == "flipv":
+                i2, j2 = i, n - 1 - j
+            elif base == "transpose":
+                i2, j2 = j, i
+            elif base == "rot90":  # the transpose of the rows reversed
+                i2, j2 = j, m - 1 - i
+            else:
+                i2, j2 = i, j
+            if reverse:
+                i2 = m - 1 - i2
+            image.append(i2 * n + j2)
     return image
 
 
@@ -259,7 +270,7 @@ def test_cell_images_equal_their_apply_definition():
                         _cell_images(g, m, n)
                 else:
                     assert _cell_images(g, m, n) == \
-                        _cell_images_by_apply(g, m, n), (g, m, n)
+                        _cell_images_by_coordinates(g, m, n), (g, m, n)
 
 
 def test_classes_of_rejects_non_maximal():
