@@ -22,7 +22,9 @@ from operator import add
 class _PackedGrid:
     """Rows stored packed as integers, bit (w - j) holding column j of the
     grid's w columns, so integer order on a row mask equals lexicographic
-    order on its entries.  Shared by BinaryMatrix and Filling."""
+    order on its entries.  Shared by BinaryMatrix and Filling, each of
+    which gives its width (`_width`) and the span of each row, the
+    half-open column pair (lo, hi] that holds its cells (`_spans`)."""
 
     __slots__ = ("_rows",)
 
@@ -36,6 +38,13 @@ class _PackedGrid:
     def one_cells(self):
         """All (i, j) with a 1, in row-major order."""
         return self._cells(self._rows)
+
+    def zero_cells(self):
+        """The cells inside the rows' spans holding a 0, in row-major
+        order: every cell of a matrix, the shape's cells of a filling."""
+        n = self._width()
+        return self._cells(((1 << (hi - lo)) - 1) << (n - hi) & ~mk
+                           for mk, (lo, hi) in zip(self._rows, self._spans()))
 
     def _cells(self, rows):
         """All (i, j) whose bit is set in the i-th of `rows`, row-major."""
@@ -114,14 +123,12 @@ class BinaryMatrix(_PackedGrid):
     def _width(self):
         return self.n
 
+    def _spans(self):
+        return ((0, self.n),) * self.m
+
     def to_lists(self):
         n = self.n
         return [[(mk >> (n - j)) & 1 for j in range(1, n + 1)] for mk in self._rows]
-
-    def zero_cells(self):
-        """All (i, j) with a 0, in row-major order."""
-        full = (1 << self.n) - 1
-        return self._cells(~mk & full for mk in self._rows)
 
     # -- serialization -----------------------------------------------------
 
@@ -454,7 +461,7 @@ def is_maximal_iam(M, k):
         return False
     # the extremal number is max_ones(m, n, k), whose check ran above
     extremal = sum(map(int.bit_count, masks)) == (k - 1) * (m + n - k + 1)
-    if not (extremal or _zeros_justified(masks, n, [(0, n)] * m, k)):
+    if not (extremal or _zeros_justified(masks, n, M._spans(), k)):
         return False
     M._maximal_for = k
     return True
@@ -606,6 +613,12 @@ class SkewShape:
         """Columns of row i as the half-open pair (mu_i, lambda_i]."""
         return self.mu.part(i), self.lam.part(i)
 
+    def spans(self):
+        """row_span of every row, top to bottom: the one description of
+        the rows that the row search, the maximality test and a filling's
+        rows read."""
+        return tuple(zip(self.mu.parts, self.lam.parts))
+
     def contains_cell(self, i, j):
         if not 1 <= i <= self.n_rows:
             return False
@@ -613,11 +626,8 @@ class SkewShape:
         return lo < j <= hi
 
     def cells(self):
-        out = []
-        for i in range(1, self.n_rows + 1):
-            lo, hi = self.row_span(i)
-            out.extend((i, j) for j in range(lo + 1, hi + 1))
-        return out
+        return [(i, j) for i, (lo, hi) in enumerate(self.spans(), start=1)
+                for j in range(lo + 1, hi + 1)]
 
     def cell_count(self):
         return self.lam.size() - self.mu.size()
@@ -682,6 +692,9 @@ class Filling(_PackedGrid):
     def _width(self):
         return self.shape.n_cols
 
+    def _spans(self):
+        return self.shape.spans()
+
     def value(self, i, j):
         if not self.shape.contains_cell(i, j):
             raise KeyError((i, j))
@@ -690,10 +703,6 @@ class Filling(_PackedGrid):
     def items(self):
         return [((i, j), self.value(i, j)) for (i, j) in self.shape.cells()]
 
-    def zero_cells(self):
-        """The in-shape cells holding a 0, in row-major order."""
-        return [c for c in self.shape.cells()
-                if not (self._rows[c[0] - 1] >> (self.shape.n_cols - c[1])) & 1]
 
     def as_matrix(self):
         """Embed a rectangular filling as a BinaryMatrix."""
@@ -703,13 +712,10 @@ class Filling(_PackedGrid):
                                        self._rows)
 
     def to_json_dict(self):
-        sh = self.shape
-        rows = []
-        for i in range(1, sh.n_rows + 1):
-            lo, hi = sh.row_span(i)
-            rows.append([self.value(i, j) for j in range(lo + 1, hi + 1)])
-        d = sh.to_json_dict()
-        d["rows"] = rows
+        n = self.shape.n_cols
+        d = self.shape.to_json_dict()
+        d["rows"] = [[(mk >> (n - j)) & 1 for j in range(lo + 1, hi + 1)]
+                     for mk, (lo, hi) in zip(self._rows, self.shape.spans())]
         return d
 
     @classmethod
@@ -784,7 +790,4 @@ def is_maximal_filling(F, k):
         raise ValueError("k must be at least 2")
     if _longest_chain(F.masks, k) >= k:
         return False
-    sh = F.shape
-    return _zeros_justified(
-        F.masks, sh.n_cols,
-        [sh.row_span(i) for i in range(1, sh.n_rows + 1)], k)
+    return _zeros_justified(F.masks, F.shape.n_cols, F.shape.spans(), k)

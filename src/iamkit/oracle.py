@@ -3,8 +3,8 @@
 Three routes, kept deliberately separate:
 
 * `enumerate_maximal_iams` / `enumerate_maximal_fillings` list by one
-  pruned row-by-row search over a skew shape, a rectangle being the shape
-  (n^m)/(); its row state is the placed rows' chain thresholds, and it
+  pruned row-by-row search over a board given by its row spans, a
+  rectangle's rows each spanning every column (`_board`); its row state is the placed rows' chain thresholds, and it
   places a row only if the row completes no k-chain and leaves each zero
   room below for the chain it needs.  No such row strands a zero placed
   earlier (Fact C of the row-search notes), so the search is exact,
@@ -59,8 +59,10 @@ from .core import (
 # ---------------------------------------------------------------------------
 # the row search
 #
-# Rows are placed top to bottom over the cells of a skew shape; a rectangle
-# is the shape (n^m)/().  The interface between the placed prefix and the
+# Rows are placed top to bottom over the cells of a board of n columns,
+# given by its row spans: row i holds the columns of its span, the half-open
+# pair (lo, hi].  A skew shape gives its own (`SkewShape.spans`), and a
+# rectangle's rows each span (0, n] (`_board`).  The interface between the placed prefix and the
 # future is its tuple of chain thresholds, those of `core._sweep`: entry p
 # is the bit of the least column at which a chain of length p+1 ends among
 # the placed rows.  So the longest chain ending at or left of column c is
@@ -81,10 +83,10 @@ from .core import (
 #   one right of c, the first at column j, meets the demand if r = 1, and
 #   otherwise leaves it two alternatives: (c, r) still, or (j, r-1)
 #   through that one.
-# * A pair needs room below the row: r must not exceed the longest run of
-#   in-shape cells strictly below-right of (i, c) (the geometric zero test,
-#   read off the thresholds of the shape's full rows below row i turned a
-#   half turn), nor k-1 minus the thresholds at or left of column c, since
+# * A pair needs room below the row: r must not exceed the longest chain
+#   of cells strictly below-right of (i, c) (the geometric zero test, read
+#   off the thresholds of the rows below row i, each full across its span,
+#   turned a half turn), nor k-1 minus the thresholds at or left of column c, since
 #   those r ones would extend the longest chain the placed rows end there.
 #   An alternative without room is dropped; a demand with none left would
 #   kill the branch.
@@ -110,15 +112,25 @@ from .core import (
 # next thresholds up to the chain its last one ends, and the rest are
 # those of the rows above.
 #
-# Fact C: no successor row kills a demand.  Write A_i(c) for the chain that
-# rows 1..i end at or left of column c (`core._profile`), and geo_i, room_i
-# for what lies below row i.  Take a pair (c, r) with room after row i, so
-# r <= geo_i[c] and r <= k-1-A_i(c), and any successor row i+1.
+# Fact C: no successor row kills a demand, on any rows that meet this
+# condition: whenever a cell lies strictly below-right of (i, c) and one of
+# rows 1..i holds column c, row i+1 holds column c+1.  A skew shape meets
+# it: row i+1 ends at or right of any cell below row i, as right ends do
+# not rise going down, and starts at or left of column c, as left ends do
+# not rise either.  So does the lower triangle, row i spanning (0, i],
+# though its right ends rise: a row 1..i holds c only if c <= i, and row
+# i+1 spans (0, i+1].  The upper triangle, row i spanning (i-1, n], does
+# not: its left ends rise, and row 3 does not hold column 2, though row 1
+# holds column 1 and (3, 3) lies below-right of (2, 1).  Write A_i(c) for
+# the chain that rows 1..i end at or left of column c (`core._profile`),
+# and geo_i, room_i for what lies below row i.  Take a pair (c, r) with
+# room after row i, so r <= geo_i[c] and r <= k-1-A_i(c), and any
+# successor row i+1.
 #
 # * Column c+1 lies in row i+1's span.  A cell lies strictly below-right of
-#   (i, c), as geo_i[c] >= 1, and right ends do not rise going down, so the
-#   row reaches c+1.  The pair's column is that of a cell of an earlier
-#   row, and left ends do not rise either, so the row starts left of c+1.
+#   (i, c), as geo_i[c] >= 1, and the pair's column is that of a cell of
+#   one of rows 1..i (its zero, or the one that moved it there), so the
+#   condition gives it.
 # * The row does not skip column c+1, since A_i(c) <= k-1-r <= k-2.
 # * If (i+1, c+1) is 0, that zero passed the zero test with need
 #   k-1-A_i(c) >= r: geo_{i+1}[c+1] >= r, and A_{i+1}(c+1) = A_i(c).  So
@@ -237,19 +249,25 @@ from .core import (
 
 
 class _Search:
-    """One (shape, k) search engine: counting and listing over the row
-    state (depth, thresholds)."""
+    """One search engine over a board of n columns whose rows have these
+    spans, the half-open column pairs (lo, hi], top to bottom, for k:
+    counting and listing over the row state (depth, thresholds).
 
-    def __init__(self, shape, k):
-        self.k = k
-        self.m, self.n = shape.n_rows, shape.n_cols
-        self.spans = [shape.row_span(i) for i in range(1, self.m + 1)]
-        # geo[depth][c]: the longest run of in-shape cells strictly
-        # below-right of (depth+1, c), read as `core._zero_bounds` reads a
-        # zero's below-right chain: off the thresholds of the rows below,
-        # here the shape's full rows, turned a half turn; capped at k-1,
-        # which changes nothing (see the notes above)
-        n = self.n
+    Callers must give rows that meet the condition of Fact C in the notes
+    above, as every skew shape (`SkewShape.spans`), every rectangle
+    (`_board`) and the lower triangle do.  The search does not check it:
+    on rows that fail it, a count may take in fillings that are not
+    maximal."""
+
+    def __init__(self, spans, n, k):
+        self.k, self.n, self.spans = k, n, spans
+        self.m = len(spans)
+        # geo[depth][c]: the longest chain of cells strictly below-right of
+        # (depth+1, c), for any rows that are intervals, read as
+        # `core._zero_bounds` reads a zero's below-right chain: off the
+        # thresholds of the rows below, each full across its span, turned a
+        # half turn; capped at k-1, which changes nothing (see the notes
+        # above)
         self.geo = [tuple(min(g, k - 1) for g in _profile(below, n)[::-1])
                     for below in _tails_below(
             [((1 << (hi - lo)) - 1) << (n - hi) for lo, hi in self.spans], n)]
@@ -373,6 +391,12 @@ class _Search:
         return sum(self.layer(self.m).values())
 
 
+def _board(m, n, k):
+    """The row search of the m x n rectangle: m rows, each spanning every
+    column."""
+    return _Search(((0, n),) * m, n, k)
+
+
 def _rect_search(m, n, k):
     """The row search of the m x n board on its narrow side.  The
     transpose maps the maximal m x n matrices one to one onto the maximal
@@ -381,7 +405,7 @@ def _rect_search(m, n, k):
     states are chain thresholds over the columns, so it is run with
     n_cols = min(m, n).  Only what is counted runs on it: a listing keeps
     the caller's board, whose row-major order it follows."""
-    return _Search(SkewShape((min(m, n),) * max(m, n)), k)
+    return _board(max(m, n), min(m, n), k)
 
 
 def enumerate_maximal_iams(m, n, k, budget=None):
@@ -390,9 +414,8 @@ def enumerate_maximal_iams(m, n, k, budget=None):
     matrix."""
     check_mnk(m, n, k)
     budget = check_budget(m * n, budget)
-    search = _Search(SkewShape((n,) * m), k)
     return (BinaryMatrix.from_masks(m, n, masks)
-            for masks in islice(search.start(), budget.max_results))
+            for masks in islice(_board(m, n, k).start(), budget.max_results))
 
 
 def oracle_count(m, n, k, budget=None):
@@ -433,7 +456,8 @@ def enumerate_maximal_fillings(shape, k, budget=None):
     """
     _check_shape_k(shape, k)
     budget = check_budget(shape.cell_count(), budget)
-    return _checked_fillings(shape, k, islice(_Search(shape, k).start(),
+    search = _Search(shape.spans(), shape.n_cols, k)
+    return _checked_fillings(shape, k, islice(search.start(),
                                               budget.max_results))
 
 
@@ -460,7 +484,7 @@ def oracle_count_shape(shape, k, budget=None):
     _check_shape_k(shape, k)
     if budget is not None:
         check_budget(shape.cell_count(), budget)
-    return _Search(shape, k).total()
+    return _Search(shape.spans(), shape.n_cols, k).total()
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,8 @@ def gamma(lam, a, b):
 def _dual_rows(shape):
     """The dual's parts (lambda_{i+1} - 1 over mu_i, i = 1..rows-1), as
     two lists, before any check that its rows overlap."""
-    lam, mu = shape.lam, shape.mu
-    return ([lam.part(i + 1) - 1 for i in range(1, len(lam))],
-            [mu.part(i) for i in range(1, len(lam))])
+    spans = shape.spans()
+    return ([hi - 1 for _, hi in spans[1:]], [lo for lo, _ in spans[:-1]])
 
 
 def dual_shape(shape):

@@ -17,7 +17,6 @@ from itertools import islice
 from . import oracle
 from .core import (
     BinaryMatrix,
-    SkewShape,
     VerificationError,
     _bitrev,
     _chain_across,
@@ -214,7 +213,7 @@ def _fliph_masks(m, n, k):
     """The row masks of the maximal m x n matrices fixed by fliph, in
     row-major order: the transposes of the flipv-fixed matrices of the
     n x m board, sorted into the order of this one (see the notes above)."""
-    search = oracle._Search(SkewShape((m,) * n), k)
+    search = oracle._board(n, m, k)
     yield from sorted(_transpose_masks(cols, n, m)
                       for cols in search.start(_orbits(("flipv",), n, m)))
 
@@ -274,8 +273,7 @@ def enumerate_fixed_points(m, n, k, g, budget=None):
     if g == "fliph":
         masks = _fliph_masks(m, n, k)
     else:  # the orbit table rejects g before the first matrix
-        masks = oracle._Search(SkewShape((n,) * m), k).start(
-            _orbits((g,), m, n))
+        masks = oracle._board(m, n, k).start(_orbits((g,), m, n))
     return (BinaryMatrix.from_masks(m, n, rows)
             for rows in islice(masks, budget.max_results))
 
@@ -292,8 +290,7 @@ def _class_counts(m, n, k, tags, budget):
     points are listed, so the stream's budget rule applies."""
     check_mnk(m, n, k)
     check_budget(m * n, budget)
-    board = functools.cache(
-        lambda rows, cols: oracle._Search(SkewShape((cols,) * rows), k))
+    board = functools.cache(lambda rows, cols: oracle._board(rows, cols, k))
     narrow = (max(m, n), min(m, n))
 
     @functools.cache

@@ -34,7 +34,7 @@ class TrackedSearch(_Search):
     """A row search whose layers can also carry the demands (`track`)."""
 
     def __init__(self, shape, k):
-        super().__init__(shape, k)
+        super().__init__(shape.spans(), shape.n_cols, k)
         self._room = {}    # (kind, next tails) -> room below the row
 
     def room(self, depth, nxt):

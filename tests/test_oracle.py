@@ -398,7 +398,7 @@ def test_every_shape_lists_as_many_fillings_as_it_counts():
                                           range(1, shape.n_rows + 1))):
             continue
         for k in (2, 3, 4):
-            search = oracle._Search(shape, k)
+            search = oracle._Search(shape.spans(), shape.n_cols, k)
             count = search.total()
             assert sum(1 for _ in search.start()) == count, (shape, k)
             cases += 1
@@ -455,12 +455,12 @@ def test_kept_layers_equal_fresh_ones():
               for n in range(1, 7) for k in range(2, min(m, n) + 1)]
     boards += [(SkewShape(lam, mu), k) for lam, mu, k, _ in CATALOG]
     for shape, k in boards:
-        search = oracle._Search(shape, k)
+        search = oracle._Search(shape.spans(), shape.n_cols, k)
         search.total()
         for depth in range(search.m + 1):
             kept = search.layer(depth)
-            assert kept == oracle._Search(shape, k).layer(depth), \
-                (shape, k, depth)
+            fresh = oracle._Search(shape.spans(), shape.n_cols, k)
+            assert kept == fresh.layer(depth), (shape, k, depth)
             assert search.layer(depth) is kept
 
 
@@ -633,7 +633,7 @@ def test_successors_match_their_definition():
     boards += [(SkewShape(lam, mu), k) for lam, mu, k, _ in CATALOG]
     checked = 0
     for shape, k in boards:
-        search = oracle._Search(shape, k)
+        search = oracle._Search(shape.spans(), shape.n_cols, k)
         n = shape.n_cols
         for depth in range(search.m):
             for tails in search.layer(depth):

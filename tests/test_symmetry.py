@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iamkit.bijection import enumerate_pp, matrix_to_pp
-from iamkit.core import BinaryMatrix, SkewShape
+from iamkit.core import BinaryMatrix
 from iamkit.formulas import _SQUARE_ONLY, SYMMETRY_TAGS, count_symmetry
 from iamkit.oracle import (
     BudgetExceeded,
     EnumerationBudget,
+    _board,
     _Search,
     enumerate_maximal_iams,
     oracle_count,
@@ -373,7 +374,7 @@ def test_wide_row_searches_equal_the_narrow_side():
     # its count, its fold and each tag's orbit listing on it must equal
     # what the census reports
     for m, n, k in wide_boards(7, 7):
-        search = _Search(SkewShape((n,) * m), k)
+        search = _board(m, n, k)
         assert search.total() == oracle_count(m, n, k), (m, n, k)
         hist = class_histogram(m, n, k)
         for tag, elements in _TAG_ELEMENTS.items():
@@ -393,7 +394,7 @@ def test_fold_count_equals_the_orbit_rule_listing():
     # fold) and m > n too; the census and brute_count_class count HTS by
     # folding, so the listing under the rot180 orbit table is its twin here
     for m, n, k in boards(7):
-        search = _Search(SkewShape((n,) * m), k)
+        search = _board(m, n, k)
         listed = sum(1 for _ in search.start(_orbits(("rot180",), m, n)))
         assert _fold_count(search) == listed, (m, n, k)
 
@@ -403,7 +404,7 @@ def test_a_lone_fold_sums_only_the_top_half():
     # an odd board, the successor rows after it as the middle row), so on
     # a fresh search it sums no layer past that one
     for m, n, k in [(2, 2, 2), (5, 4, 3), (6, 6, 3), (7, 5, 4), (8, 3, 2)]:
-        search = _Search(SkewShape((n,) * m), k)
+        search = _board(m, n, k)
         _fold_count(search)
         assert len(search._layers) == m // 2 + 1, (m, n, k)
 
@@ -414,7 +415,7 @@ def test_fliph_fixed_points_equal_the_orbit_rule_listing():
     # 7x7 they must be the listing under fliph's own orbit table on the
     # board itself, matrix for matrix and in the same order
     for m, n, k in boards(7):
-        search = _Search(SkewShape((n,) * m), k)
+        search = _board(m, n, k)
         want = list(search.start(_orbits(("fliph",), m, n)))
         got = [M.masks for M in enumerate_fixed_points(m, n, k, "fliph")]
         assert got == want, (m, n, k)
@@ -430,13 +431,12 @@ def test_listings_on_a_shared_search_equal_fresh_ones():
     # the table left instead fails here: the table listings run first, and
     # the unrestricted one then misses matrices
     for m, n, k in boards(6):
-        shape = SkewShape((n,) * m)
         listings = [(tag, _orbits(elements, m, n))
                     for tag, elements in sorted(subgroups(m, n).items())]
         listings.append(("U", None))
-        fresh = {name: list(_Search(shape, k).start(orbits))
+        fresh = {name: list(_board(m, n, k).start(orbits))
                  for name, orbits in listings}
-        shared = _Search(shape, k)
+        shared = _board(m, n, k)
         shared.total()
         for _ in range(2):
             for name, orbits in listings:
