@@ -425,6 +425,9 @@ class EnumerationBudget(_Record):
     __slots__ = ("max_cells", "max_results")
 
     def __init__(self, max_cells=64, max_results=None):
+        if type(max_cells) is not int or max_cells < 0:  # not bool
+            raise ValueError("max_cells must be an int of at least 0, got %r"
+                             % (max_cells,))
         if max_results is not None and max_results < 0:
             raise ValueError("max_results must not be negative, got %r"
                              % (max_results,))
@@ -721,9 +724,11 @@ class Filling(_PackedGrid):
     @classmethod
     def from_json_dict(cls, obj):
         sh = SkewShape.from_json_dict(obj)
+        rows = obj["rows"]
+        if len(rows) != sh.n_rows:
+            raise ValueError("expected %d rows, got %d" % (sh.n_rows, len(rows)))
         values = {}
-        for i, row in enumerate(obj["rows"], start=1):
-            lo, hi = sh.row_span(i)
+        for i, (row, (lo, hi)) in enumerate(zip(rows, sh.spans()), start=1):
             if len(row) != hi - lo:
                 raise ValueError("row %d has wrong length" % i)
             for off, v in enumerate(row):

@@ -594,6 +594,27 @@ def test_count_with_oracle_honours_budget(capsys):
     assert out == "16818516 16818516 AGREE\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--m", "2", "--n", "2", "--k", "2", "--with-oracle"],
+    ["count", "--class", "HTS", "--n", "2", "--k", "2", "--with-oracle"],
+    ["count", "--lambda", "4,4,4", "--k", "3", "--with-oracle"],
+    ["enumerate", "--m", "2", "--n", "2", "--k", "2"],
+    ["genfunc", "--m", "2", "--n", "2", "--k", "2", "--t1"],
+])
+def test_a_negative_budget_is_invalid_input(capsys, argv):
+    # a budget below 0 is refused as input, not reported as a board over
+    # it; a budget of 0 is a budget, which refuses every board
+    rc = main(argv + ["--budget", "-1"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith("invalid input: ")
+    assert len(captured.err.splitlines()) == 1
+    rc = main(argv + ["--budget", "0"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.startswith("budget exceeded: ")
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "result.txt"
     rc = main(["count", "--m", "9", "--n", "7", "--k", "5",

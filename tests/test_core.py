@@ -347,6 +347,21 @@ def test_filling_construction_and_json():
         F.value(1, 1)
 
 
+def test_filling_json_needs_one_row_per_shape_row():
+    # an extra row is refused whether or not it is empty, and so is a
+    # missing one, even when the shape's other rows hold every cell
+    for rows in ([[1, 0], []], [[1, 0], [], [], []], [[1, 0], [1]], []):
+        with pytest.raises(ValueError, match="expected 1 rows"):
+            Filling.from_json_dict({"lambda": [2], "rows": rows})
+    sh = SkewShape((2, 2), (2, 0))  # row 1 holds no cell
+    with pytest.raises(ValueError, match="expected 2 rows"):
+        Filling.from_json_dict({"lambda": [2, 2], "mu": [2],
+                                "rows": [[1, 1]]})
+    F = Filling.from_masks(sh, (0, 0b10))
+    assert F.to_json_dict()["rows"] == [[], [1, 0]]
+    assert Filling.from_json_dict(F.to_json_dict()) == F
+
+
 def test_partitions_and_fillings_take_only_ints():
     # JSON true and 2.7 are not parts, nor true and 1.0 entries; none is
     # truncated or cast
@@ -474,6 +489,10 @@ def test_records_validate_their_fields():
     assert EnumerationBudget(max_results=0).max_results == 0
     with pytest.raises(ValueError):
         EnumerationBudget(max_results=-1)
+    assert EnumerationBudget(max_cells=0).max_cells == 0
+    for cells in (-1, True, False, 2.0, "4", None):
+        with pytest.raises(ValueError, match="max_cells"):
+            EnumerationBudget(max_cells=cells)
     with pytest.raises(ValueError):
         TruncatedRect(3, 4, 2, 0)   # t must be m-k or m-k+1
     with pytest.raises(ValueError):
