@@ -132,8 +132,8 @@ def _tags_of(masks, m, n):
 # fixed points and class counts
 #
 # A matrix is fixed by a subgroup exactly when it is constant on each orbit
-# of the subgroup on the cells, where each element moves a cell to the one
-# set bit of `apply` on that cell's unit matrix (`_cell_images`).  So the
+# of the subgroup on the cells, where each element moves a cell as `apply`
+# moves it, read off its images of a few bit planes (`_cell_images`).  So the
 # oracle's row search lists the fixed points itself, reading one entry of
 # the subgroup's orbit table per row (`_orbits`): a cell whose orbit first
 # meets the board (row-major) in an earlier row is a fixed bit, copied
@@ -158,15 +158,20 @@ def _tags_of(masks, m, n):
 
 def _cell_images(g, m, n):
     """image[c]: the cell (row-major index) that g moves cell c to, read
-    off `apply`: the one set bit of g's image of the unit matrix of c."""
+    off `apply` on bit planes: plane b has a one at each cell whose index
+    has bit b set, so g's image of plane b has a one at each cell whose
+    source has bit b set.  ⌈log2(mn)⌉ planes give every cell's source."""
     if g in _ELEMENTS and _ELEMENTS[g][0] in _TRANSPOSING and m != n:
         raise ValueError("%s fixes only square matrices" % g)
-    image = []
-    for c in range(m * n):
-        unit = [0] * m
-        unit[c // n] = 1 << (n - 1 - c % n)
-        (i, j), = apply(BinaryMatrix.from_masks(m, n, unit), g).one_cells()
-        image.append((i - 1) * n + j - 1)
+    source = [0] * (m * n)
+    for b in range((m * n - 1).bit_length()):
+        plane = BinaryMatrix([[c >> b & 1 for c in range(i * n, i * n + n)]
+                              for i in range(m)])
+        for i, j in apply(plane, g).one_cells():
+            source[(i - 1) * n + j - 1] |= 1 << b
+    image = [0] * (m * n)
+    for d, c in enumerate(source):
+        image[c] = d
     return image
 
 

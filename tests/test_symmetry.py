@@ -240,7 +240,7 @@ def _cell_images_by_coordinates(g, m, n):
     """Where g moves each cell, by coordinates: g's base image in
     `_ELEMENTS`, then the row order reversed if g asks for it.  An
     independent twin of `_cell_images`, which reads the images off
-    `apply` on unit matrices."""
+    `apply` on bit-plane matrices."""
     base, reverse = _ELEMENTS[g]
     image = []
     for i in range(m):
@@ -260,18 +260,18 @@ def _cell_images_by_coordinates(g, m, n):
 
 
 def test_cell_images_equal_their_apply_definition():
-    # every board up to 6x6; the odd elements only on square boards, where
-    # they keep the shape
+    # every board up to 6x6, and two long thin boards; the odd elements
+    # only on square boards, where they keep the shape
     odd = {"rot90", "rot270", "transpose", "antitranspose"}
-    for m in range(1, 7):
-        for n in range(1, 7):
-            for g in D8_ELEMENTS:
-                if m != n and g in odd:
-                    with pytest.raises(ValueError):
-                        _cell_images(g, m, n)
-                else:
-                    assert _cell_images(g, m, n) == \
-                        _cell_images_by_coordinates(g, m, n), (g, m, n)
+    sides = [(m, n) for m in range(1, 7) for n in range(1, 7)]
+    for m, n in sides + [(2, 1200), (1200, 2)]:
+        for g in D8_ELEMENTS:
+            if m != n and g in odd:
+                with pytest.raises(ValueError):
+                    _cell_images(g, m, n)
+            else:
+                assert _cell_images(g, m, n) == \
+                    _cell_images_by_coordinates(g, m, n), (g, m, n)
 
 
 def test_classes_of_rejects_non_maximal():
