@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -809,3 +810,112 @@ def test_package_holds_no_assert_statement():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def _pinned_command_lines():
+    """(argv, stdin) of each command line whose bytes are pinned: every
+    subcommand and its refusals, with no line whose output argparse
+    writes, since its wording differs between Python versions."""
+    lines = []
+    for m, n, k in [(2, 2, 2), (3, 3, 2), (3, 4, 3), (4, 3, 2), (4, 4, 3),
+                    (5, 5, 3), (4, 6, 4), (6, 5, 3)]:
+        board = ["--m", str(m), "--n", str(n), "--k", str(k)]
+        for fmt in ("text", "json", "csv"):
+            lines.append((["count"] + board + ["--format", fmt], ""))
+            lines.append((["count"] + board + ["--format", fmt,
+                                               "--with-oracle"], ""))
+        for tag in iamkit.formulas.SYMMETRY_TAGS:
+            lines.append((["count", "--class", tag] + board
+                          + ["--with-oracle"], ""))
+        for t in (m - k, m - k + 1):  # refused when m > n
+            lines.append((["count"] + board + ["--t", str(t),
+                                               "--with-oracle"], ""))
+        lines.append((["enumerate"] + board + ["--max-results", "5"], ""))
+        lines.append((["genfunc"] + board + ["--t1"], ""))
+        lines.append((["genfunc"] + board + ["--points", "2"], ""))
+    # the last three shapes fail the determinant's conditions, so count
+    # refuses them, but they are listed
+    for lam, mu, k in [("3,3,2", "", 2), ("4,4,3", "2", 2), ("4,4,2", "1", 2),
+                       ("4,4,4,3", "1,1", 2), ("5,5,5,4", "2,1", 2),
+                       ("4,4,4", "", 3), ("4,4,4,3", "1", 3),
+                       ("5,5,5,3", "2", 3), ("4,3,2,1", "", 2),
+                       ("3,0", "", 2), ("2,2", "2", 2)]:
+        shape = ["--lambda", lam] + (["--mu", mu] if mu else []) + [
+            "--k", str(k)]
+        for fmt in ("text", "json", "csv"):
+            lines.append((["count"] + shape + ["--format", fmt,
+                                               "--with-oracle"], ""))
+        lines.append((["count"] + shape, ""))
+        lines.append((["enumerate"] + shape + ["--max-results", "9"], ""))
+    for M in iamkit.oracle.enumerate_maximal_iams(3, 4, 3):
+        matrix = json.dumps(M.to_json_dict())
+        lines.append((["biject", "--to", "pp", "--k", "3"], matrix))
+        lines.append((["biject", "--to", "paths", "--k", "3"], matrix))
+        pp = iamkit.bijection.matrix_to_pp(M, 3).to_json_dict()
+        lines.append((["biject", "--to", "matrix"], json.dumps(pp)))
+        lines.append((["biject", "--to", "matrix", "--k", "2"],
+                      json.dumps(pp)))
+    for payload in ['{"m":2,"n":2,"rows":[[1,0],[0,1]]}',
+                    '{"m":2,"n":3,"rows":[[1,1],[1,0]]}',
+                    '{"m":2,"n":2,"rows":[[1,2],[1,0]]}',
+                    '{"m":2,"n":2}', '{"a":1,"b":1,"c":1,"rows":[[2]]}']:
+        for to in ("pp", "paths", "matrix"):
+            lines.append((["biject", "--to", to, "--k", "2"], payload))
+    lines.append((["selftest", "--quick"], ""))
+    for argv in (["count", "--m", "3"], ["count", "--m", "1", "--n", "3",
+                                         "--k", "2"],
+                 ["count", "--m", "3", "--n", "3", "--k", "2", "--budget",
+                  "9"],
+                 ["count", "--m", "3", "--n", "3", "--k", "2", "--mu", "1"],
+                 ["count", "--class", "DS", "--n", "3", "--k", "2", "--t",
+                  "1"],
+                 ["count", "--class", "HS", "--m", "3"],
+                 ["count", "--lambda", "3,a", "--k", "2"],
+                 ["count", "--lambda", "2,3", "--k", "2", "--with-oracle"],
+                 ["count", "--lambda", "3", "--m", "3", "--k", "2"],
+                 ["count", "--m", "9", "--n", "9", "--k", "5",
+                  "--with-oracle"],
+                 ["count", "--m", "3", "--n", "3", "--k", "2", "--t", "5"],
+                 ["enumerate", "--m", "3", "--n", "3"],
+                 ["enumerate", "--m", "3", "--k", "2"],
+                 ["enumerate", "--m", "3", "--n", "3", "--k", "2", "--mu",
+                  "1"],
+                 ["enumerate", "--lambda", "3,3", "--m", "3", "--k", "2"],
+                 ["enumerate", "--m", "3", "--n", "3", "--k", "2",
+                  "--max-results", "-1"],
+                 ["enumerate", "--m", "9", "--n", "9", "--k", "3"],
+                 ["genfunc", "--m", "3", "--n", "3"],
+                 ["genfunc", "--m", "3", "--n", "3", "--k", "2", "--points",
+                  "0"],
+                 ["genfunc", "--m", "3", "--n", "3", "--k", "2", "--t1",
+                  "--points", "3"],
+                 ["genfunc", "--m", "3", "--n", "3", "--k", "2", "--t1",
+                  "--seed", "3"],
+                 ["genfunc", "--m", "9", "--n", "9", "--k", "3", "--t1"],
+                 ["biject", "--to", "pp"],
+                 ["biject", "--to", "paths", "--k", "2", "--budget", "4"]):
+        lines.append((argv, ""))
+    return lines
+
+
+CLI_DIGEST = \
+    "7ab9bc2389219e1d8ec6bb18d5887ab158477ef638ec09f54106e7b8e47f8416"
+
+
+def test_cli_bytes_are_pinned():
+    # the exit code and every byte of stdout and stderr of each line
+    # above, as one sha256, frozen from the CLI before the row search took
+    # row spans: a change to any count, listing, payload or message of the
+    # CLI moves it
+    digest = hashlib.sha256()
+    lines = _pinned_command_lines()
+    assert len(lines) == 287
+    for argv, stdin in lines:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(stdin)), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv)
+        digest.update(repr((argv, stdin, rc, out.getvalue(),
+                            err.getvalue())).encode())
+    assert digest.hexdigest() == CLI_DIGEST

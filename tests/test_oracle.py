@@ -656,3 +656,48 @@ def test_successors_match_their_definition():
                 assert got == want, (shape, k, depth, tails)
                 checked += 1
     assert checked > 100, checked
+
+
+def triangle_spans(n):
+    """The lower triangle of side n as row spans: row i spans (0, i].  Its
+    right ends rise going down, so it is no skew shape."""
+    return tuple((0, i) for i in range(1, n + 1))
+
+
+def triangle_counts_by_flips(n):
+    """{k: number of maximal I_k-avoiding fillings of the lower triangle of
+    side n} for k = 2..n+1, by the literal definition: every 0/1 filling
+    of its cells, kept when it holds no k-chain (the quadratic chain
+    routine) and flipping any one of its zeros makes one.  A filling with
+    longest chain L, whose flips give chains of at least F, is kept for
+    exactly the k with L < k <= F."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+    counts = dict.fromkeys(range(2, n + 2), 0)
+    for code in range(1 << len(cells)):
+        masks = [0] * n
+        for t, (i, j) in enumerate(cells):
+            if code >> t & 1:
+                masks[i - 1] |= 1 << (n - j)
+        longest = longest_increasing_chain_quadratic(
+            BinaryMatrix.from_masks(n, n, masks))
+        flipped = n + 1  # no zero asks for anything
+        for t, (i, j) in enumerate(cells):
+            if not code >> t & 1:
+                masks[i - 1] ^= 1 << (n - j)
+                flipped = min(flipped, longest_increasing_chain_quadratic(
+                    BinaryMatrix.from_masks(n, n, masks)))
+                masks[i - 1] ^= 1 << (n - j)
+        for k in range(max(2, longest + 1), flipped + 1):
+            counts[k] += 1
+    return counts
+
+
+def test_the_lower_triangle_counts_its_maximal_fillings():
+    # rows that are no skew shape: the lower triangle's right ends rise,
+    # but its left ends are all 0, so it meets the condition of Fact C,
+    # and the search's count must equal the literal count at every k
+    for n in range(1, 5):
+        want = triangle_counts_by_flips(n)
+        got = {k: oracle._Search(triangle_spans(n), n, k).total()
+               for k in want}
+        assert got == want, n
