@@ -706,7 +706,6 @@ class Filling(_PackedGrid):
     def items(self):
         return [((i, j), self.value(i, j)) for (i, j) in self.shape.cells()]
 
-
     def as_matrix(self):
         """Embed a rectangular filling as a BinaryMatrix."""
         if not self.shape.is_rectangle():
@@ -726,7 +725,7 @@ class Filling(_PackedGrid):
         sh = SkewShape.from_json_dict(obj)
         rows = obj["rows"]
         if len(rows) != sh.n_rows:
-            raise ValueError("expected %d rows, got %d" % (sh.n_rows, len(rows)))
+            raise ValueError("expected %d rows" % sh.n_rows)
         values = {}
         for i, (row, (lo, hi)) in enumerate(zip(rows, sh.spans()), start=1):
             if len(row) != hi - lo:

@@ -4,9 +4,10 @@ Three routes, kept deliberately separate:
 
 * `enumerate_maximal_iams` / `enumerate_maximal_fillings` list by one
   pruned row-by-row search over a board given by its row spans, a
-  rectangle's rows each spanning every column (`_board`); its row state is the placed rows' chain thresholds, and it
-  places a row only if the row completes no k-chain and leaves each zero
-  room below for the chain it needs.  No such row strands a zero placed
+  rectangle's rows each spanning every column (`_board`); its row state
+  is the placed rows' chain thresholds, and it places a row only if the
+  row completes no k-chain and leaves each zero room below for the chain
+  it needs.  No such row strands a zero placed
   earlier (Fact C of the row-search notes), so the search is exact,
   assumes nothing about the ones count and lists no dead leaf; it also
   takes a subgroup's orbit table (`symmetry._orbits`), one entry per row,
@@ -62,14 +63,15 @@ from .core import (
 # Rows are placed top to bottom over the cells of a board of n columns,
 # given by its row spans: row i holds the columns of its span, the half-open
 # pair (lo, hi].  A skew shape gives its own (`SkewShape.spans`), and a
-# rectangle's rows each span (0, n] (`_board`).  The interface between the placed prefix and the
-# future is its tuple of chain thresholds, those of `core._sweep`: entry p
-# is the bit of the least column at which a chain of length p+1 ends among
-# the placed rows.  So the longest chain ending at or left of column c is
-# the number of thresholds at or left of c (`core._at_or_left`).  A new one
-# in column j would end a chain one longer than that for c = j-1, which
-# must stay below k: there are at most k-1 thresholds, and once there are
-# k-1, ones go only at or left of the column of the last.
+# rectangle's rows each span (0, n] (`_board`).  The interface between the
+# placed prefix and the future is its tuple of chain thresholds, those of
+# `core._sweep`: entry p is the bit of the least column at which a chain of
+# length p+1 ends among the placed rows.  So the longest chain ending at or
+# left of column c is the number of thresholds at or left of c
+# (`core._at_or_left`).  A new one in column j would end a chain one longer
+# than that for c = j-1, which must stay below k: there are at most k-1
+# thresholds, and once there are k-1, ones go only at or left of the column
+# of the last.
 #
 # Maximality is local (no extremal ones count is assumed): the ones must stay
 # chain-free, and every zero must be *justified* -- flipping it completes a
@@ -86,8 +88,9 @@ from .core import (
 # * A pair needs room below the row: r must not exceed the longest chain
 #   of cells strictly below-right of (i, c) (the geometric zero test, read
 #   off the thresholds of the rows below row i, each full across its span,
-#   turned a half turn), nor k-1 minus the thresholds at or left of column c, since
-#   those r ones would extend the longest chain the placed rows end there.
+#   turned a half turn), nor k-1 minus the thresholds at or left of column
+#   c, since those r ones would extend the longest chain the placed rows
+#   end there.
 #   An alternative without room is dropped; a demand with none left would
 #   kill the branch.
 #
@@ -402,8 +405,8 @@ def _rect_search(m, n, k):
     transpose maps the maximal m x n matrices one to one onto the maximal
     n x m ones: it keeps chains increasing, and a zero whose flip
     completes a k-chain maps to one whose flip does too.  The search's
-    states are chain thresholds over the columns, so it is run with
-    n_cols = min(m, n).  Only what is counted runs on it: a listing keeps
+    states are chain thresholds over the columns, so it is run over
+    min(m, n) columns.  Only what is counted runs on it: a listing keeps
     the caller's board, whose row-major order it follows."""
     return _board(max(m, n), min(m, n), k)
 
