@@ -139,6 +139,9 @@ class BinaryMatrix(_PackedGrid):
     def from_json_dict(cls, obj):
         rows = obj["rows"]
         M = cls(rows)
+        if type(obj["m"]) is not int or type(obj["n"]) is not int:
+            raise ValueError("declared dimensions must be integers, got "
+                             "%r x %r" % (obj["m"], obj["n"]))
         if M.m != obj["m"] or M.n != obj["n"]:
             raise ValueError("declared dimensions do not match rows")
         return M
@@ -428,6 +431,9 @@ class EnumerationBudget(_Record):
         if type(max_cells) is not int or max_cells < 0:  # not bool
             raise ValueError("max_cells must be an int of at least 0, got %r"
                              % (max_cells,))
+        if max_results is not None and type(max_results) is not int:
+            raise ValueError("max_results must be None or an int, got %r"
+                             % (max_results,))  # not bool, float or str
         if max_results is not None and max_results < 0:
             raise ValueError("max_results must not be negative, got %r"
                              % (max_results,))

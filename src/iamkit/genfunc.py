@@ -18,12 +18,13 @@ forward over the row search of `oracle_count`, on the narrow side (v, v_d
 and the diagonal read top down are transpose-invariant), and weigh each
 successor row by its share of the statistics (`_row_shares`).  A one at
 (i, j) counts the zeros strictly up-diagonal of it, min(i, j) - 1 less the
-ones the rows above hold on its level j - i, and those counts per level
-are a function of the row state (Fact E of the row-search notes), carried
-with it and checked on every merge.  A one at (i, i) with o ones above it
-on the diagonal is path s = k-1-o's point there, with d_s = i-1-o, and
-v_d = d_1 + ... + d_{k-1}, so its row also takes that path's factor.  The
-per-matrix statistics below (`stat_record`, `weight_at`) are the twin.
+ones the rows above hold on its level j - i, and that count is A(j-1), the
+chain the rows above end at or left of column j-1, read off the row
+state's thresholds (Fact E of the row-search notes).  A one at (i, i)
+with o ones above it on the diagonal is path s = k-1-o's point there,
+with d_s = i-1-o, and v_d = d_1 + ... + d_{k-1}, so its row also takes
+that path's factor.  The per-matrix statistics below (`stat_record`,
+`weight_at`) are the twin.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, zip_longest
-from operator import add, mul
+from operator import mul
 
 from .bijection import _check_box, _require_maximal
 from .core import (
     DEFAULT_SEED,
     VerificationError,
     _Record,
+    _profile,
     _transpose_masks,
     check_budget,
     check_mnk,
@@ -199,56 +201,42 @@ def _row_shares(m, n, k, budget):
 
     A one at (i, j) has min(i, j) - 1 cells strictly up-diagonal of it,
     all in the rows above; the ones among them are those that the rows
-    above hold on its level j - i, and the rest are the zeros it counts
+    above hold on its level j - i, A(j-1) of the state's chain profile
+    (Fact E of the row-search notes), and the rest are the zeros it counts
     towards v.  The diagonal holds k-1 ones, path s meeting it at its s-th
-    lowest (`stat_d`), so a one at (i, i) with o ones above it there is
-    the point of path s = k-1-o, and d_s = i-1-o.
+    lowest (`stat_d`), so a one at (i, i) with o = A(i-1) ones above it
+    there is the point of path s = k-1-o, and d_s = i-1-o.
 
-    The ones per level ride along with each state, as a function of its
-    thresholds (Fact E of the row-search notes); two arrivals at one state
-    that disagree raise VerificationError.  The budget's cell cap applies
-    (the default one when none is given), and its `max_results` does not,
-    since a sum needs every matrix.
+    The budget's cell cap applies (the default one when none is given),
+    and its `max_results` does not, since a sum needs every matrix.
     """
     check_budget(m * n, budget)
     search = _rect_search(m, n, k)
     w = search.n
     cols = {}  # mask -> its bits, column 1 first
-    # thresholds -> above, above[j-1] being the ones that the placed rows
-    # hold on the level of the next row's cell in column j
-    layer = {(): (0,) * w}
+    layer = {()}
     for depth in range(search.m):
         i = depth + 1
-        up = [min(i, j) - 1 for j in range(1, w + 1)]
-        cells = {}  # mask -> the cells up-diagonal of its ones
         steps = []
-        nxt = {}
-        for tails, above in layer.items():
+        for tails in layer:
+            at = _profile(tails, w)
+            # zeros[j-1]: the zeros up-diagonal of a one in column j, the
+            # min(i, j) - 1 cells there less the A(j-1) ones
+            zeros = [min(i, j) - 1 - at[j - 1] for j in range(1, w + 1)]
             rows = []
             for mask, after in search.succ(depth, tails):
                 bits = cols.get(mask)
                 if bits is None:
                     bits = cols[mask] = tuple((mask >> (w - j)) & 1
                                               for j in range(1, w + 1))
-                e = cells.get(mask)
-                if e is None:
-                    e = cells[mask] = sum(map(mul, up, bits))
-                e -= sum(map(mul, above, bits))
                 diag = None
                 if i <= w and bits[i - 1]:
-                    o = above[i - 1]
+                    o = at[i - 1]
                     diag = (k - 1 - o, i - 1 - o)
-                # the next row's cell in column j shares the level of this
-                # row's cell in column j-1
-                below = (0,) + tuple(map(add, above, bits[:-1]))
-                if nxt.setdefault(after, below) != below:
-                    raise VerificationError(
-                        "two prefixes reach thresholds %r with different "
-                        "ones per level" % (after,))
-                rows.append((after, e, diag))
+                rows.append((after, sum(map(mul, zeros, bits)), diag))
             steps.append((tails, rows))
         yield steps
-        layer = nxt
+        layer = {after for _, rows in steps for after, _, _ in rows}
 
 
 def gf_lhs(m, n, k, q, t, budget=None):
@@ -257,9 +245,10 @@ def gf_lhs(m, n, k, q, t, budget=None):
     is built: each state carries the sum of the weights of the prefixes
     reaching it, and each successor row multiplies it by its factor.  The
     search runs on the board's narrow side, since v, v_d and the main
-    diagonal read top down are transpose-invariant, and the ones per
-    diagonal that a row's share of v reads ride along with each state, a
-    function of its thresholds (Fact E of the row-search notes).
+    diagonal read top down are transpose-invariant, and the ones above a
+    row on each diagonal, which its share of v reads, are read off the
+    chain profile of its state's thresholds (Fact E of the row-search
+    notes).
 
     The weight splits over the rows.  q^v is the product of q^e over the
     rows' shares e of v, a one at (i, j) counting min(i, j) - 1 less the
@@ -464,9 +453,9 @@ def volume_gf(m, n, k, budget=None):
     side, v being transpose-invariant, and carries, per state, the
     coefficient list of the prefixes reaching it; each successor row adds
     it shifted by q^e, e being the row's share of v: a one at (i, j)
-    counts min(i, j) - 1 less the ones above it on its diagonal, and those
-    per diagonal ride along with the state, a function of its thresholds
-    (Fact E of the row-search notes).  No matrix is built.  The product
+    counts min(i, j) - 1 less the ones above it on its diagonal, which
+    number A(j-1) of the state's chain profile (Fact E of the row-search
+    notes).  No matrix is built.  The product
     is expanded on one coefficient list: multiplied by each
     1 - q^{i+j+l-1}, then divided by each 1 - q^{i+j+l-2}, every division
     checked for a remainder.

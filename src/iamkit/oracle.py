@@ -19,15 +19,15 @@ Three routes, kept deliberately separate:
 * `oracle_count` and `oracle_count_shape` count the same search by the
   transfer-matrix method: one forward sum, row by row, of the number of
   prefixes reaching each row state, over the same rows and with no orbit
-  table, so they list nothing; `symmetry` counts the half-turn class HTS
-  by folding the same sum at the middle, since on a rectangle what the
-  top half still asks of the rows below is a function of its thresholds
-  (Fact D of the row-search notes); a rectangle is counted on its
-  narrow side (`_rect_search`): the transpose maps the maximal m x n
-  matrices one to one onto the maximal n x m ones, and the search's
-  states grow with the width, not the height; `genfunc` sums the matrix
-  statistics over the same layers, since the ones the placed rows hold
-  per diagonal are a function of the thresholds too (Fact E);
+  table, so they list nothing; a rectangle is counted on its narrow side
+  (`_rect_search`): the transpose maps the maximal m x n matrices one to
+  one onto the maximal n x m ones, and the search's states grow with the
+  width, not the height.  On a rectangle the ones that the placed rows
+  hold on each diagonal are read off the state's chain profile (Fact E of
+  the row-search notes): `genfunc` sums the matrix statistics over the
+  same layers with them, and `symmetry` counts the half-turn class HTS by
+  folding the same sum at the middle, keeping a top half when the matrix
+  it folds into avoids I_k and holds the extremal number of ones;
 * `naive_enumerate` scans every (0,1)-matrix, with no pruning at all, on
   bitsets indexed by code: the codes holding a k-chain come from the
   textbook up-left recurrence, run on whole sets, and a code is kept when
@@ -157,85 +157,25 @@ from .core import (
 # full prefix.  Every listed filling is still put through the literal
 # maximality test, as an invariant that raises if it ever fails.
 #
-# Fact D (rectangles): what the placed rows ask of the rows below is a
-# function of the thresholds.  Say rows below row i *meet* a pair (c, r)
-# when they hold a chain of r ones strictly right of column c; (b, s)
-# implies (c, r) when b >= c and s >= r.  After any i successor rows of a
-# rectangle, with A = A_i, the zeros of those rows are all justified,
-# whatever rows follow, exactly when the rows below meet every pair of
+# Fact E (rectangles): let 0 <= i < m and 1 <= j <= n.  In a maximal
+# matrix, the ones that rows 1..i hold on the level (the diagonal j - i)
+# of cell (i+1, j) number A_i(j-1).  Call that number a, and c the number
+# of ones on the whole level.
 #
-#     D(A) = {(c, k-1-A(c)) : 1 <= c <= n-1, A(c-1) = A(c) < A(c+1)},
+# * The a ones form a chain in rows <= i and columns <= j-1, so a <=
+#   A_i(j-1).
+# * A chain of A_i(j-1) ones there, followed by the level's other c-a
+#   ones, which lie at or below-right of (i+1, j), is a chain of A_i(j-1)
+#   + c - a ones, so that is at most k-1.
+# * A level of the path window has c = k-1 (`bijection.matrix_to_paths`),
+#   so A_i(j-1) <= a.  A level off the window is all ones, so a =
+#   min(i, j-1) >= A_i(j-1).
 #
-# one pair at the last column of each level of A that spans two columns
-# or more (column 0 counts) and has a higher level after it; and each
-# (c, r) in D(A) has r <= geo_i[c].  By induction on i: D(A_0) is empty,
-# and no zero is placed.  Let row i+1 be R, a successor row, which spans
-# every column, B = A_{i+1}, and h(c) the longest chain that R's ones at
-# or left of column c end, a one at j ending A(j-1)+1.  So B(c) =
-# max(A(c), h(c)).
-#
-# * R's zeros.  A zero at j is justified exactly when the rows below R meet
-#   (j, k-1-A(j-1)), A(j-1) being the chain above-left of it; nothing when
-#   A(j-1) >= k-1.  Call Z these pairs, over R's zeros with A(j-1) < k-1.
-#   The zero test gives A(j) = A(j-1) and h(j-1) <= A(j-1), so B(j) =
-#   A(j-1): the pair is (j, k-1-B(j)), B(j-1) = B(j) as A(j-1) <= B(j-1)
-#   <= B(j), and geo_{i+1}[j] >= k-1-B(j) >= 1, so j <= n-1.
-# * (i) The old pairs move.  Take (c, r) in D(A).  A(c) < A(c+1) <= k-1, so
-#   a zero at (i+1, c+1) fails the zero test, which needs A(c+1) = A(c):
-#   R(c+1) = 1.  A chain of r ones strictly right of c in rows i+1 on,
-#   less its first one, is a chain of r-1 ones strictly right of c+1 below
-#   R; and the one at (i+1, c+1) heads any such chain.  So by induction
-#   the zeros of rows 1..i+1 are justified exactly when the rows below R
-#   meet Z and each (c+1, r-1) with r >= 2.  If R(c) = 0, then A(c-1) =
-#   A(c) < k-1, so Z holds (c, r), which implies (c+1, r-1): drop it.  If
-#   R(c) = 1, that one ends a chain of A(c-1)+1 = A(c)+1 = A(c+1), and no
-#   one at or left of c+1 ends a longer one: B(c) = B(c+1) = A(c)+1, and
-#   the pair is (c+1, k-1-B(c+1)).  Fact C's last case gives geo_{i+1}[c+1]
-#   >= r-1, so c+1 <= n-1 when r >= 2.  Call M the pairs of Z and these
-#   moved ones.  Each is (x, k-1-B(x)) with 1 <= x <= n-1, B(x-1) = B(x),
-#   a need of at least 1 and geo_{i+1}[x] at least its need.
-# * (ii) Each x of M has B(x) < B(n).  If A(n-1) >= k-1, then B(n) = k-1,
-#   and B(x) <= k-2.  Otherwise R(n) = 1, since a zero at n would need
-#   geo[n] >= 1 and nothing lies right of column n; so B(n) > A(n-1) >=
-#   B(x), as B(x) = A(x-1) for a pair of Z and A(x) for a moved one.
-# * (iii) D(B) lies in M.  Take c with B(c-1) = B(c) < B(c+1), so B(c) <=
-#   k-2.  If R(c) = 0, then A(c-1) <= B(c) < k-1, and Z holds (c, k-1-B(c)).
-#   If R(c) = 1, then B(c) > A(c-1) and c >= 2, as B(0) = 0 < B(1).  So
-#   B(c-1) = h(c-1) <= A(c-2)+1 <= A(c-1)+1 <= B(c) = B(c-1): A(c-2) =
-#   A(c-1) = B(c)-1.  Had A(c) = A(c-1) too, no one at or left of c+1
-#   would end a chain over B(c), nor would A(c+1) <= A(c)+1 exceed it,
-#   against B(c+1) > B(c).  So A(c) = B(c): c-1 is in D(A), R(c-1) = 1
-#   (a zero there would give B(c-1) = A(c-2)), and by (i) its pair moves
-#   to (c, k-1-B(c)).
-# * (iv) Each pair (x, r) of M is implied by one of D(B): the last column
-#   c with B(c) = B(x) is below n by (ii), at or right of x, and has B(c-1)
-#   = B(c) since B(x-1) = B(x), so c is in D(B), with the pair (c, r).
-#
-# So the rows below R meet M exactly when they meet D(B), and the pairs of
-# D(B) have their geo bound, being in M.  Nothing lies below the last row
-# (geo_m = 0), so D(A_m) is empty, as Fact C says.  The half-turn fold
-# (`symmetry._fold_count`) reads this off the thresholds: it keeps a top
-# half when the turned half meets D(A), so it carries no demand and reads
-# the count's own layers.  The tests' twin, a demand tracker
-# (`tests/demand_tracker.py`), carries each demand row by row as its
-# alternatives with room, keeping the pairs no other one implies; the same
-# steps show that those are D(A), and that a demand with both alternatives
-# alive always has its row's zero at c implying it.
-#
-# Fact E (rectangles): the ones that the placed rows hold on each level
-# (each diagonal j - i) are a function of the thresholds.  No state is
-# dead, and every sequence of successor rows is a maximal filling (Fact
-# C), so two prefixes of i rows with equal thresholds have the same rows
-# below them and share a completion.  A maximal m x n matrix holds exactly
-# k-1 ones on each level of the path window (`bijection.matrix_to_paths`)
-# and a one on every cell of each level outside it, all of which lie in
-# the two corner staircases (`bijection._staircase_masks`): its ones per
-# level depend on m, n and k alone.  Both prefixes, completed alike, hold
-# those, and the completion holds the same ones below the cut, so the
-# prefixes hold equal counts above it.  `genfunc`'s forward sums carry the
-# counts with each state, to weigh each row's share of the statistics,
-# and raise VerificationError when two arrivals at one state disagree, so
-# the fact is checked on every merge.
+# No state of the search is dead, and every sequence of successor rows is
+# a maximal matrix (Fact C), so every state is a prefix of one, and the
+# count is read off the state.  `genfunc`'s forward sums read it to
+# weigh each row's share of the statistics, and the half-turn fold
+# (`symmetry._fold_count`) to count the ones of the top half.
 #
 # A row's successor rows read the state and nothing of the row but its
 # span and geo.  geo is only compared with needs <= k-1, so capping it at

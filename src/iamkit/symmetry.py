@@ -25,6 +25,7 @@ from .core import (
     check_budget,
     check_mnk,
     is_maximal_iam,
+    max_ones,
 )
 from .formulas import _SQUARE_ONLY
 
@@ -229,36 +230,43 @@ def _fliph_masks(m, n, k):
 # itself, be a palindrome.  So HTS is counted off the search's states for
 # those rows, with no listing and no table: the count's layer after the top
 # ⌊m/2⌋ rows, and on an odd board each state's successor rows as the
-# middle row.  The half turn keeps chains increasing, so the bottom half's
-# longest chain strictly right of column c is T(n-c), T(c) being the top
-# ⌊m/2⌋ rows' at or left of c.  By Fact D of the row-search notes, the
-# zeros of the top ⌈m/2⌉ rows, with profile A, are all justified exactly
-# when k-1-A(c) <= T(n-c) at each column c of D(A): each c in 1..n-1 with
-# A(c-1) = A(c) < A(c+1).  So a state is kept when that holds and no chain
-# across the fold reaches k.  A zero of the bottom half needs no check: it
-# is justified exactly when its image in the top half is.  The middle
-# row's palindrome test needs no check either: a one at column j with a
+# middle row.  The half turn keeps chains increasing, and the rows on
+# either side of the fold avoid I_k, so the whole matrix does exactly when
+# no chain across the fold reaches k (`core._chain_across`).  An avoiding
+# matrix is then maximal exactly when it holds max_ones(m, n, k) ones: no
+# avoiding matrix holds more, and every maximal one holds k-1 on each level
+# of the path window and a one on every cell off it.  The bottom half holds
+# as many ones as the top, so a state is kept when 2 ones(top) +
+# ones(middle) is that number.  By Fact E of the row-search notes, the top
+# ⌊m/2⌋ rows hold A(j-1) ones on the level of cell (⌊m/2⌋+1, j), A being
+# their chain profile, for j = 1..n; every other level they meet lies
+# wholly inside them, and holds k-1 ones in the window and a one on each
+# cell off it, whatever the state.  So ones(top) is read off the state.
+# The middle row's palindrome test needs no check: a one at column j with a
 # zero at n+1-j would need T(j-1) + T(n-j) <= k-2 for the one and >= k-1
-# for the zero, so the fold's checks reject such a row anyway.
+# for the zero, T being the top half's profile, so no maximal matrix holds
+# such a row.
 
 
 def _fold_count(search):
     """Number of maximal matrices fixed by rot180 (HTS) on the rectangle
     of the search: the count's layer after the top ⌊m/2⌋ rows, each state
     (and on an odd board each middle row after it) kept when the half turn
-    completes it, by Fact D (see the notes above).  The census's U count
-    has summed that layer already; a lone count sums only the top half."""
+    completes it to an avoiding matrix with the extremal ones count (see
+    the notes above).  The census's U count has summed that layer
+    already; a lone count sums only the top half."""
     m, n, k = search.m, search.n, search.k
     half = m // 2
+    # the ones the top half holds on the levels j - i >= n - half, which
+    # lie wholly inside it: k-1 on a window level, j - i <= n-k+1, and
+    # every cell, n - (j - i) of them, on a level past it
+    inside = sum(min(k - 1, n - d) for d in range(n - half, n))
     total = 0
     for top, ways in search.layer(half).items():
-        below = _profile(top, n)[::-1]
+        need = max_ones(m, n, k) - 2 * (inside + sum(_profile(top, n)[:n]))
         ends = search.succ(half, top) if m % 2 else ((0, top),)
-        for _, tails in ends:
-            at = _profile(tails, n)
-            if _chain_across(tails, top, n) < k and all(
-                    k - 1 - at[c] <= below[c] for c in range(1, n)
-                    if at[c - 1] == at[c] < at[c + 1]):
+        for mask, tails in ends:
+            if mask.bit_count() == need and _chain_across(tails, top, n) < k:
                 total += ways
     return total
 

@@ -180,6 +180,24 @@ def test_biject_rejects_entries_that_are_not_integers(capsys, monkeypatch,
                             % {"true": "True", "1.0": "1.0"}[bad])
 
 
+@pytest.mark.parametrize("to", ["pp", "paths"])
+@pytest.mark.parametrize("old,new,dims", [
+    ('"m":3', '"m":3.0', "3.0 x 4"),
+    ('"n":4', '"n":4.0', "3 x 4.0"),
+    ('"m":3', '"m":true', "True x 4"),
+])
+def test_biject_rejects_declared_dimensions_that_are_not_integers(
+        capsys, monkeypatch, to, old, new, dims):
+    # M5_JSON with a declared side written as a float or as JSON true; 3.0
+    # and 4.0 once compared equal to the rows' and were accepted
+    monkeypatch.setattr("sys.stdin", io.StringIO(M5_JSON.replace(old, new)))
+    rc = main(["biject", "--to", to, "--k", "3"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == ("invalid input: declared dimensions must be "
+                            "integers, got %s\n" % dims)
+
+
 @pytest.mark.parametrize("payload,bad", [
     ('{"a":1,"b":1,"c":1,"pi":[[1.5]]}', "entries must be integers, got 1.5"),
     ('{"a":1,"b":1,"c":1,"pi":[[true]]}', "entries must be integers, got True"),

@@ -263,6 +263,16 @@ def test_matrix_json_roundtrip():
         BinaryMatrix.from_json_dict({"m": 3, "n": 3, "rows": [[0, 1, 1], [1, 1, 0]]})
 
 
+def test_matrix_json_needs_integer_dimensions():
+    # a declared side of true or 2.0 once compared equal to the row count
+    # and was accepted
+    for m, n in ((True, 2), (1.0, 2), (1, 2.0), (1, "2"), (None, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            BinaryMatrix.from_json_dict({"m": m, "n": n, "rows": [[1, 0]]})
+    assert BinaryMatrix.from_json_dict({"m": 1, "n": 2, "rows": [[1, 0]]}) \
+        == BinaryMatrix([[1, 0]])
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         BinaryMatrix([[0, 2]])
@@ -483,6 +493,16 @@ def test_records_are_immutable_values(make, other, text):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_budget_refuses_max_results_that_are_not_ints():
+    # True once listed one object, 1.5 and 2.0 failed later inside islice
+    # with its own message, and "3" raised TypeError
+    for bad in (True, False, 1.5, 2.0, "3", -1):
+        with pytest.raises(ValueError, match="max_results"):
+            EnumerationBudget(max_results=bad)
+    assert EnumerationBudget(max_results=None).max_results is None
+    assert EnumerationBudget(max_results=3).max_results == 3
 
 
 def test_records_validate_their_fields():

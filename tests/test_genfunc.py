@@ -211,9 +211,12 @@ def test_grouped_sums_equal_the_per_matrix_sums():
 
 
 def test_two_arrivals_that_disagree_raise(monkeypatch):
-    # the ones per level ride along with each state, as a function of its
-    # thresholds (Fact E); a search whose first rows all reach one state
-    # breaks that, and the merge must raise rather than sum on
+    # the ones above a row on each level are read off its state's chain
+    # profile (Fact E); a search whose first rows all reach one state
+    # breaks that, as prefixes with different ones per level merge there.
+    # The forward sums carry nothing that could notice, so the fault must
+    # show where they meet their independent routes: volume_gf raises on
+    # its product expansion, and gf_lhs parts from gf_rhs
     succ = iamkit.oracle._Search.succ
 
     def merged(self, depth, tails):
@@ -222,10 +225,10 @@ def test_two_arrivals_that_disagree_raise(monkeypatch):
             else rows
 
     monkeypatch.setattr(iamkit.oracle._Search, "succ", merged)
-    with pytest.raises(VerificationError, match="ones per level"):
+    with pytest.raises(VerificationError, match="stream and product"):
         volume_gf(4, 4, 3)
-    with pytest.raises(VerificationError, match="ones per level"):
-        gf_lhs(4, 4, 3, Fraction(1, 2), Fraction(1, 3))
+    q, t = Fraction(1, 2), Fraction(1, 3)
+    assert gf_lhs(4, 4, 3, q, t) != gf_rhs(4, 4, 3, q, t)
 
 
 def test_boards_no_listing_reaches():

@@ -15,6 +15,7 @@ from iamkit.core import (
     SkewShape,
     VerificationError,
     _profile,
+    _sweep,
     contains_ik_in_shape,
     is_maximal_iam,
     is_maximal_iam_by_flips,
@@ -411,7 +412,7 @@ def test_every_live_pair_needs_what_the_chain_leaves():
     # column c; and no live pair sits at a threshold, A(c-1) = A(c), where
     # a demand could keep two alternatives that no zero of its row implies.
     # Every state of every tracked layer of the sweep boards, skew shapes
-    # included, where Fact D does not apply
+    # included, where Fact D of the demand tracker's notes does not apply
     pairs = 0
     for shape, k in _sweep_boards():
         search = TrackedSearch(shape, k)
@@ -426,12 +427,12 @@ def test_every_live_pair_needs_what_the_chain_leaves():
 
 
 def test_tracked_pairs_are_fact_d_of_the_thresholds():
-    # Fact D of the row-search notes: on a rectangle, what the placed rows
-    # ask of the rows below is D(A), the pair (c, k-1-A(c)) at each column
-    # c = 1..n-1 with A(c-1) = A(c) < A(c+1).  The demand tracker re-derives
-    # the demands row by row with none of the facts assumed; at every depth
-    # of every rectangle up to 7x7, at every k, each state's pairs must be
-    # D of its thresholds, as `symmetry._fold_count` reads them
+    # Fact D of the demand tracker's notes (`demand_tracker.fact_d`): on a
+    # rectangle, what the placed rows ask of the rows below is D(A), the
+    # pair (c, k-1-A(c)) at each column c = 1..n-1 with A(c-1) = A(c) <
+    # A(c+1).  The demand tracker re-derives the demands row by row with
+    # none of the facts assumed; at every depth of every rectangle up to
+    # 7x7, at every k, each state's pairs must be D of its thresholds
     states = pairs = 0
     for m in range(1, 8):
         for n in range(1, 8):
@@ -444,6 +445,30 @@ def test_tracked_pairs_are_fact_d_of_the_thresholds():
                         states += 1
                         pairs += len(dem)
     assert states > 2000 and pairs > 2000, (states, pairs)
+
+
+def test_ones_per_level_are_the_chain_profile():
+    # Fact E of the row-search notes: in a maximal matrix, the ones that
+    # rows 1..i hold on the level of cell (i+1, j) number A_i(j-1), the
+    # chain profile of those rows' thresholds, which the forward sums of
+    # genfunc and the half-turn fold read.  Every row prefix of every
+    # maximal matrix up to 6x6, at every k, the ones counted literally
+    prefixes = 0
+    for m in range(2, 7):
+        for n in range(2, 7):
+            for k in range(2, min(m, n) + 1):
+                for M in enumerate_maximal_iams(m, n, k):
+                    rows = M.to_lists()
+                    tails = []
+                    for i in range(m):
+                        at = _profile(tails, n)
+                        for j in range(1, n + 1):
+                            ones = sum(rows[i - d][j - 1 - d]
+                                       for d in range(1, min(i, j - 1) + 1))
+                            assert ones == at[j - 1], (M, k, i, j)
+                        _sweep(tails, (M.masks[i],))
+                        prefixes += 1
+    assert prefixes == 32638, prefixes
 
 
 def test_kept_layers_equal_fresh_ones():

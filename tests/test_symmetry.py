@@ -399,6 +399,20 @@ def test_fold_count_equals_the_orbit_rule_listing():
         assert _fold_count(search) == listed, (m, n, k)
 
 
+def test_fold_count_on_tall_and_wide_boards():
+    # the fold counts the top half's ones on the levels that lie wholly
+    # inside it whatever its state, which on a tall board takes in levels
+    # of the window and both kinds of corner level; every board with
+    # n <= 6 <= m <= 40, in both orientations, against the HTS formula
+    for n in range(2, 7):
+        for m in range(6, 41):
+            for k in range(2, n + 1):
+                budget = EnumerationBudget(max_cells=m * n)
+                for a, b in ((m, n), (n, m)):
+                    assert brute_count_class("HTS", a, b, k, budget) == \
+                        count_symmetry("HTS", a, b, k), (a, b, k)
+
+
 def test_a_lone_fold_sums_only_the_top_half():
     # the fold reads the count's layer after the top m // 2 rows (and, on
     # an odd board, the successor rows after it as the middle row), so on
