@@ -17,6 +17,8 @@ import functools
 from .core import (
     BinaryMatrix,
     Partition,
+    _Record,
+    check_box,
     check_mnk,
     is_maximal_iam,
     max_ones,
@@ -27,23 +29,14 @@ from .core import (
 # plane partitions
 
 
-def _check_box(a, b, c):
-    """ValueError unless a, b and c are nonnegative integers."""
-    for side in (a, b, c):
-        if type(side) is not int:  # not bool, float or str
-            raise ValueError("box sides must be integers, got %r" % (side,))
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
-
-
-class PlanePartition:
+class PlanePartition(_Record):
     """An a x b array pi of integers in [0, c], weakly decreasing along rows
     and down columns; the all-zero array is allowed."""
 
     __slots__ = ("a", "b", "c", "pi")
 
     def __init__(self, a, b, c, pi):
-        _check_box(a, b, c)
+        check_box(a, b, c)
         pi = tuple(tuple(row) for row in pi)
         if len(pi) != a or any(len(row) != b for row in pi):
             raise ValueError("array must be %d x %d" % (a, b))
@@ -61,8 +54,7 @@ class PlanePartition:
                     raise ValueError("rows must weakly decrease")
                 if i + 1 < a and pi[i + 1][j] > x:
                     raise ValueError("columns must weakly decrease")
-        self.a, self.b, self.c = a, b, c
-        self.pi = pi
+        self._set(a, b, c, pi)
 
     def volume(self):
         return sum(sum(row) for row in self.pi)
@@ -78,24 +70,11 @@ class PlanePartition:
     def from_json_dict(cls, obj):
         return cls(obj["a"], obj["b"], obj["c"], obj["pi"])
 
-    def __eq__(self, other):
-        if not isinstance(other, PlanePartition):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.pi) == \
-            (other.a, other.b, other.c, other.pi)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.pi))
-
-    def __repr__(self):
-        return "PlanePartition(%d, %d, %d, %r)" % (self.a, self.b, self.c,
-                                                   [list(r) for r in self.pi])
-
 
 def enumerate_pp(a, b, c):
     """All plane partitions in an a x b x c box (recursive row search).  The
     box sides are checked when called, before the first plane partition."""
-    _check_box(a, b, c)
+    check_box(a, b, c)
     if a == 0 or b == 0:
         return iter((PlanePartition(a, b, c, tuple(() for _ in range(a))),))
 
@@ -153,13 +132,13 @@ def _point(pt):
     return x, y
 
 
-class PathFamily:
+class PathFamily(_Record):
     """A tuple of lattice paths, each a tuple of (x, y) points."""
 
     __slots__ = ("paths",)
 
     def __init__(self, paths):
-        self.paths = tuple(tuple(map(_point, p)) for p in paths)
+        self._set(tuple(tuple(map(_point, p)) for p in paths))
 
     @classmethod
     def _of(cls, paths):
@@ -167,7 +146,7 @@ class PathFamily:
         point checks of `__init__` would add a third to `matrix_to_paths`
         (6.5 us on 18 us per 6x6 matrix, k = 4)."""
         obj = object.__new__(cls)
-        obj.paths = tuple(paths)
+        obj._set(tuple(paths))
         return obj
 
     def to_json(self):
@@ -177,23 +156,19 @@ class PathFamily:
     def from_json(cls, obj):
         return cls(obj)
 
-    def __eq__(self, other):
-        if not isinstance(other, PathFamily):
-            return NotImplemented
-        return self.paths == other.paths
 
-    def __hash__(self):
-        return hash(self.paths)
-
-    def __repr__(self):
-        return "PathFamily(%r)" % (self.paths,)
+def path_endpoints(m, n, k):
+    """Canonical start/end points: path s runs u_s -> v_s, s = 1..k-1.
+    Built once per board, as tuples, so no caller can change them.  The
+    board is checked before the cache is read: (3, 3.0, 2) would find the
+    entry of (3, 3, 2), or leave its float points there for it."""
+    check_mnk(m, n, k)
+    return _path_endpoints(m, n, k)
 
 
 @functools.cache
-def path_endpoints(m, n, k):
-    """Canonical start/end points: path s runs u_s -> v_s, s = 1..k-1.
-    Built once per board, as tuples, so no caller can change them."""
-    check_mnk(m, n, k)
+def _path_endpoints(m, n, k):
+    """path_endpoints of a board already checked."""
     starts = tuple((k - 1 - s, s - 1) for s in range(1, k))
     ends = tuple((n - s, m - k + s) for s in range(1, k))
     return starts, ends
@@ -243,7 +218,7 @@ def matrix_to_paths(M, k):
             raise ValueError("level %d carries %d path points, expected %d"
                              % (lev, len(pts), k - 1))
     paths = list(zip(*by_level))
-    starts, ends = path_endpoints(m, n, k)
+    starts, ends = _path_endpoints(m, n, k)
     for s, path in enumerate(paths):
         if path[0] != starts[s] or path[-1] != ends[s]:
             raise ValueError("path %d has endpoints %r..%r"
@@ -282,7 +257,7 @@ def paths_to_matrix(paths, m, n, k):
     fam = paths.paths
     if len(fam) != k - 1:
         raise ValueError("expected %d paths, got %d" % (k - 1, len(fam)))
-    starts, ends = path_endpoints(m, n, k)
+    starts, ends = _path_endpoints(m, n, k)
     on_paths = [0] * m
     for s, path in enumerate(fam):
         if not path or path[0] != starts[s] or path[-1] != ends[s]:

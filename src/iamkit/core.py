@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from itertools import accumulate
-from operator import add
+from operator import add, attrgetter
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +59,15 @@ class _PackedGrid:
 
 
 class BinaryMatrix(_PackedGrid):
-    """An immutable m-by-n (0,1)-matrix, rows packed with bit (n - j)
-    holding column j.
+    """An m-by-n (0,1)-matrix, rows packed with bit (n - j) holding
+    column j.
+
+    No function of iamkit changes a matrix's size or entries once it is
+    built, but nothing refuses an assignment either: `M.n = 2` succeeds
+    and changes M's equality and hash, so a matrix must not be assigned
+    to once it sits in a set or a dict.  Unlike the `_Record` value types
+    its slots are left unguarded, since three matrices are built per
+    listed matrix of a stream.
 
     A matrix remembers the k for which `is_maximal_iam` found it maximal,
     so a later check with that k returns at once.  Only that function's
@@ -366,8 +373,24 @@ class VerificationError(RuntimeError):
 
 
 def check_mnk(m, n, k):
+    """ValueError unless m, n and k are integers with 2 <= k <= min(m, n).
+    A float or a bool would pass the range test and then reach the
+    arithmetic, or a cache keyed by the board, where 3.0 and 3 collide."""
+    if not (type(m) is type(n) is type(k) is int):  # not bool, float or str
+        raise ValueError("m, n and k must be integers, got m=%r n=%r k=%r"
+                         % (m, n, k))
     if not (2 <= k <= min(m, n)):
         raise ValueError("need 2 <= k <= min(m, n), got m=%d n=%d k=%d" % (m, n, k))
+
+
+def check_box(a, b, c):
+    """ValueError unless a, b and c are nonnegative integers: the sides of
+    a box of plane partitions."""
+    for side in (a, b, c):
+        if type(side) is not int:  # not bool, float or str
+            raise ValueError("box sides must be integers, got %r" % (side,))
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("box sides must be nonnegative")
 
 
 # The seed of every sampled check: `genfunc.seeded_points` and the CLI's
@@ -381,18 +404,27 @@ DEFAULT_SEED = 20260814
 
 class _Record:
     """Base of the small immutable value types.  The fields are the
-    subclass's __slots__, each set once by `_set`.  Two instances of one
-    class with equal fields are equal and hash alike, and an instance
-    prints as Name(field=value, ...), as a frozen dataclass does."""
+    subclass's __slots__, each set once by `_set`; assignment and deletion
+    raise AttributeError.  Two instances of one class with equal fields
+    are equal and hash alike, an instance prints as Name(field=value, ...),
+    as a frozen dataclass does, and pickles by calling the class on its
+    fields, so every subclass's __init__ takes them in slot order."""
 
     __slots__ = ()
 
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # built once per class, as a plane partition is built and hashed
+        # once per listed matrix: _values reads the fields as a tuple, or
+        # the field itself when there is only one, and _setters holds the
+        # slots' own setters, which skip the refusing __setattr__
+        cls._values = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__slots__)
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def _set(self, *values):
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
@@ -402,11 +434,12 @@ class _Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
@@ -414,7 +447,8 @@ class _Record:
 
     def __reduce__(self):
         # rebuild through __init__: the default would assign the fields
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
 
 
 class BudgetExceeded(RuntimeError):
@@ -460,12 +494,13 @@ def is_maximal_iam(M, k):
     always maximal.  Otherwise every 0 must complete a chain of length k
     when flipped, by the chain bounds of `_zero_bounds`.  A True verdict
     is kept on M (see `BinaryMatrix`), and a later call with the same k
-    returns it without a sweep; any other call sweeps again.
+    returns it without a sweep or a second check of the board; any other
+    call checks and sweeps again.
     """
+    if M._maximal_for == k and type(k) is int:
+        return True  # the board was checked when the verdict was kept
     m, n, masks = M.m, M.n, M.masks
     check_mnk(m, n, k)
-    if M._maximal_for == k:
-        return True
     if _longest_chain(masks, k) >= k:
         return False
     # the extremal number is max_ones(m, n, k), whose check ran above
@@ -522,11 +557,12 @@ def diag_zeros_above(M, i, j):
 # partitions and skew shapes
 
 
-class Partition:
+class Partition(_Record):
     """A weakly decreasing tuple of nonnegative integers; () is the empty one.
 
     Trailing zero parts are kept as given: (3, 0) and (3,) are distinct as
-    sequences even though they cut out the same diagram.
+    sequences even though they cut out the same diagram.  A partition also
+    equals the tuple of its parts, and hashes as it does.
     """
 
     __slots__ = ("parts",)
@@ -543,7 +579,7 @@ class Partition:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
         if parts and parts[-1] < 0:
             raise ValueError("parts must be nonnegative: %r" % (parts,))
-        self.parts = parts
+        self._set(parts)
 
     def __len__(self):
         return len(self.parts)
@@ -584,11 +620,8 @@ class Partition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __repr__(self):
-        return "Partition(%r)" % (self.parts,)
 
-
-class SkewShape:
+class SkewShape(_Record):
     """The diagram lambda/mu: cells (i, j) with mu_i < j <= lambda_i.
 
     mu is zero-padded to the length of lambda and must fit inside it.  The
@@ -607,8 +640,7 @@ class SkewShape:
         if not lam.contains(padded):
             raise ValueError("mu must fit inside lambda")
         rows = len(lam) - lam.parts.count(0)
-        self.lam = Partition(lam.parts[:rows])
-        self.mu = Partition(padded[:rows])
+        self._set(Partition(lam.parts[:rows]), Partition(padded[:rows]))
 
     @property
     def n_rows(self):
@@ -652,17 +684,6 @@ class SkewShape:
     @classmethod
     def from_json_dict(cls, obj):
         return cls(obj["lambda"], obj.get("mu", ()))
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewShape):
-            return NotImplemented
-        return self.lam == other.lam and self.mu == other.mu
-
-    def __hash__(self):
-        return hash((self.lam, self.mu))
-
-    def __repr__(self):
-        return "SkewShape(%r, %r)" % (self.lam.parts, self.mu.parts)
 
 
 class Filling(_PackedGrid):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .core import VerificationError, check_mnk
+from .core import VerificationError, check_box, check_mnk
 
 SYMMETRY_TAGS = ("U", "DS", "AS", "DAS", "VS", "HS", "VHS", "QTS", "HTS", "TS")
 
@@ -30,8 +30,7 @@ def hprod(a, b, c):
     min(s-1, a, b, a+b+1-s) cells (i, j) of the a x b rectangle share each
     s, so there is one power per s instead of a*b*c factors.
     """
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
+    check_box(a, b, c)
     num = 1
     den = 1
     for s in range(2, a + b + 1):

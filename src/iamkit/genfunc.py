@@ -34,13 +34,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, zip_longest
 from operator import mul
 
-from .bijection import _check_box, _require_maximal
+from .bijection import _require_maximal
 from .core import (
     DEFAULT_SEED,
     VerificationError,
     _Record,
     _profile,
     _transpose_masks,
+    check_box,
     check_budget,
     check_mnk,
     diag_ones_below,
@@ -325,7 +326,7 @@ def seeded_points(count, seed=DEFAULT_SEED, span=12):
 # polynomials in q
 
 
-class QPoly:
+class QPoly(_Record):
     """A polynomial in q with integer coefficients, stored ascending.
 
     Immutable; the zero polynomial is the empty tuple.  Division is exact
@@ -345,7 +346,7 @@ class QPoly:
                                  % (c,))
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._set(tuple(cs))
 
     @classmethod
     def one(cls):
@@ -432,17 +433,6 @@ class QPoly:
     def to_list(self):
         return list(self.coeffs) if self.coeffs else [0]
 
-    def __eq__(self, other):
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "QPoly(%r)" % (list(self.coeffs),)
-
 
 def volume_gf(m, n, k, budget=None):
     """Sum of q^{v(M)} over maximal matrices, as a polynomial.
@@ -515,7 +505,7 @@ def pp_volume_gf(a, b, c):
     box.  A row is any weakly decreasing tuple of entries in [0, c], and
     it may follow every row that it is pointwise at most.
     """
-    _check_box(a, b, c)
+    check_box(a, b, c)
     rows = list(combinations_with_replacement(range(c, -1, -1), b))
     layer = {(c,) * b: [1]}
     for _ in range(a):

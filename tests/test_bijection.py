@@ -121,6 +121,19 @@ def test_board_tables_are_built_once_per_board():
                 assert _staircase_masks(m, n, k) is masks
 
 
+def test_path_endpoints_check_the_board_before_the_cache():
+    # 3.0 == 3 and the two hash alike, so a float call once read the int
+    # call's cache entry, or left its float points there for the int call
+    iamkit.bijection._path_endpoints.cache_clear()
+    with pytest.raises(ValueError, match="must be integers"):
+        path_endpoints(3, 3.0, 2)
+    points = path_endpoints(3, 3, 2)
+    assert points == (((0, 0),), ((2, 2),))
+    assert all(type(x) is int for ends in points for pt in ends for x in pt)
+    with pytest.raises(ValueError, match="must be integers"):
+        path_endpoints(3, 3.0, 2)
+
+
 # Run with and without -O; it cannot use assert, which -O strips.  Each
 # whole-matrix chain sweep is counted by wrapping core._longest_chain.
 VERDICT_SCRIPT = """

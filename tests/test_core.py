@@ -29,7 +29,8 @@ from iamkit.core import (
     longest_increasing_chain_quadratic,
     max_ones,
 )
-from iamkit.genfunc import StatRecord
+from iamkit.bijection import PathFamily, PlanePartition
+from iamkit.genfunc import QPoly, StatRecord
 from iamkit.oracle import enumerate_maximal_fillings, enumerate_maximal_iams
 from iamkit.skew import TruncatedRect
 
@@ -199,6 +200,15 @@ def test_max_ones_values():
     for bad in [(3, 4, 1), (3, 4, 4), (2, 5, 3)]:
         with pytest.raises(ValueError):
             max_ones(*bad)
+
+
+@pytest.mark.parametrize("bad", [
+    (3.5, 3, 2), (3, 3.0, 2), (3, 3, 2.0), (True, 3, 2), (3, True, 2),
+    (3, 3, True), ("3", 3, 2), (3, 3, None)])
+def test_board_sides_must_be_ints(bad):
+    # 3.5 x 3 once gave 5.5 ones, and a bool passed as 1
+    with pytest.raises(ValueError, match="must be integers"):
+        max_ones(*bad)
 
 
 def test_maximality_tests_agree_exhaustively():
@@ -477,6 +487,17 @@ def test_rectangular_filling_embeds():
      "TruncatedRect(m=3, n=4, k=2, t=1)"),
     (lambda: StatRecord(v=1, v_d=0, d=(1, 0)), StatRecord(1, 0, (0, 1)),
      "StatRecord(v=1, v_d=0, d=(1, 0))"),
+    (lambda: PlanePartition(2, 2, 1, [[1, 0], [0, 0]]),
+     PlanePartition(2, 2, 1, [[1, 1], [0, 0]]),
+     "PlanePartition(a=2, b=2, c=1, pi=((1, 0), (0, 0)))"),
+    (lambda: PathFamily([[(1, 0), (2, 0), (2, 1)]]),
+     PathFamily([[(1, 0), (1, 1), (2, 1)]]),
+     "PathFamily(paths=(((1, 0), (2, 0), (2, 1)),))"),
+    (lambda: Partition((3, 1)), Partition((3, 1, 0)),
+     "Partition(parts=(3, 1))"),
+    (lambda: SkewShape((3, 3), (1, 0)), SkewShape((3, 3)),
+     "SkewShape(lam=Partition(parts=(3, 3)), mu=Partition(parts=(1, 0)))"),
+    (lambda: QPoly([1, 2]), QPoly([1, 2, 1]), "QPoly(coeffs=(1, 2))"),
 ])
 def test_records_are_immutable_values(make, other, text):
     a, b = make(), make()
@@ -493,6 +514,17 @@ def test_records_are_immutable_values(make, other, text):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_a_plane_partition_in_a_set_stays_found():
+    # the stream keeps each matrix's plane partition in a set; an
+    # assignment that went through would change its hash and lose it there
+    pp = PlanePartition(2, 2, 1, [[1, 0], [0, 0]])
+    pps = {pp}
+    with pytest.raises(AttributeError):
+        pp.c = 5
+    assert pp.c == 1 and pp in pps
+    assert PlanePartition(2, 2, 1, [[1, 0], [0, 0]]) in pps
 
 
 def test_budget_refuses_max_results_that_are_not_ints():

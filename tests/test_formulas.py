@@ -42,6 +42,18 @@ def test_hprod_empty_box():
         hprod(-1, 2, 2)
 
 
+def test_counts_refuse_sides_that_are_not_ints():
+    # a bool or a float passed the range checks: hprod(True, 2, 1) gave 3,
+    # and count_symmetry("DS", 4.0, 4, 2) gave 8
+    for sides in ((True, 2, 1), (1, 2.0, 1), (1, 2, "1")):
+        with pytest.raises(ValueError, match="box sides must be integers"):
+            hprod(*sides)
+    with pytest.raises(ValueError, match="must be integers"):
+        count_symmetry("DS", 4.0, 4, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        count_iams(3, 3, 2.0)
+
+
 def _hprod_literal(a, b, c):
     """The defining triple product, factor by factor: the twin of hprod's
     one power per diagonal."""

@@ -503,6 +503,15 @@ def test_invalid_parameters():
         list(enumerate_maximal_fillings(SkewShape(()), 2))
 
 
+@pytest.mark.parametrize("board", [(3, 3, 2.0), (3.0, 3, 2), (3, True, 2)])
+def test_the_search_refuses_a_board_that_is_not_ints(board):
+    # oracle_count(3, 3, 2.0) once counted 6
+    with pytest.raises(ValueError, match="must be integers"):
+        oracle_count(*board)
+    with pytest.raises(ValueError, match="must be integers"):
+        enumerate_maximal_iams(*board)
+
+
 def test_listings_check_their_arguments_when_called():
     # both listings refuse a bad board, shape, k or budget when called, as
     # symmetry.enumerate_fixed_points does, not at the first next()
